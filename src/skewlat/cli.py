@@ -147,28 +147,36 @@ def _write_algebra(pair: core.CayleyPair, out, label: str) -> None:
         sys.stdout.write(core.to_text(pair))
 
 
+def _construct(build, *args, **kwargs):
+    """Call a construction; the ValueError it raises on bad sizes or names
+    is a usage error (table errors keep their own exit codes)."""
+    try:
+        return build(*args, **kwargs)
+    except (core.AxiomError, core.MalformedTableError):
+        raise
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+
+
 def _cmd_construct(args) -> int:
     if args.what == "chain":
         sizes = _parse_sizes(args.arg)
-        S = constructions.chain(sizes)
+        S = _construct(constructions.chain, sizes)
         _write_algebra(S.pair, args.output, f"chain{tuple(sizes)}")
     elif args.what == "rect":
         sizes = _parse_sizes(args.arg)
         if len(sizes) != 2:
             raise _UsageError("rect takes exactly two sizes, e.g. 'rect 2,3'")
-        S = constructions.rectangular(*sizes)
+        S = _construct(constructions.rectangular, *sizes)
         _write_algebra(S.pair, args.output, f"rect{tuple(sizes)}")
     elif args.what == "fixed":
-        try:
-            S = constructions.fixed(args.arg)
-        except (KeyError, ValueError) as exc:
-            raise _UsageError(str(exc))
+        S = _construct(constructions.fixed, args.arg)
         _write_algebra(S.pair, args.output, args.arg)
     elif args.what == "ring":
         sizes = _parse_sizes(args.arg)
         if len(sizes) != 2:
             raise _UsageError("ring takes 'DIM,MOD', e.g. 'ring 2,2'")
-        spec = constructions.RingSpec(kind=args.ring_kind, dim=sizes[0], mod=sizes[1])
+        spec = _construct(constructions.RingSpec, kind=args.ring_kind, dim=sizes[0], mod=sizes[1])
         try:
             result = constructions.ring_band(spec)
         except constructions.BudgetExceededError as exc:
@@ -193,14 +201,17 @@ def _parse_sizes(text):
 
 
 def _make_spec(args, n) -> search.SearchSpec:
-    return search.SearchSpec(
-        n=n,
-        satisfy=tuple(args.satisfy or ()),
-        falsify=tuple(args.falsify or ()),
-        limit=args.limit,
-        max_nodes=args.max_nodes,
-        max_seconds=args.max_seconds,
-    )
+    try:
+        return search.SearchSpec(
+            n=n,
+            satisfy=tuple(args.satisfy or ()),
+            falsify=tuple(args.falsify or ()),
+            limit=args.limit,
+            max_nodes=args.max_nodes,
+            max_seconds=args.max_seconds,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc))
 
 
 def _check_predicates(args) -> None:

@@ -4,7 +4,9 @@ counterexample search, node/time budgets and resumable checkpoints.
 The meet table is filled first (depth-first, cell by cell, incremental
 associativity checking); the dualities and absorption laws then pin or
 narrow most join cells. Isomorphism rejection keeps exactly the lex-least
-representative of each class.
+representative of each class. Since that representative's meet table is the
+least of its relabelings, a node is cut as soon as some relabeling makes the
+decided prefix of the meet table strictly smaller.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ class SearchSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        for name in ("limit", "max_nodes", "max_seconds"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0 (0 = unbounded)")
 
 
 @dataclass
@@ -237,6 +242,27 @@ def _triple_ok(t, x, y, z) -> bool:
     return r < 0 or l == r
 
 
+def _relabelings(n, cells):
+    """Every non-identity permutation of range(n), in two flat byte strings.
+
+    For the q-th permutation p, values[q*n + v] is p[v], and
+    sources[q*m + k] (m = len(cells)) is the position in `cells` of the cell
+    that p carries onto cells[k]: the relabeled table reads p[t[c]] at
+    cells[k], where c is that source cell."""
+    index = {c: k for k, c in enumerate(cells)}
+    values = bytearray()
+    sources = bytearray()
+    for perm in itertools.permutations(range(n)):
+        if perm == tuple(range(n)):
+            continue
+        pinv = [0] * n
+        for i, v in enumerate(perm):
+            pinv[v] = i
+        values.extend(perm)
+        sources.extend(index[(pinv[a], pinv[b])] for a, b in cells)
+    return bytes(values), bytes(sources)
+
+
 class _Enumerator:
     def __init__(self, spec: SearchSpec, resume=None, collect_all=False, first_values=None):
         self.spec = spec
@@ -258,6 +284,7 @@ class _Enumerator:
         self.meet = [[-1] * n for _ in range(n)]
         self.join = [[-1] * n for _ in range(n)]
         self.mcells = [(i, j) for i in range(n) for j in range(n) if i != j]
+        self.perm_values, self.perm_sources = _relabelings(n, self.mcells)
         self.path = []
         # restriction on the first decision cell; used to split the tree
         # into disjoint subtrees for parallel workers
@@ -290,8 +317,13 @@ class _Enumerator:
     # -- meet stage
 
     def run(self):
+        # every relabeling starts tied with the empty prefix, compared at 0
+        chain = None
+        for q in range(len(self.perm_values) // self.n):
+            chain = (q, 0, chain)
+        wake = [chain] + [None] * (len(self.mcells) - 1)
         try:
-            self._meet_dfs(0, self.resume)
+            self._meet_dfs(0, self.resume, wake)
         except _BudgetExhausted as stop:
             self.result.exhausted = False
             self.result.checkpoint = stop.path
@@ -318,7 +350,42 @@ class _Enumerator:
                 return False
         return True
 
-    def _meet_dfs(self, depth, resume):
+    def _lex_leader(self, depth, wake):
+        """Advance the relabelings waiting on position `depth` of the meet
+        prefix, now that it is decided. Returns the wake lists for the
+        children, or None when a relabeling reads strictly smaller, which
+        cuts the node.
+
+        During the meet stage the decision path is the meet prefix in
+        `mcells` order. A relabeling tied with the prefix before position f
+        is next compared at f, which needs both f and its source position
+        decided, so it waits in wake[max(f, source)]: a chain of (q, f, rest)
+        tuples that sibling nodes share. One that reads larger, or is tied on
+        the whole table, can never give a smaller table and is dropped for
+        the subtree."""
+        vals = self.path
+        values, sources = self.perm_values, self.perm_sources
+        n, m = self.n, len(self.mcells)
+        later = wake.copy()
+        chain = wake[depth]
+        while chain is not None:
+            q, f, chain = chain
+            base_v, base_s = q * n, q * m
+            while f < m:
+                s = sources[base_s + f]
+                d = s if s > f else f
+                if d > depth:
+                    later[d] = (q, f, later[d])
+                    break
+                diff = values[base_v + vals[s]] - vals[f]
+                if diff:
+                    if diff < 0:
+                        return None
+                    break
+                f += 1
+        return later
+
+    def _meet_dfs(self, depth, resume, wake):
         if depth == 0:
             n = self.n
             self.occ = [[] for _ in range(n)]
@@ -341,7 +408,9 @@ class _Enumerator:
             self.path.append(v)
             try:
                 if self._check_meet_assign(i, j):
-                    self._meet_dfs(depth + 1, sub)
+                    later = self._lex_leader(depth, wake)
+                    if later is not None:
+                        self._meet_dfs(depth + 1, sub, later)
             finally:
                 self.path.pop()
                 self.occ[v].pop()

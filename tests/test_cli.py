@@ -113,6 +113,22 @@ class TestConstructAndSearch:
         code, _, err = run(capsys, "enumerate", "3", "--satisfy", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "0"),
+            ("search", "--max-n", "0"),
+            ("construct", "chain", "0"),
+            ("construct", "rect", "0,2"),
+            ("enumerate", "3", "--limit", "-1"),
+            ("enumerate", "3", "--max-nodes", "-5"),
+            ("enumerate", "3", "--max-seconds", "-1"),
+        ],
+    )
+    def test_bad_sizes_and_budgets_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: ") and out == ""
+
     def test_checkpoint_resume_flow(self, capsys, tmp_path):
         ck = tmp_path / "ck.txt"
         code, out, err = run(

@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from skewlat import search
+from skewlat.constructions import chain, direct_product, rectangular, subalgebras
 from skewlat.core import CayleyPair, MalformedTableError, is_skew_lattice
 from skewlat.search import (
     SearchSpec,
@@ -83,6 +84,51 @@ class TestEnumeration:
         par = enumerate_skew_lattices(SearchSpec(n=4), jobs=3)
         assert [S.pair for S in seq.witnesses] == [S.pair for S in par.witnesses]
         assert seq.count_up_to_iso == par.count_up_to_iso
+        # symmetry pruning looks only at the current path, so the subtrees
+        # of the first-cell split are cut exactly as in the sequential run
+        assert seq.nodes == par.nodes
+
+    def test_pruning_reaches_only_canonical_leaves(self, monkeypatch):
+        # at n=5 every non-canonical labeling is undercut in its meet table,
+        # so the search cuts it before the leaf and is_canonical rejects none
+        leaves = []
+        real = search.is_canonical
+
+        def spy(pair):
+            leaves.append(real(pair))
+            return leaves[-1]
+
+        monkeypatch.setattr(search, "is_canonical", spy)
+        res = enumerate_skew_lattices(SearchSpec(n=5))
+        assert res.count_up_to_iso == 53
+        assert leaves == [True] * 53
+
+
+def _constructed(max_n):
+    """Chains, rectangular algebras and products of census members, all of
+    order <= max_n, and the subalgebras of order <= max_n of these and of
+    the products up to order 9."""
+    algebras = []
+    for n in range(1, max_n + 1):
+        for r in range(n):
+            for cuts in itertools.combinations(range(1, n), r):
+                bounds = (0,) + cuts + (n,)
+                algebras.append(chain([b - a for a, b in zip(bounds, bounds[1:])]))
+        algebras += [rectangular(k, n // k) for k in range(1, n + 1) if n % k == 0]
+    factors = [S for m in (2, 3, 4) for S in census(m)]
+    products = [direct_product(A, B) for A in factors for B in factors if A.n * B.n <= 9]
+    algebras += [P for P in products if P.n <= max_n]
+    for S in algebras + products:
+        algebras += [sub for _, sub in subalgebras(S, max_n)]
+    return algebras
+
+
+def test_constructions_land_in_the_census():
+    max_n = 6
+    members = {n: {S.pair.flat() for S in census(n)} for n in range(1, max_n + 1)}
+    pairs = {S.pair.flat(): S.pair for S in _constructed(max_n)}
+    for pair in pairs.values():
+        assert canonical_form(pair).flat() in members[pair.n], pair
 
 
 class TestPredicates:
@@ -110,18 +156,19 @@ class TestBudgetsAndCheckpoints:
         assert res.checkpoint is not None
 
     def test_resume_completes_the_count(self):
-        spec = SearchSpec(n=4)
-        budget = SearchSpec(n=4, max_nodes=2000)
-        partial = enumerate_skew_lattices(budget)
-        assert not partial.exhausted
-        resumed = enumerate_skew_lattices(spec, resume=partial.checkpoint)
-        full = enumerate_skew_lattices(spec)
-        # the resumed run revisits the checkpoint branch, so counts from the
-        # partial prefix plus the resumed suffix cover every algebra
-        seen = {S.pair.flat() for S in partial.witnesses} | {
-            S.pair.flat() for S in resumed.witnesses
-        }
-        assert seen == {S.pair.flat() for S in full.witnesses}
+        for satisfy in ((), ("lattice",)):
+            spec = SearchSpec(n=4, satisfy=satisfy)
+            full = enumerate_skew_lattices(spec)
+            budget = SearchSpec(n=4, satisfy=satisfy, max_nodes=full.nodes // 2)
+            partial = enumerate_skew_lattices(budget)
+            assert not partial.exhausted
+            resumed = enumerate_skew_lattices(spec, resume=partial.checkpoint)
+            assert resumed.exhausted
+            # exactly once: the two runs split the witnesses, in order
+            assert [S.pair for S in partial.witnesses + resumed.witnesses] == [
+                S.pair for S in full.witnesses
+            ]
+            assert partial.count_up_to_iso + resumed.count_up_to_iso == full.count_up_to_iso
 
     def test_checkpoint_file_round_trip(self, tmp_path):
         spec = SearchSpec(n=4, satisfy=("lattice",))
@@ -138,6 +185,13 @@ class TestBudgetsAndCheckpoints:
 
     def test_spec_hash_sensitive_to_filters(self):
         assert spec_hash(SearchSpec(n=4)) != spec_hash(SearchSpec(n=4, satisfy=("lattice",)))
+
+    @pytest.mark.parametrize(
+        "field, value", [("limit", -1), ("max_nodes", -5), ("max_seconds", -1.0)]
+    )
+    def test_negative_budget_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchSpec(n=3, **{field: value})
 
     def test_time_budget(self):
         res = enumerate_skew_lattices(SearchSpec(n=5, max_seconds=0.05))
