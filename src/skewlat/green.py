@@ -28,7 +28,6 @@ class Partition:
     @classmethod
     def from_pairs(cls, n: int, related) -> "Partition":
         """Build from a predicate related(x, y) assumed to be an equivalence."""
-        seen = {}
         classes = []
         class_of = [-1] * n
         for x in range(n):
@@ -39,7 +38,6 @@ class Partition:
             classes.append(members)
             for y in members:
                 class_of[y] = cid
-        del seen
         return cls(tuple(class_of), tuple(classes))
 
     @classmethod

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import green, terms, varieties, ybe
+from . import terms, varieties, ybe
 from .core import CayleyPair, SkewLattice, axiom_violations, validate
 
 
@@ -127,6 +129,19 @@ _SOLUTION_PREDICATES = {
 }
 
 
+def _formulas(name: str):
+    """The formulas whose conjunction a predicate name means: a variety
+    flag, a bundled formula name or a raw formula. None for other names."""
+    lib = terms.library()
+    if name in varieties._FORMULA_FLAGS:
+        return tuple(lib[k] for k in varieties._FORMULA_FLAGS[name])
+    if name in lib:
+        return (lib[name],)
+    if "=" in name:
+        return (terms.parse(name),)
+    return None
+
+
 def resolve_predicate(name: str):
     """Map a satisfy/falsify entry to a boolean predicate on SkewLattice.
 
@@ -136,87 +151,29 @@ def resolve_predicate(name: str):
     if name in _SOLUTION_PREDICATES:
         kind = _SOLUTION_PREDICATES[name]
         return lambda S: ybe.braid_check(ybe.build_map(S, kind)) is None
-    if name in varieties.FLAG_NAMES:
-        if name == "quasi_distributive":
-            return lambda S: varieties.is_quasi_distributive(S)[0]
-        if name in ("left_handed", "right_handed"):
-            fn = green.is_left_handed if name == "left_handed" else green.is_right_handed
-            return fn
-        names = varieties._FORMULA_FLAGS[name]
-        lib = terms.library()
-        formulas = [lib[k] for k in names]
-        return lambda S: all(terms.holds(S, f) is True for f in formulas)
-    lib = terms.library()
-    if name in lib:
-        f = lib[name]
-        return lambda S: terms.holds(S, f) is True
-    if "=" in name:
-        f = terms.parse(name)
-        return lambda S: terms.holds(S, f) is True
-    raise ValueError(f"unknown predicate {name!r}")
+    if name == "quasi_distributive":
+        return lambda S: varieties.is_quasi_distributive(S)[0]
+    formulas = _formulas(name)
+    if formulas is None:
+        raise ValueError(f"unknown predicate {name!r}")
+    return lambda S: all(terms.holds(S, f) is True for f in formulas)
 
 
-# Constraints usable for pruning partial tables: single-operation, two
-# variables. Keyed by predicate name; values are (which-table, formula text).
-_PRUNE_HINTS = {
-    "left_handed": (("meet", "x ^ y ^ x = x ^ y"), ("join", "x ^ y ^ x = y ^ x")),
-    "right_handed": (("meet", "x ^ y ^ x = y ^ x"), ("join", "x ^ y ^ x = x ^ y")),
-    "left-handed": (("meet", "x ^ y ^ x = x ^ y"), ("join", "x ^ y ^ x = y ^ x")),
-    "right-handed": (("meet", "x ^ y ^ x = y ^ x"), ("join", "x ^ y ^ x = x ^ y")),
-    "lattice": (("meet", "x ^ y = y ^ x"), ("join", "x ^ y = y ^ x")),
-}
-# note: the join-side prune formulas above are written with '^' but applied
-# to the join table; only the term *shape* matters for partial evaluation.
+def _reads_join(term) -> bool:
+    return term[0] == "join" or (term[0] == "meet" and (_reads_join(term[1]) or _reads_join(term[2])))
 
 
-def _compile_term(term):
-    if term[0] == "var":
-        which = term[1]
-        if which == "x":
-            return lambda t, x, y: x
-        return lambda t, x, y: y
-    fl = _compile_term(term[1])
-    fr = _compile_term(term[2])
-
-    def ev(t, x, y):
-        a = fl(t, x, y)
-        if a < 0:
-            return -1
-        b = fr(t, x, y)
-        if b < 0:
-            return -1
-        return t[a][b]
-
-    return ev
-
-
-def _compile_prune(formula_text: str):
-    f = terms.parse(formula_text)
-    if set(f.variables) - {"x", "y"}:
-        raise ValueError("prune constraints must use only variables x, y")
-    evl = _compile_term(f.conclusion[0])
-    evr = _compile_term(f.conclusion[1])
-
-    def check(t, n, i, j) -> bool:
-        # Soundness-only filter: examine pairs touching the row/column of the
-        # freshly assigned cell. Missed violations are caught at emit time by
-        # the full predicate check.
-        for x in range(n):
-            row = x == i or x == j
-            for y in range(n):
-                if not row and y != i and y != j:
-                    continue
-                a = evl(t, x, y)
-                if a < 0:
-                    continue
-                b = evr(t, x, y)
-                if b < 0:
-                    continue
-                if a != b:
-                    return False
-        return True
-
-    return check
+def _prunes(names):
+    """(meet-stage, join-stage) prunes: the compiled sides of every identity
+    in two variables among the satisfy entries' formulas, by whether it reads
+    join. (One in one variable holds in every idempotent algebra.)"""
+    meet, join = [], []
+    for name in names:
+        for f in _formulas(name) or ():
+            if f.is_identity and len(f.variables) == 2:
+                stage = join if any(_reads_join(t) for t in f.conclusion) else meet
+                stage.append(terms.compile_formula(f))
+    return meet, join
 
 
 class _LimitReached(Exception):
@@ -273,17 +230,18 @@ class _Enumerator:
         self.deadline = time.monotonic() + spec.max_seconds if spec.max_seconds else None
         self.satisfy = [(name, resolve_predicate(name)) for name in spec.satisfy]
         self.falsify = [(name, resolve_predicate(name)) for name in spec.falsify]
-        self.meet_prunes = []
-        self.join_prunes = []
-        for name in spec.satisfy:
-            for which, text in _PRUNE_HINTS.get(name, ()):
-                (self.meet_prunes if which == "meet" else self.join_prunes).append(
-                    _compile_prune(text)
-                )
+        self.meet_prunes, self.join_prunes = _prunes(spec.satisfy)
         n = self.n
-        self.meet = [[-1] * n for _ in range(n)]
-        self.join = [[-1] * n for _ in range(n)]
+        # a last row and column of -1 pad each table, so index -1 reads
+        # "unknown" (see terms); the prunes evaluate on these partial tables
+        self.meet = [[-1] * (n + 1) for _ in range(n + 1)]
+        self.join = [[-1] * (n + 1) for _ in range(n + 1)]
         self.mcells = [(i, j) for i in range(n) for j in range(n) if i != j]
+        # the pairs a prune re-checks after cell (i, j) is assigned
+        self.touching = {
+            (i, j): [(x, y) for x in range(n) for y in range(n) if {x, y} & {i, j}]
+            for i, j in self.mcells
+        }
         self.perm_values, self.perm_sources = _relabelings(n, self.mcells)
         self.path = []
         # restriction on the first decision cell; used to split the tree
@@ -331,23 +289,27 @@ class _Enumerator:
             self.result.exhausted = False
         return self.result
 
-    def _check_meet_assign(self, i, j):
-        t = self.meet
-        n = self.n
-        for a in range(n):
+    def _check_assign(self, t, occ, prunes, i, j):
+        """Associativity and the satisfy prunes after t[i][j] is assigned;
+        occ[v] lists the cells of t that hold v."""
+        for a in range(self.n):
             if not _triple_ok(t, i, j, a) or not _triple_ok(t, a, i, j):
                 return False
         # new cell (i,j) as outer-left product: pairs with product i, z = j
-        for x, y in self.occ[i]:
+        for x, y in occ[i]:
             if not _triple_ok(t, x, y, j):
                 return False
         # new cell (i,j) as outer-right product: pairs with product j, x = i
-        for x, y in self.occ[j]:
+        for x, y in occ[j]:
             if not _triple_ok(t, i, x, y):
                 return False
-        for p in self.meet_prunes:
-            if not p(t, n, i, j):
-                return False
+        # a violation needs both sides known; missed ones fail at the leaf
+        m, jt = self.meet, self.join
+        for sides in prunes:
+            for x, y in self.touching[i, j]:
+                lhs, rhs = sides(m, jt, x, y)
+                if lhs != rhs and lhs >= 0 and rhs >= 0:
+                    return False
         return True
 
     def _lex_leader(self, depth, wake):
@@ -407,7 +369,7 @@ class _Enumerator:
             self.occ[v].append((i, j))
             self.path.append(v)
             try:
-                if self._check_meet_assign(i, j):
+                if self._check_assign(self.meet, self.occ, self.meet_prunes, i, j):
                     later = self._lex_leader(depth, wake)
                     if later is not None:
                         self._meet_dfs(depth + 1, sub, later)
@@ -455,30 +417,13 @@ class _Enumerator:
                     cand[cell] = [forced]
         return cand
 
-    def _check_join_assign(self, i, j):
-        t = self.join
-        n = self.n
-        for a in range(n):
-            if not _triple_ok(t, i, j, a) or not _triple_ok(t, a, i, j):
-                return False
-        for x, y in self.jocc[i]:
-            if not _triple_ok(t, x, y, j):
-                return False
-        for x, y in self.jocc[j]:
-            if not _triple_ok(t, i, x, y):
-                return False
-        for p in self.join_prunes:
-            if not p(t, n, i, j):
-                return False
-        return True
-
     def _join_stage(self, resume):
         cand = self._join_candidates()
         if cand is None:
             return
         n = self.n
         self.jocc = [[] for _ in range(n)]
-        self.join = [[-1] * n for _ in range(n)]
+        self.join = [[-1] * (n + 1) for _ in range(n + 1)]
         for x in range(n):
             self.join[x][x] = x
             self.jocc[x].append((x, x))
@@ -498,7 +443,7 @@ class _Enumerator:
                 self.jocc[v].append((i, j))
                 self.path.append(v)
                 try:
-                    if self._check_join_assign(i, j):
+                    if self._check_assign(self.join, self.jocc, self.join_prunes, i, j):
                         dfs(depth + 1, sub)
                 finally:
                     self.path.pop()
@@ -510,7 +455,8 @@ class _Enumerator:
     # -- leaf handling
 
     def _emit(self):
-        pair = CayleyPair.from_tables(self.meet, self.join)
+        n = self.n
+        pair = CayleyPair.from_tables([r[:n] for r in self.meet[:n]], [r[:n] for r in self.join[:n]])
         if axiom_violations(pair):
             return  # partial constraints admit no false positives; belt & braces
         if not is_canonical(pair):
@@ -599,12 +545,22 @@ def census_up_to(max_n: int):
 
 
 def save_checkpoint(spec: SearchSpec, path_vector, fh_or_path) -> None:
+    """Write a checkpoint. A file path is replaced atomically: the text goes
+    to a temporary file in the same directory, which then takes its name."""
     text = spec_hash(spec) + "\n" + " ".join(str(v) for v in path_vector) + "\n"
     if hasattr(fh_or_path, "write"):
         fh_or_path.write(text)
-    else:
-        with open(fh_or_path, "w", encoding="utf-8") as fh:
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(fh_or_path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, fh_or_path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(spec: SearchSpec, fh_or_path):
@@ -618,4 +574,9 @@ def load_checkpoint(spec: SearchSpec, fh_or_path):
         raise ValueError("checkpoint does not match the search spec")
     if len(lines) < 2 or not lines[1].strip():
         return tuple()
-    return tuple(int(tok) for tok in lines[1].split())
+    path = tuple(int(tok) for tok in lines[1].split())
+    # one value in 0..n-1 per decision cell: the meet cells, then the join cells
+    n, cells = spec.n, 2 * spec.n * (spec.n - 1)
+    if len(path) > cells or any(not 0 <= v < n for v in path):
+        raise ValueError(f"checkpoint path is not at most {cells} values in 0..{n - 1}")
+    return path

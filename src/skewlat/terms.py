@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 from .core import SkewLattice
 
@@ -186,13 +188,48 @@ def format_equation(lhs, rhs) -> str:
     return f"{format_term(lhs)} = {format_term(rhs)}"
 
 
+# --- evaluation --------------------------------------------------------------
+#
+# The one term compiler: a tuple of terms becomes a function of (meet, join,
+# *values), values in the given variables' order, returning each term's
+# value. Its source names only m, j, v0, v1, ... and a temporary t0, t1, ...
+# per distinct subterm, one per line; no user text enters it. On tables padded
+# with a last row and column of -1 (the search's partial tables) an unknown
+# cell reads -1, and so does every term over it.
+
+
+@lru_cache(maxsize=1024)
+def _compile(terms_: tuple, variables: tuple):
+    names = {("var", name): f"v{k}" for k, name in enumerate(variables)}
+    body = []
+
+    def bind(term):
+        if term not in names:
+            left, right = bind(term[1]), bind(term[2])
+            names[term] = f"t{len(body)}"
+            table = "m" if term[0] == "meet" else "j"
+            body.append(f"    {names[term]} = {table}[{left}][{right}]\n")
+        return names[term]
+
+    results = [bind(t) for t in terms_]
+    params = ", ".join(["m", "j"] + [f"v{k}" for k in range(len(variables))])
+    source = f"def evaluate({params}):\n{''.join(body)}    return ({', '.join(results)},)\n"
+    namespace = {"__builtins__": {}}
+    exec(compile(source, "<terms>", "exec"), namespace)
+    return namespace["evaluate"]
+
+
+def compile_formula(f: Formula):
+    """f's sides, premises first, as a function of (meet, join, *values)
+    with the values in the order of f.variables."""
+    sides = tuple(t for eq in f.premises + (f.conclusion,) for t in eq)
+    return _compile(sides, f.variables)
+
+
 def evaluate(S: SkewLattice, term, env: dict) -> int:
-    kind = term[0]
-    if kind == "var":
-        return env[term[1]]
-    a = evaluate(S, term[1], env)
-    b = evaluate(S, term[2], env)
-    return S.pair.meet[a][b] if kind == "meet" else S.pair.join[a][b]
+    variables = tuple(sorted(term_variables(term)))
+    fn = _compile((term,), variables)
+    return fn(S.pair.meet, S.pair.join, *(env[v] for v in variables))[0]
 
 
 def holds(S: SkewLattice, f: Formula):
@@ -204,18 +241,21 @@ def holds(S: SkewLattice, f: Formula):
     vars_ = f.variables
     if len(vars_) > MAX_VARIABLES:
         raise VariableLimitError(f"{len(vars_)} variables exceed the limit {MAX_VARIABLES}")
+    sides = compile_formula(f)
+    m, j = S.pair.meet, S.pair.join
+    k = 2 * len(f.premises)
     for values in itertools.product(range(S.n), repeat=len(vars_)):
-        env = dict(zip(vars_, values))
-        if all(evaluate(S, l, env) == evaluate(S, r, env) for l, r in f.premises):
-            if evaluate(S, f.conclusion[0], env) != evaluate(S, f.conclusion[1], env):
-                return env
+        s = sides(m, j, *values)
+        if s[k] != s[k + 1] and s[:k:2] == s[1:k:2]:
+            return dict(zip(vars_, values))
     return True
 
 
 def holds_at(S: SkewLattice, f: Formula, env: dict):
     """Evaluate one assignment; returns (premises_ok, lhs, rhs)."""
-    pre = all(evaluate(S, l, env) == evaluate(S, r, env) for l, r in f.premises)
-    return pre, evaluate(S, f.conclusion[0], env), evaluate(S, f.conclusion[1], env)
+    k = 2 * len(f.premises)
+    s = compile_formula(f)(S.pair.meet, S.pair.join, *(env[v] for v in f.variables))
+    return s[:k:2] == s[1:k:2], s[k], s[k + 1]
 
 
 # --- formula files and the bundled library ---------------------------------
@@ -248,7 +288,9 @@ def parse_formula_file(text: str) -> list:
     ]
 
 
-def library() -> dict:
-    """The bundled named identities and implications."""
+@lru_cache(maxsize=None)
+def library() -> MappingProxyType:
+    """The bundled named identities and implications, parsed once; the
+    mapping is read-only since every caller shares it."""
     text = resources.files("skewlat").joinpath("formulas.txt").read_text(encoding="utf-8")
-    return parse_library(text)
+    return MappingProxyType(parse_library(text))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import green, terms
 from .core import InternalInconsistencyError, SkewLattice
@@ -91,12 +90,6 @@ def upper_update_value(S: SkewLattice, x: int, y: int) -> int:
     return m[m[t][x]][t]
 
 
-@lru_cache(maxsize=None)
-def _dclass_data(S: SkewLattice):
-    _, _, D = green.green_relations(S)
-    return D
-
-
 def lower_update(S: SkewLattice, x: int, y: int) -> int:
     """The lower update of x by y, with its structural properties asserted.
 
@@ -107,7 +100,7 @@ def lower_update(S: SkewLattice, x: int, y: int) -> int:
     """
     m, j = S.pair.meet, S.pair.join
     u = lower_update_value(S, x, y)
-    D = _dclass_data(S)
+    _, _, D = green.green_relations(S)
     if D.class_of[u] != D.class_of[x]:
         raise InternalInconsistencyError("lower update left the D-class of x")
     mclass = sorted(D.classes[D.class_of[m[x][y]]])
@@ -129,7 +122,7 @@ def upper_update(S: SkewLattice, x: int, y: int) -> int:
     """Dual of lower_update, with the dual assertions."""
     m, j = S.pair.meet, S.pair.join
     u = upper_update_value(S, x, y)
-    D = _dclass_data(S)
+    _, _, D = green.green_relations(S)
     if D.class_of[u] != D.class_of[x]:
         raise InternalInconsistencyError("upper update left the D-class of x")
     jclass = sorted(D.classes[D.class_of[j[x][y]]])

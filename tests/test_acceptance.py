@@ -4,6 +4,7 @@ Each test prints exactly one `[criterion NN] PASS|FAIL - summary` line
 (through disabled capture, so the lines always appear in the pytest run).
 """
 
+import io
 import random
 import time
 
@@ -209,26 +210,30 @@ def test_criterion_11_search_substitute(report):
     result = search.find_counterexample(spec)
     none_up_to_6 = result.witness is None and result.exhausted
 
-    # checkpoint/resume round-trip on a truncated budget run of the same filters
-    sub = search.SearchSpec(n=6, satisfy=spec.satisfy, falsify=spec.falsify, max_nodes=5000)
-    partial = search.enumerate_skew_lattices(sub)
-    resume_ok = not partial.exhausted and partial.checkpoint is not None
-    if resume_ok:
-        import io
-
+    # checkpoint/resume round trip on budgeted runs of the satisfy filters
+    # (49 witnesses at n=6): resumes chained through checkpoint files until
+    # the run is exhausted yield every witness exactly once, in order
+    whole = search.SearchSpec(n=6, satisfy=spec.satisfy)
+    full = search.enumerate_skew_lattices(whole)
+    sub = search.SearchSpec(n=6, satisfy=spec.satisfy, max_nodes=5000)
+    witnesses, runs, resume = [], 0, None
+    while True:
+        part = search.enumerate_skew_lattices(sub, resume=resume)
+        witnesses += part.witnesses
+        runs += 1
+        if part.exhausted:
+            break
         buf = io.StringIO()
-        search.save_checkpoint(sub, partial.checkpoint, buf)
+        search.save_checkpoint(sub, part.checkpoint, buf)
         buf.seek(0)
-        loaded = search.load_checkpoint(sub, buf)
-        resume_ok = loaded == tuple(partial.checkpoint)
-        if resume_ok:
-            resumed = search.enumerate_skew_lattices(
-                search.SearchSpec(n=6, satisfy=spec.satisfy, falsify=spec.falsify, max_nodes=5000),
-                resume=loaded,
-            )
-            resume_ok = resumed.nodes > 0
+        resume = search.load_checkpoint(sub, buf)
+    resume_ok = (
+        runs > 1
+        and len(full.witnesses) == 49
+        and [S.pair for S in witnesses] == [S.pair for S in full.witnesses]
+    )
     ok = none_up_to_6 and resume_ok
-    report(11, ok, f"no left-handed+distributive+cancellative non-strong-solution up to n=6 ({result.nodes} nodes); checkpoint round-trip ok={resume_ok}")
+    report(11, ok, f"no left-handed+distributive+cancellative non-strong-solution up to n=6 ({result.nodes} nodes); checkpoint round trip ok={resume_ok} ({runs} runs)")
 
 
 def test_criterion_12_decomposition_invariants(report, census5):

@@ -138,6 +138,15 @@ class TestConstructAndSearch:
         code, out, _ = run(capsys, "enumerate", "4", "--resume", str(ck))
         assert code == 0 and "exhausted=true" in out
 
+    @pytest.mark.parametrize("path", ["99", "-1 -1", " ".join(["0"] * 25)])
+    def test_resume_from_bad_path_exits_two(self, capsys, tmp_path, path):
+        from skewlat import search
+
+        ck = tmp_path / "ck.txt"
+        ck.write_text(search.spec_hash(search.SearchSpec(n=4)) + "\n" + path + "\n")
+        code, out, err = run(capsys, "enumerate", "4", "--resume", str(ck))
+        assert code == 2 and err.startswith("error: ") and out == ""
+
 
 class TestTheorems:
     def test_battery_passes(self, capsys):

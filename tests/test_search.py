@@ -1,9 +1,11 @@
 import io
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skewlat import search
+from skewlat import green, search, terms
 from skewlat.constructions import chain, direct_product, rectangular, subalgebras
 from skewlat.core import CayleyPair, MalformedTableError, is_skew_lattice
 from skewlat.search import (
@@ -21,8 +23,15 @@ from skewlat.search import (
 )
 
 
+def _associative(t, n):
+    return all(t[t[x][y]][z] == t[x][t[y][z]] for x in range(n) for y in range(n) for z in range(n))
+
+
 def brute_force_count(n):
-    """Direct iteration over all table pairs, deduplicated by relabeling."""
+    """Direct iteration over all table pairs, deduplicated by relabeling.
+
+    Join tables are tried only beside meet tables that are idempotent (by
+    construction) and associative, which every skew lattice's meet is."""
     seen = set()
     count = 0
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -31,6 +40,8 @@ def brute_force_count(n):
         meet = [[i if i == j else 0 for j in range(n)] for i in range(n)]
         for (i, j), v in zip(cells, mvals):
             meet[i][j] = v
+        if not _associative(meet, n):
+            continue
         for jvals in itertools.product(range(n), repeat=len(cells)):
             join = [[i if i == j else 0 for j in range(n)] for i in range(n)]
             for (i, j), v in zip(cells, jvals):
@@ -104,6 +115,28 @@ class TestEnumeration:
         assert leaves == [True] * 53
 
 
+def _random_term(rng, variables, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return ("var", rng.choice(variables))
+    op = rng.choice(("meet", "join"))
+    return (op, _random_term(rng, variables, depth - 1), _random_term(rng, variables, depth - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**40), st.sampled_from("xy"))
+def test_derived_prunes_keep_exactly_the_satisfying_classes(seed, last):
+    # identities in one or two variables mixing ^ and v prune the search;
+    # the pruned run must yield exactly the census members that satisfy them
+    rng = random.Random(seed)
+    variables = "x" + last.replace("x", "")
+    text = terms.format_equation(_random_term(rng, variables, 3), _random_term(rng, variables, 3))
+    f = terms.parse(text)
+    for n in range(1, 5):
+        got = enumerate_skew_lattices(SearchSpec(n=n, satisfy=(text,))).witnesses
+        want = [S for S in census(n) if terms.holds(S, f) is True]
+        assert [S.pair for S in got] == [S.pair for S in want], text
+
+
 def _constructed(max_n):
     """Chains, rectangular algebras and products of census members, all of
     order <= max_n, and the subalgebras of order <= max_n of these and of
@@ -144,6 +177,13 @@ class TestPredicates:
         pred = resolve_predicate("x ^ y = y ^ x")
         assert pred(threes[0]) is False
 
+    def test_handedness_flags_agree_with_green(self, census5):
+        left, right = resolve_predicate("left_handed"), resolve_predicate("right_handed")
+        for n in range(1, 6):
+            for S in census5[n]:
+                assert left(S) == green.is_left_handed(S)
+                assert right(S) == green.is_right_handed(S)
+
     def test_unknown_predicate_rejected(self):
         with pytest.raises(ValueError):
             resolve_predicate("definitely-not-a-thing")
@@ -182,6 +222,31 @@ class TestBudgetsAndCheckpoints:
         save_checkpoint(SearchSpec(n=4), (0, 1), path)
         with pytest.raises(ValueError):
             load_checkpoint(SearchSpec(n=5), path)
+
+    @pytest.mark.parametrize("path", [(99,), (-1, -1), (4,), (0,) * 25])
+    def test_checkpoint_path_out_of_range_rejected(self, path):
+        # n=4 has 2*4*3 = 24 decision cells, each taking a value in 0..3
+        spec = SearchSpec(n=4)
+        buf = io.StringIO()
+        save_checkpoint(spec, path, buf)
+        buf.seek(0)
+        with pytest.raises(ValueError):
+            load_checkpoint(spec, buf)
+
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_failed_checkpoint_write_keeps_the_previous_one(self, tmp_path, monkeypatch, failing):
+        spec = SearchSpec(n=4)
+        path = tmp_path / "ck.txt"
+        save_checkpoint(spec, (0, 1), path)
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(search.os, failing, fail)
+        with pytest.raises(OSError):
+            save_checkpoint(spec, (0, 2, 1), path)
+        assert load_checkpoint(spec, path) == (0, 1)
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]
 
     def test_spec_hash_sensitive_to_filters(self):
         assert spec_hash(SearchSpec(n=4)) != spec_hash(SearchSpec(n=4, satisfy=("lattice",)))

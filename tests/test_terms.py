@@ -10,6 +10,7 @@ from skewlat.terms import (
     Formula,
     ParseError,
     VariableLimitError,
+    compile_formula,
     evaluate,
     format_equation,
     format_term,
@@ -95,6 +96,15 @@ class TestFormatRoundTrip:
         assert format_term(t) == "x ^ y v z"
 
 
+def oracle_evaluate(S, term, env):
+    """A plain recursive evaluator, independent of the compiled one."""
+    if term[0] == "var":
+        return env[term[1]]
+    a = oracle_evaluate(S, term[1], env)
+    b = oracle_evaluate(S, term[2], env)
+    return S.meet(a, b) if term[0] == "meet" else S.join(a, b)
+
+
 class TestEvaluation:
     def test_evaluate_on_three_r0(self):
         t = parse("x ^ y v x = x").conclusion[0]
@@ -134,10 +144,35 @@ class TestEvaluation:
                 expected = True
                 for env_vals in itertools.product(S.elements(), repeat=len(f.variables)):
                     env = dict(zip(f.variables, env_vals))
-                    if evaluate(S, lhs, env) != evaluate(S, rhs, env):
+                    if oracle_evaluate(S, lhs, env) != oracle_evaluate(S, rhs, env):
                         expected = dict(sorted(env.items()))
                         break
                 assert holds(S, f) == expected
+                env = dict(zip(f.variables, itertools.repeat(S.n - 1)))
+                assert evaluate(S, lhs, env) == oracle_evaluate(S, lhs, env)
+
+    def test_deep_terms_evaluate(self):
+        # bound one subterm per line, so depth is no limit of the compiler
+        f = parse(" ^ ".join(["x"] * 300 + ["y"]) + " = x ^ y")
+        assert holds(THREE_R0, f) is True
+        assert evaluate(THREE_R0, f.conclusion[0], {"x": 1, "y": 2}) == 2
+
+    def test_unknown_cells_make_the_value_unknown(self):
+        # tables padded with a row and column of -1, as in the search
+        meet = [[0, 0, -1], [-1, 1, -1], [-1, -1, -1]]
+        join = [[-1] * 3] * 3
+        sides = compile_formula(parse("x ^ y ^ x = x ^ y"))
+        assert sides(meet, join, 0, 1) == (0, 0)
+        assert sides(meet, join, 1, 0) == (-1, -1)
+        assert sides(meet, join, 1, 1) == (1, 1)
+        assert compile_formula(parse("x v y = y"))(meet, join, 0, 1) == (-1, 1)
+
+    def test_variable_names_stay_out_of_the_generated_code(self):
+        # a formula's variables are passed by position, so any letters work
+        f = parse("j ^ m = m ^ j")
+        g = parse("a ^ b = b ^ a")
+        assert holds(THREE_R0, f) == {"j": 1, "m": 2}
+        assert holds(THREE_R0, g) == {"a": 1, "b": 2}
 
 
 class TestLibrary:
@@ -150,6 +185,13 @@ class TestLibrary:
     def test_parse_library_format(self):
         lib = parse_library("# comment\nfoo: x ^ y = x\n\nbar: x v y = y\n")
         assert set(lib) == {"foo", "bar"}
+
+    def test_library_is_parsed_once_and_read_only(self, monkeypatch):
+        assert library() is library()
+        monkeypatch.setattr(terms, "parse_library", None)  # a second parse would fail
+        assert "D1" in library()
+        with pytest.raises(TypeError):
+            library()["D1"] = parse("x = x")
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ParseError):
