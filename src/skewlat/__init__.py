@@ -4,7 +4,6 @@ variety classification, Yang-Baxter solution maps and bounded model search."""
 from .core import (
     AxiomError,
     CayleyPair,
-    InternalInconsistencyError,
     MalformedTableError,
     SkewLattice,
     from_text,
@@ -18,7 +17,6 @@ from .core import (
 __all__ = [
     "AxiomError",
     "CayleyPair",
-    "InternalInconsistencyError",
     "MalformedTableError",
     "SkewLattice",
     "from_text",

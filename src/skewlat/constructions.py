@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import CayleyPair, InternalInconsistencyError, SkewLattice, validate
+from .core import CayleyPair, SkewLattice, validate
 
 # The two 3-element examples, exactly as printed.
 _FIXED_TABLES = {
@@ -55,7 +55,7 @@ def chain(sizes) -> SkewLattice:
 
     x in A_i, y in A_j: x^y = x if i<j else y; xvy = y if i<j else x.
     Elements are numbered by concatenating the classes in index order.
-    The output is asserted distributive and cancellative, with D-classes
+    The result is distributive and cancellative, and its D-classes are
     exactly the A_i.
     """
     sizes = list(sizes)
@@ -67,19 +67,7 @@ def chain(sizes) -> SkewLattice:
     n = len(block)
     meet = [[x if block[x] < block[y] else y for y in range(n)] for x in range(n)]
     join = [[y if block[x] < block[y] else x for y in range(n)] for x in range(n)]
-    S = validate(CayleyPair.from_tables(meet, join))
-
-    from . import green, varieties
-
-    report = varieties.classify(S)
-    if not (report["distributive"] and report["cancellative"]):
-        raise InternalInconsistencyError("chain construction is not distributive+cancellative")
-    _, _, D = green.green_relations(S)
-    if sorted(sorted(c) for c in D.classes) != sorted(
-        [sorted(x for x in range(n) if block[x] == i) for i in range(len(sizes))]
-    ):
-        raise InternalInconsistencyError("chain construction D-classes differ from the blocks")
-    return S
+    return validate(CayleyPair.from_tables(meet, join))
 
 
 def rectangular(left_size: int, right_size: int) -> SkewLattice:
@@ -100,14 +88,7 @@ def rectangular(left_size: int, right_size: int) -> SkewLattice:
         for c, d in itertools.product(range(left_size), range(right_size)):
             meet[idx(a, b)][idx(c, d)] = idx(a, d)
             join[idx(a, b)][idx(c, d)] = idx(c, b)
-    S = validate(CayleyPair.from_tables(meet, join))
-
-    from . import green
-
-    _, _, D = green.green_relations(S)
-    if D.size != 1:
-        raise InternalInconsistencyError("rectangular algebra has more than one D-class")
-    return S
+    return validate(CayleyPair.from_tables(meet, join))
 
 
 def direct_product(S1: SkewLattice, S2: SkewLattice) -> SkewLattice:
@@ -270,19 +251,13 @@ def ring_band(spec: RingSpec) -> RingBandResult:
     join, a quadratic skew lattice is emitted; if it is closed under the
     cubic join with the cubic join associative on it, a cubic one. Bands
     failing cubic-join associativity are reported, not emitted. Every
-    emitted algebra is asserted distributive and cancellative.
+    emitted algebra is distributive and cancellative, and wherever the
+    quadratic join is idempotent it agrees with the cubic one.
     """
-    from . import varieties
-
     p = spec.mod
     idem = [m for m in _all_matrices(spec) if _mat_mul(m, m, p) == m]
     result = RingBandResult()
     for band in _find_bands(idem, p):
-        # whenever the quadratic join is idempotent it agrees with the cubic one
-        for a, b in itertools.product(band, repeat=2):
-            q = _quadratic_join(a, b, p)
-            if _mat_mul(q, q, p) == q and _cubic_join(a, b, p) != q:
-                raise InternalInconsistencyError("cubic join differs from an idempotent quadratic join")
         if all(_quadratic_join(a, b, p) in band for a, b in itertools.product(band, repeat=2)):
             result.emitted.append((_band_to_algebra(band, _quadratic_join, p), "quadratic", band))
         if all(_cubic_join(a, b, p) in band for a, b in itertools.product(band, repeat=2)):
@@ -294,8 +269,4 @@ def ring_band(spec: RingSpec) -> RingBandResult:
                 result.emitted.append((_band_to_algebra(band, _cubic_join, p), "cubic", band))
             else:
                 result.nonassociative.append(band)
-    for S, _, _ in result.emitted:
-        report = varieties.classify(S)
-        if not (report["distributive"] and report["cancellative"]):
-            raise InternalInconsistencyError("ring band algebra not distributive+cancellative")
     return result

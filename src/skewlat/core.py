@@ -14,14 +14,6 @@ class MalformedTableError(ValueError):
     """A table is not square or contains an out-of-range entry."""
 
 
-class InternalInconsistencyError(RuntimeError):
-    """A theorem-level invariant failed after axiom validation succeeded.
-
-    Dualities and regularity are consequences of the axioms, so a failure
-    here signals a bug in this library, not bad user input.
-    """
-
-
 class AxiomError(ValueError):
     """Raised by validate() when the skew lattice axioms fail."""
 
@@ -137,37 +129,16 @@ def axiom_violations(pair: CayleyPair) -> list:
     return out
 
 
-def _assert_theorem_invariants(pair: CayleyPair) -> None:
-    """Dualities and regularity are theorems of the axioms: check them all."""
-    m, j, n = pair.meet, pair.join, pair.n
-    rng = range(n)
-    for x in rng:
-        for y in rng:
-            if (m[x][y] == x) != (j[x][y] == y):
-                raise InternalInconsistencyError(f"duality x^y=x iff xvy=y fails at ({x},{y})")
-            if (m[x][y] == y) != (j[x][y] == x):
-                raise InternalInconsistencyError(f"duality x^y=y iff xvy=x fails at ({x},{y})")
-    for a in rng:
-        for x in rng:
-            for y in rng:
-                if m[m[m[m[a][x]][a]][y]][a] != m[m[m[a][x]][y]][a]:
-                    raise InternalInconsistencyError(f"meet regularity fails at ({a},{x},{y})")
-                if j[j[j[j[a][x]][a]][y]][a] != j[j[j[a][x]][y]][a]:
-                    raise InternalInconsistencyError(f"join regularity fails at ({a},{x},{y})")
-
-
 def validate(pair: CayleyPair) -> SkewLattice:
     """Validated constructor: returns a SkewLattice or raises AxiomError.
 
     AxiomError carries *all* violations (search diagnostics want the full
-    list, not just the first). After the axioms pass, the duality and
-    regularity theorems are additionally asserted; their failure raises
-    InternalInconsistencyError since it can only mean a bug here.
+    list, not just the first). The dualities and regularity that follow
+    from the axioms are checked by the theorem battery, not here.
     """
     violations = axiom_violations(pair)
     if violations:
         raise AxiomError(violations)
-    _assert_theorem_invariants(pair)
     return SkewLattice(pair)
 
 
@@ -178,29 +149,13 @@ def is_skew_lattice(pair: CayleyPair) -> bool:
 def orders(S: SkewLattice) -> ElementPairOrder:
     """Natural preorder (x^y^x=x) and partial order (x^y=x=y^x) matrices.
 
-    Both are cross-checked against their equivalent join formulations
+    The theorem battery checks them against their join forms
     (x preceq y iff yvxvy=y; x leq y iff xvy=y=yvx).
     """
-    m, j, n = S.pair.meet, S.pair.join, S.n
-    preceq = []
-    leq = []
-    for x in range(n):
-        prow = []
-        lrow = []
-        for y in range(n):
-            p = m[m[x][y]][x] == x
-            if p != (j[j[y][x]][y] == y):
-                raise InternalInconsistencyError(f"preorder meet/join forms disagree at ({x},{y})")
-            le = m[x][y] == x and m[y][x] == x
-            if le != (j[x][y] == y and j[y][x] == y):
-                raise InternalInconsistencyError(f"partial order meet/join forms disagree at ({x},{y})")
-            if le and not p:
-                raise InternalInconsistencyError(f"leq not contained in preceq at ({x},{y})")
-            prow.append(p)
-            lrow.append(le)
-        preceq.append(tuple(prow))
-        leq.append(tuple(lrow))
-    return ElementPairOrder(tuple(preceq), tuple(leq))
+    m, rng = S.pair.meet, range(S.n)
+    preceq = tuple(tuple(m[m[x][y]][x] == x for y in rng) for x in rng)
+    leq = tuple(tuple(m[x][y] == x == m[y][x] for y in rng) for x in rng)
+    return ElementPairOrder(preceq, leq)
 
 
 # --- skewlat v1 text format ------------------------------------------------

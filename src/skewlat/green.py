@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InternalInconsistencyError, CayleyPair, SkewLattice, validate
+from . import terms
+from .core import CayleyPair, SkewLattice, validate
 
 
 class NotACongruenceError(ValueError):
@@ -75,54 +76,29 @@ class SkewDiamond:
 def green_relations(S: SkewLattice):
     """Return (L, R, D) partitions computed from the meet band.
 
-    Cross-asserts the meet/join coincidences (D_meet = D_join,
-    R_meet = L_join, R_join = L_meet); these are theorems, so a failure
-    raises InternalInconsistencyError.
+    The theorem battery checks them against the join band (D_meet = D_join,
+    R_meet = L_join, L_meet = R_join).
     """
-    m, j, n = S.pair.meet, S.pair.join, S.n
-
-    def build(t, rel):
-        return Partition.from_pairs(n, lambda x, y: rel(t, x, y))
-
-    def l_rel(t, x, y):
-        return t[x][y] == x and t[y][x] == y
-
-    def r_rel(t, x, y):
-        return t[x][y] == y and t[y][x] == x
-
-    def d_rel(t, x, y):
-        return t[t[x][y]][x] == x and t[t[y][x]][y] == y
-
-    L = build(m, l_rel)
-    R = build(m, r_rel)
-    D = build(m, d_rel)
-    if build(j, d_rel).class_of != D.class_of:
-        raise InternalInconsistencyError("meet and join D relations differ")
-    if build(j, l_rel).class_of != R.class_of:
-        raise InternalInconsistencyError("R of meet differs from L of join")
-    if build(j, r_rel).class_of != L.class_of:
-        raise InternalInconsistencyError("L of meet differs from R of join")
+    m, n = S.pair.meet, S.n
+    L = Partition.from_pairs(n, lambda x, y: m[x][y] == x and m[y][x] == y)
+    R = Partition.from_pairs(n, lambda x, y: m[x][y] == y and m[y][x] == x)
+    D = Partition.from_pairs(n, lambda x, y: m[m[x][y]][x] == x and m[m[y][x]][y] == y)
     return L, R, D
 
 
+def _satisfies(S: SkewLattice, *names) -> bool:
+    lib = terms.library()
+    return all(terms.holds(S, lib[name]) is True for name in names)
+
+
 def is_left_handed(S: SkewLattice) -> bool:
-    """x^y^x = x^y everywhere; cross-asserted against L = D."""
-    m = S.pair.meet
-    ok = all(m[m[x][y]][x] == m[x][y] for x in S.elements() for y in S.elements())
-    L, _, D = green_relations(S)
-    if ok != (L.class_of == D.class_of):
-        raise InternalInconsistencyError("left-handed identity disagrees with L=D")
-    return ok
+    """x^y^x = x^y everywhere (equivalently L = D)."""
+    return _satisfies(S, "left-handed")
 
 
 def is_right_handed(S: SkewLattice) -> bool:
-    """x^y^x = y^x everywhere; cross-asserted against R = D."""
-    m = S.pair.meet
-    ok = all(m[m[x][y]][x] == m[y][x] for x in S.elements() for y in S.elements())
-    _, R, D = green_relations(S)
-    if ok != (R.class_of == D.class_of):
-        raise InternalInconsistencyError("right-handed identity disagrees with R=D")
-    return ok
+    """x^y^x = y^x everywhere (equivalently R = D)."""
+    return _satisfies(S, "right-handed")
 
 
 def is_congruence(S: SkewLattice, P: Partition):
@@ -152,48 +128,24 @@ def quotient(S: SkewLattice, P: Partition) -> QuotientAlgebra:
 
 
 def is_lattice(S: SkewLattice) -> bool:
-    m, j = S.pair.meet, S.pair.join
-    return all(
-        m[x][y] == m[y][x] and j[x][y] == j[y][x] for x in S.elements() for y in S.elements()
-    )
+    return _satisfies(S, "commute-meet", "commute-join")
 
 
 def maximal_lattice_image(S: SkewLattice) -> QuotientAlgebra:
-    """S/D; always a lattice (asserted)."""
+    """S/D, the maximal lattice image (the theorem battery checks that it
+    is a lattice)."""
     _, _, D = green_relations(S)
-    q = quotient(S, D)
-    if not is_lattice(q.algebra):
-        raise InternalInconsistencyError("S/D is not a lattice")
-    return q
+    return quotient(S, D)
 
 
 def factors(S: SkewLattice):
-    """Left and right factors (S/R, S/L), with the fiber-product check.
+    """Left and right factors (S/R, S/L).
 
-    The map x -> ([x]_R, [x]_L) must be injective and its image must be
-    exactly the pullback over S/D; anything else is a library bug.
+    S is their fiber product over S/D: x -> ([x]_R, [x]_L) is a bijection
+    onto the pairs over a common D-class (checked by the theorem battery).
     """
-    L, R, D = green_relations(S)
-    left = quotient(S, R)
-    right = quotient(S, L)
-    if not is_left_handed(left.algebra):
-        raise InternalInconsistencyError("S/R is not left handed")
-    if not is_right_handed(right.algebra):
-        raise InternalInconsistencyError("S/L is not right handed")
-    image = {(R.class_of[x], L.class_of[x]) for x in S.elements()}
-    if len(image) != S.n:
-        raise InternalInconsistencyError("x -> ([x]_R, [x]_L) is not injective")
-    d_of_r = {R.class_of[x]: D.class_of[x] for x in S.elements()}
-    d_of_l = {L.class_of[x]: D.class_of[x] for x in S.elements()}
-    pullback = {
-        (a, b)
-        for a in range(R.size)
-        for b in range(L.size)
-        if d_of_r[a] == d_of_l[b]
-    }
-    if image != pullback:
-        raise InternalInconsistencyError("fiber-product reconstruction failed")
-    return left, right
+    L, R, _ = green_relations(S)
+    return quotient(S, R), quotient(S, L)
 
 
 def class_order(S: SkewLattice, D: Partition):
@@ -214,7 +166,8 @@ def cosets(S: SkewLattice, A: int, B: int, direction: str, D: Partition = None) 
 
     direction "of-upper-in-lower": subsets a ^ b ^ a' of B for b in B;
     direction "of-lower-in-upper": subsets b v a v b' of A for a in A.
-    The returned cosets partition the target class (asserted).
+    The returned cosets partition the target class (checked by the theorem
+    battery).
     """
     if D is None:
         _, _, D = green_relations(S)
@@ -232,43 +185,26 @@ def cosets(S: SkewLattice, A: int, B: int, direction: str, D: Partition = None) 
             if cs not in seen:
                 seen.add(cs)
                 out.append(Coset(A, B, direction, cs))
-        target = set(lower)
     elif direction == "of-lower-in-upper":
         for a in upper:
             cs = frozenset(j[j[b][a]][b2] for b in lower for b2 in lower)
             if cs not in seen:
                 seen.add(cs)
                 out.append(Coset(A, B, direction, cs))
-        target = set(upper)
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    covered = set()
-    for c in out:
-        if covered & c.elements:
-            raise InternalInconsistencyError("cosets overlap")
-        covered |= c.elements
-    if covered != target:
-        raise InternalInconsistencyError("cosets do not cover the target class")
     out.sort(key=lambda c: min(c.elements))
     return out
 
 
 def coset_bijection(S: SkewLattice, coset_upper: Coset, coset_lower: Coset) -> dict:
-    """The order bijection: x in the upper coset maps to the unique y <= x."""
+    """The order bijection: x in the upper coset maps to the unique y <= x
+    in the lower coset (the theorem battery checks that it is one)."""
     from .core import orders
 
     leq = orders(S).leq
-    mapping = {}
-    for x in sorted(coset_upper.elements):
-        below = [y for y in sorted(coset_lower.elements) if leq[y][x]]
-        if len(below) != 1:
-            raise InternalInconsistencyError(
-                f"element {x} has {len(below)} images in the lower coset"
-            )
-        mapping[x] = below[0]
-    if len(set(mapping.values())) != len(coset_lower.elements):
-        raise InternalInconsistencyError("coset map is not a bijection")
-    return mapping
+    lower = sorted(coset_lower.elements)
+    return {x: next(y for y in lower if leq[y][x]) for x in sorted(coset_upper.elements)}
 
 
 def skew_diamonds(S: SkewLattice, D: Partition = None) -> list:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from types import MappingProxyType
 
@@ -41,7 +41,7 @@ class Formula:
     def is_identity(self) -> bool:
         return not self.premises
 
-    @property
+    @cached_property
     def variables(self) -> tuple:
         seen = set()
         for lhs, rhs in self.premises + (self.conclusion,):

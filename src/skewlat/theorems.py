@@ -1,17 +1,24 @@
-"""Per-algebra theorem battery.
+"""Per-algebra theorem battery: the one owner of the library's theorem
+cross-checks.
 
 Each named check takes a validated skew lattice and returns True or a short
-witness string. ``run_battery`` applies every check to every algebra
-enumerated up to a given size and tallies the results; since the theorems
-are universally quantified, any failure is a library bug or a genuinely
-surprising finite counterexample and is reported with the offending tables.
+witness string that names the failed invariant. The library functions
+compute their results without re-checking them against the theory (Green's
+relations against the join band, the natural orders against their join
+forms, the factors against the fiber product, cosets, update maps, variety
+flags, nc5_free); the checks here do, and so do the dualities and regularity
+that follow from the axioms. ``run_battery`` applies every check to every
+algebra enumerated up to a given size and tallies the results; since the
+theorems are universally quantified, any failure is a library bug or a
+genuinely surprising finite counterexample and is reported with the
+offending tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import constructions, green, search, terms, varieties, ybe
+from . import core, green, search, terms, varieties, ybe
 from .core import SkewLattice, to_text
 
 
@@ -21,8 +28,11 @@ def _update_maps_are_solutions(S: SkewLattice):
         w = ybe.braid_check(m)
         if w is not None:
             return f"{kind} braid failure at {w.triple}"
-        if not ybe.power_class(m).idempotent:
+        power = ybe.power_class(m)
+        if not power.idempotent:
             return f"{kind} map is not idempotent"
+        if not power.cubic:
+            return f"{kind} map is idempotent but not cubic"
     return True
 
 
@@ -43,10 +53,11 @@ def _update_equals_lower_update(S: SkewLattice):
 
 
 def _family_identity_equivalences(S: SkewLattice):
-    # solution_identity_check internally asserts identity-verdict == braid
-    # verdict; reaching the end means all four equivalences held.
     for family in ybe.FAMILY_IDENTITIES:
-        ybe.solution_identity_check(S, family)
+        identities = ybe.solution_identity_check(S, family) is True
+        braid = ybe.braid_check(ybe.build_map(S, family)) is None
+        if identities != braid:
+            return f"{family} identities hold: {identities}, braid holds: {braid}"
     return True
 
 
@@ -62,8 +73,39 @@ def _strong_and_co_strong_implies_cubic(S: SkewLattice):
     return True
 
 
+def _failed_flag_implication(flags: dict):
+    """The first known implication between variety flags that fails, or None."""
+    checks = (
+        ("strongly distributive implies distributive", not flags["strongly_distributive"] or flags["distributive"]),
+        ("co-strongly distributive implies distributive", not flags["co_strongly_distributive"] or flags["distributive"]),
+        (
+            "strongly distributive iff symmetric+quasi-distributive+normal",
+            flags["strongly_distributive"]
+            == (flags["symmetric"] and flags["quasi_distributive"] and flags["normal"]),
+        ),
+        (
+            "co-strongly distributive iff symmetric+quasi-distributive+conormal",
+            flags["co_strongly_distributive"]
+            == (flags["symmetric"] and flags["quasi_distributive"] and flags["conormal"]),
+        ),
+        (
+            "cancellative iff simply cancellative and symmetric",
+            flags["cancellative"] == (flags["simply_cancellative"] and flags["symmetric"]),
+        ),
+        ("cancellative implies quasi-distributive", not flags["cancellative"] or flags["quasi_distributive"]),
+        ("binormal iff normal and conormal", flags["binormal"] == (flags["normal"] and flags["conormal"])),
+        ("symmetric iff upper and lower symmetric", flags["symmetric"] == (flags["upper_symmetric"] and flags["lower_symmetric"])),
+        ("cancellative implies left and right cancellative", not flags["cancellative"] or (flags["left_cancellative"] and flags["right_cancellative"])),
+        ("lattice implies symmetric", not flags["lattice"] or flags["symmetric"]),
+    )
+    return next((what for what, ok in checks if not ok), None)
+
+
 def _handed_solution_equivalences(S: SkewLattice):
     rep = varieties.classify(S)
+    failed = _failed_flag_implication(rep.flags)
+    if failed is not None:
+        return f"variety implication fails: {failed}"
     cases = (
         ("left", rep["distributive"] and rep["left_cancellative"]),
         ("right", rep["distributive"] and rep["right_cancellative"]),
@@ -107,8 +149,40 @@ def _nondegenerate_strong_form(S: SkewLattice):
     return True
 
 
+def _update_failure(kind, side, inner, outer, D, x, y, u):
+    """Why u is not the `kind` update of x by y, or None. The lower update
+    (inner = meet, outer = join, side "above") stays in the D-class of x, is
+    the only element of the coset M v x v M (M the class of x^y) above
+    t = y^x^y, and meets y in t from both sides; the upper update is its
+    dual."""
+    t = inner[inner[y][x]][y]
+    M = D.classes[D.class_of[inner[x][y]]]
+    coset = {outer[outer[a][x]][b] for a in M for b in M}
+    if D.class_of[u] != D.class_of[x]:
+        return f"{kind} update {u} of {x} by {y} leaves the D-class of {x}"
+    if [c for c in coset if inner[t][c] == t == inner[c][t]] != [u]:
+        return f"{kind} update {u} of {x} by {y} is not the only element of its coset {side} {t}"
+    if not inner[u][y] == t == inner[y][u]:
+        return f"{kind} update {u} of {x} by {y} does not give {t} with {y}"
+    return None
+
+
 def _lower_update_composition(S: SkewLattice):
-    lu = ybe.lower_update_value
+    lu, uu = ybe.lower_update_value, ybe.upper_update_value
+    m, j = S.pair.meet, S.pair.join
+    _, _, D = green.green_relations(S)
+    left_handed = green.is_left_handed(S)
+    for x in S.elements():
+        for y in S.elements():
+            u = lu(S, x, y)
+            failed = _update_failure("lower", "above", m, j, D, x, y, u) or _update_failure(
+                "upper", "below", j, m, D, x, y, uu(S, x, y)
+            )
+            if failed:
+                return failed
+            # that it is (x^y)vx on right-handed ones is handed-update-coincidences
+            if left_handed and u != j[x][m[y][x]]:
+                return f"lower update of {x} by {y} is not xv(y^x) on a left-handed algebra"
     for x in S.elements():
         for y in S.elements():
             for z in S.elements():
@@ -119,17 +193,24 @@ def _lower_update_composition(S: SkewLattice):
 
 def _coset_membership_criterion(S: SkewLattice):
     # Two elements of an upper class A lie in a common coset of B in A
-    # exactly when conjugating by every b in B gives the same value.
-    _, _, D = green_relations = green.green_relations(S)
+    # exactly when conjugating by every b in B gives the same value. The
+    # cosets in either direction partition their class, and x -> the unique
+    # y <= x maps each coset of B in A onto each coset of A in B.
+    _, _, D = green.green_relations(S)
     ord_ = green.class_order(S, D)
+    leq = core.orders(S).leq
     j = S.pair.join
     for B in range(D.size):
         for A in range(D.size):
             if A == B or not ord_[B][A]:
                 continue
-            cs = green.cosets(S, A, B, "of-lower-in-upper", D)
+            ups = green.cosets(S, A, B, "of-lower-in-upper", D)
+            downs = green.cosets(S, A, B, "of-upper-in-lower", D)
+            for cs, cls in ((ups, A), (downs, B)):
+                if sorted(x for c in cs for x in c.elements) != sorted(D.classes[cls]):
+                    return f"cosets do not partition class {cls} ({A} > {B})"
             coset_of = {}
-            for c in cs:
+            for c in ups:
                 for a in c.elements:
                     coset_of[a] = c
             for a in sorted(D.classes[A]):
@@ -139,6 +220,14 @@ def _coset_membership_criterion(S: SkewLattice):
                     )
                     if same != (coset_of[a] is coset_of[a2]):
                         return f"coset membership criterion fails for {a},{a2} in class {A} over {B}"
+            for X in ups:
+                for Y in downs:
+                    below = {x: [y for y in Y.elements if leq[y][x]] for x in X.elements}
+                    bijection = {x: ys[0] for x, ys in below.items() if len(ys) == 1}
+                    if len(bijection) != len(X.elements) or sorted(bijection.values()) != sorted(Y.elements):
+                        return f"<= is no bijection from coset {sorted(X.elements)} onto {sorted(Y.elements)}"
+                    if green.coset_bijection(S, X, Y) != bijection:
+                        return f"coset_bijection is not <= from coset {sorted(X.elements)} onto {sorted(Y.elements)}"
     return True
 
 
@@ -152,20 +241,46 @@ def _handed_weak_collapse(S: SkewLattice):
 
 
 def _decomposition_invariants(S: SkewLattice):
-    # green_relations / maximal_lattice_image / factors each carry internal
-    # assertions (D_meet = D_join, S/D is a lattice, fiber-product
-    # reconstruction); any failure raises.
-    _, _, D = green.green_relations(S)
+    L, R, D = green.green_relations(S)
+    j = S.pair.join
+    for x in S.elements():
+        for y in S.elements():
+            if (D.class_of[x] == D.class_of[y]) != (j[j[x][y]][x] == x and j[j[y][x]][y] == y):
+                return f"D of meet and D of join differ at ({x},{y})"
+            if (R.class_of[x] == R.class_of[y]) != (j[x][y] == x and j[y][x] == y):
+                return f"R of meet and L of join differ at ({x},{y})"
+            if (L.class_of[x] == L.class_of[y]) != (j[x][y] == y and j[y][x] == x):
+                return f"L of meet and R of join differ at ({x},{y})"
+    if green.is_left_handed(S) != (L.class_of == D.class_of):
+        return "left-handed identity disagrees with L = D"
+    if green.is_right_handed(S) != (R.class_of == D.class_of):
+        return "right-handed identity disagrees with R = D"
     bad = green.is_congruence(S, D)
     if bad is not None:
         return f"D is not a congruence: {bad}"
-    green.maximal_lattice_image(S)
+    if not green.is_lattice(green.maximal_lattice_image(S).algebra):
+        return "S/D is not a lattice"
     left, right = green.factors(S)
+    if not green.is_left_handed(left.algebra):
+        return "S/R is not left-handed"
+    if not green.is_right_handed(right.algebra):
+        return "S/L is not right-handed"
+    # S is the fiber product S/R x_{S/D} S/L
+    image = {(R.class_of[x], L.class_of[x]) for x in S.elements()}
+    if len(image) != S.n:
+        return "x -> ([x]_R, [x]_L) is not injective"
+    d_of_r = {R.class_of[x]: D.class_of[x] for x in S.elements()}
+    d_of_l = {L.class_of[x]: D.class_of[x] for x in S.elements()}
+    pullback = {(a, b) for a in range(R.size) for b in range(L.size) if d_of_r[a] == d_of_l[b]}
+    if image != pullback:
+        return "x -> ([x]_R, [x]_L) does not reach the pullback over S/D"
     lib = terms.library()
     for name, f in sorted(lib.items()):
         if not f.is_identity:
             continue
         in_s = terms.holds(S, f) is True
+        if not in_s and name in ("reg1", "reg2"):
+            return f"regularity identity {name} fails"
         in_factors = (
             terms.holds(left.algebra, f) is True
             and terms.holds(right.algebra, f) is True
@@ -176,19 +291,27 @@ def _decomposition_invariants(S: SkewLattice):
 
 
 def _nc5_characterization(S: SkewLattice):
-    # nc5_free internally asserts agreement with the simple-cancellativity
-    # identity; reaching the end means the characterization held.
-    varieties.nc5_free(S)
+    free = varieties.nc5_free(S) is True
+    simply = terms.holds(S, terms.library()["simple-canc"]) is True
+    if free != simply:
+        return f"nc5_free says {free} but simple cancellativity holds: {simply}"
     return True
 
 
 def _order_coherence(S: SkewLattice):
-    from .core import orders
-
-    o = orders(S)
+    o = core.orders(S)
     _, _, D = green.green_relations(S)
+    m, j = S.pair.meet, S.pair.join
     for x in S.elements():
         for y in S.elements():
+            if (m[x][y] == x) != (j[x][y] == y):
+                return f"duality x^y=x iff xvy=y fails at ({x},{y})"
+            if (m[x][y] == y) != (j[x][y] == x):
+                return f"duality x^y=y iff xvy=x fails at ({x},{y})"
+            if o.preceq[x][y] != (j[j[y][x]][y] == y):
+                return f"x=<y differs from its join form yvxvy=y at ({x},{y})"
+            if o.leq[x][y] != (j[x][y] == y == j[y][x]):
+                return f"x<=y differs from its join form xvy=y=yvx at ({x},{y})"
             if o.leq[x][y] and not o.preceq[x][y]:
                 return f"x<=y without x=<y at ({x},{y})"
             mutual = o.preceq[x][y] and o.preceq[y][x]
@@ -228,7 +351,7 @@ class BatteryResult:
     def to_text(self) -> str:
         lines = [f"theorem battery over {self.algebra_count} algebras (n <= {self.max_n})"]
         width = max(len(k) for k in THEOREMS)
-        for name in THEOREMS:
+        for name in self.passes:
             fails = self.failures[name]
             verdict = "pass" if not fails else f"FAIL ({len(fails)})"
             lines.append(f"  {name:<{width}}  {self.passes[name]:>5} checked  {verdict}")

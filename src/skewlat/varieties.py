@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import green, terms
-from .core import InternalInconsistencyError, SkewLattice
+from .core import SkewLattice
 
 # Stable flag order for reports.
 FLAG_NAMES = (
@@ -90,8 +90,8 @@ def is_quasi_distributive(S: SkewLattice):
 def classify(S: SkewLattice) -> VarietyReport:
     """Decide every variety flag exhaustively, with counterexample witnesses.
 
-    The known implications between the flags are asserted afterwards; a
-    violation means a bug and raises InternalInconsistencyError.
+    The known implications between the flags are checked by the theorem
+    battery.
     """
     lib = terms.library()
     flags = {}
@@ -105,44 +105,7 @@ def classify(S: SkewLattice) -> VarietyReport:
     flags["quasi_distributive"] = ok
     if wit is not None:
         witnesses["quasi_distributive"] = wit
-
-    # handedness flags are cross-checked against L=D / R=D inside green
-    if flags["left_handed"] != green.is_left_handed(S):
-        raise InternalInconsistencyError("left-handed flag disagrees with L=D")
-    if flags["right_handed"] != green.is_right_handed(S):
-        raise InternalInconsistencyError("right-handed flag disagrees with R=D")
-
-    _assert_flag_implications(flags)
     return VarietyReport(flags, witnesses)
-
-
-def _assert_flag_implications(flags: dict) -> None:
-    checks = (
-        ("strongly distributive implies distributive", not flags["strongly_distributive"] or flags["distributive"]),
-        ("co-strongly distributive implies distributive", not flags["co_strongly_distributive"] or flags["distributive"]),
-        (
-            "strongly distributive iff symmetric+quasi-distributive+normal",
-            flags["strongly_distributive"]
-            == (flags["symmetric"] and flags["quasi_distributive"] and flags["normal"]),
-        ),
-        (
-            "co-strongly distributive iff symmetric+quasi-distributive+conormal",
-            flags["co_strongly_distributive"]
-            == (flags["symmetric"] and flags["quasi_distributive"] and flags["conormal"]),
-        ),
-        (
-            "cancellative iff simply cancellative and symmetric",
-            flags["cancellative"] == (flags["simply_cancellative"] and flags["symmetric"]),
-        ),
-        ("cancellative implies quasi-distributive", not flags["cancellative"] or flags["quasi_distributive"]),
-        ("binormal iff normal and conormal", flags["binormal"] == (flags["normal"] and flags["conormal"])),
-        ("symmetric iff upper and lower symmetric", flags["symmetric"] == (flags["upper_symmetric"] and flags["lower_symmetric"])),
-        ("cancellative iff left and right cancellative... at least implies both", not flags["cancellative"] or (flags["left_cancellative"] and flags["right_cancellative"])),
-        ("lattice implies symmetric", not flags["lattice"] or flags["symmetric"]),
-    )
-    for what, ok in checks:
-        if not ok:
-            raise InternalInconsistencyError(f"variety implication failed: {what}")
 
 
 def _subalgebra_closed(S: SkewLattice, subset: frozenset) -> bool:
@@ -185,8 +148,8 @@ def nc5_free(S: SkewLattice):
 
     The forbidden list is NC5R, NC5L plus the non-distributive lattices M3
     and N5: a skew lattice is simply cancellative exactly when none of the
-    four embeds. The verdict must agree with the simply-cancellative flag;
-    disagreement raises InternalInconsistencyError.
+    four embeds; the theorem battery checks the verdict against the
+    simple-cancellation quasi-identity.
     """
     from .constructions import fixed
     from .core import CayleyPair, validate
@@ -210,9 +173,4 @@ def nc5_free(S: SkewLattice):
                     break
             if found:
                 break
-    simply = terms.holds(S, terms.library()["simple-canc"]) is True
-    if simply != (found is None):
-        raise InternalInconsistencyError(
-            "simply-cancellative flag disagrees with forbidden-subalgebra search"
-        )
     return True if found is None else found

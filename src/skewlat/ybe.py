@@ -5,8 +5,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import green, terms
-from .core import InternalInconsistencyError, SkewLattice
+from . import terms
+from .core import SkewLattice
 
 MAP_KINDS = ("update", "lower_update", "co_update", "upper_update", "strong", "left", "right", "weak")
 
@@ -77,7 +77,12 @@ class SolutionReport:
 
 
 def lower_update_value(S: SkewLattice, x: int, y: int) -> int:
-    """(y^x^y) v x v (y^x^y), with no structural assertions (fast path)."""
+    """The lower update of x by y, (y^x^y) v x v (y^x^y).
+
+    It stays in the D-class of x and is the unique element of the coset
+    M v x v M (M the class of x^y) above y^x^y; the theorem battery checks
+    these properties.
+    """
     m, j = S.pair.meet, S.pair.join
     t = m[m[y][x]][y]
     return j[j[t][x]][t]
@@ -88,52 +93,6 @@ def upper_update_value(S: SkewLattice, x: int, y: int) -> int:
     m, j = S.pair.meet, S.pair.join
     t = j[j[y][x]][y]
     return m[m[t][x]][t]
-
-
-def lower_update(S: SkewLattice, x: int, y: int) -> int:
-    """The lower update of x by y, with its structural properties asserted.
-
-    Asserts: the result stays in the D-class of x; it is the unique element
-    of the coset M v x v M (M the class of x^y) above y^x^y in the natural
-    partial order; and u^y = y^x^y = y^u. Handedness shortcuts are
-    cross-checked where applicable.
-    """
-    m, j = S.pair.meet, S.pair.join
-    u = lower_update_value(S, x, y)
-    _, _, D = green.green_relations(S)
-    if D.class_of[u] != D.class_of[x]:
-        raise InternalInconsistencyError("lower update left the D-class of x")
-    mclass = sorted(D.classes[D.class_of[m[x][y]]])
-    coset = {j[j[m1][x]][m2] for m1 in mclass for m2 in mclass}
-    t = m[m[y][x]][y]
-    above = [c for c in coset if m[t][c] == t == m[c][t]]
-    if above != [u]:
-        raise InternalInconsistencyError("lower update is not the unique coset element above y^x^y")
-    if not (m[u][y] == t == m[y][u]):
-        raise InternalInconsistencyError("lower update meet property failed")
-    if green.is_left_handed(S) and u != j[x][m[y][x]]:
-        raise InternalInconsistencyError("left-handed lower-update shortcut failed")
-    if green.is_right_handed(S) and u != j[m[x][y]][x]:
-        raise InternalInconsistencyError("right-handed lower-update shortcut failed")
-    return u
-
-
-def upper_update(S: SkewLattice, x: int, y: int) -> int:
-    """Dual of lower_update, with the dual assertions."""
-    m, j = S.pair.meet, S.pair.join
-    u = upper_update_value(S, x, y)
-    _, _, D = green.green_relations(S)
-    if D.class_of[u] != D.class_of[x]:
-        raise InternalInconsistencyError("upper update left the D-class of x")
-    jclass = sorted(D.classes[D.class_of[j[x][y]]])
-    coset = {m[m[m1][x]][m2] for m1 in jclass for m2 in jclass}
-    t = j[j[y][x]][y]
-    below = [c for c in coset if j[t][c] == t == j[c][t]]
-    if below != [u]:
-        raise InternalInconsistencyError("upper update is not the unique coset element below yvxvy")
-    if not (j[u][y] == t == j[y][u]):
-        raise InternalInconsistencyError("upper update join property failed")
-    return u
 
 
 def build_map(S: SkewLattice, kind: str) -> PairMap:
@@ -195,14 +154,11 @@ def power_class(m: PairMap) -> PowerClass:
     ident = tuple(tuple((x, y) for y in range(m.n)) for x in range(m.n))
     r2 = _compose(m, m)
     r3 = _compose(r2, m)
-    pc = PowerClass(
+    return PowerClass(
         involutive=r2.table == ident,
         idempotent=r2.table == m.table,
         cubic=r3.table == m.table,
     )
-    if (pc.involutive or pc.idempotent) and not pc.cubic:
-        raise InternalInconsistencyError("involutive/idempotent map is not cubic")
-    return pc
 
 
 def degeneracy(m: PairMap):
@@ -216,25 +172,18 @@ def degeneracy(m: PairMap):
 def solution_identity_check(S: SkewLattice, family: str):
     """Evaluate the family's characterizing identities.
 
-    Returns True or the first failing (identity name, assignment). The
-    verdict is asserted equal to the braid check of the family's map: the
-    two are equivalent by theorem, so disagreement is a library bug.
+    Returns True or the first failing (identity name, assignment). By
+    theorem the verdict equals the braid check of the family's map; the
+    theorem battery checks that it does.
     """
     if family not in FAMILY_IDENTITIES:
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(FAMILY_IDENTITIES)}")
     lib = terms.library()
-    result = True
     for name in FAMILY_IDENTITIES[family]:
         res = terms.holds(S, lib[name])
         if res is not True:
-            result = (name, res)
-            break
-    braid_ok = braid_check(build_map(S, family)) is None
-    if (result is True) != braid_ok:
-        raise InternalInconsistencyError(
-            f"identity check and braid check disagree for family {family}"
-        )
-    return result
+            return (name, res)
+    return True
 
 
 def solution_report(S: SkewLattice, kind: str) -> SolutionReport:

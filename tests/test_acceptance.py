@@ -127,18 +127,21 @@ def test_criterion_06_random_chains(report):
         if not (r["distributive"] and r["cancellative"]):
             bad += 1
             continue
+        blocks = [frozenset(range(sum(sizes[:i]), sum(sizes[: i + 1]))) for i in range(len(sizes))]
+        if sorted(green.green_relations(S)[2].classes, key=min) != blocks:
+            bad += 1
         for family in ("left", "right", "weak"):
             if ybe.braid_check(ybe.build_map(S, family)) is not None:
                 bad += 1
     elapsed = time.monotonic() - t0
     ok = bad == 0 and elapsed < 10
-    report(6, ok, f"50 random chains distributive+cancellative+solutions ({elapsed:.1f}s)")
+    report(6, ok, f"50 random chains distributive+cancellative+solutions, D-classes the blocks ({elapsed:.1f}s)")
 
 
 def test_criterion_07_nc5_characterization(report, census5):
     mismatches = 0
     for S in census5[5]:
-        free = varieties.nc5_free(S)  # raises on disagreement already
+        free = varieties.nc5_free(S)
         simply = varieties.classify(S)["simply_cancellative"]
         if (free is True) != simply:
             mismatches += 1

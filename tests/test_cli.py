@@ -159,6 +159,11 @@ class TestTheorems:
         assert code == 0
         assert out.splitlines()[0] == "theorem\tchecked\tfailures"
 
+    def test_only_runs_the_named_theorems(self, capsys):
+        code, out, _ = run(capsys, "theorems", "--max-n", "2", "--only", "orders-cohere-with-green")
+        assert code == 0
+        assert len(out.splitlines()) == 2 and "orders-cohere-with-green" in out
+
     def test_unknown_theorem_exits_two(self, capsys):
         code, _, _ = run(capsys, "theorems", "--max-n", "2", "--only", "nope")
         assert code == 2

@@ -50,9 +50,11 @@ class TestFixed:
 
 class TestChain:
     def test_d_classes_are_the_blocks(self):
-        S = chain((3, 2, 1))
-        _, _, D = green.green_relations(S)
-        assert sorted(len(c) for c in D.classes) == [1, 2, 3]
+        for sizes in ((1,), (3, 2, 1), (1, 1, 1, 1), (2, 3, 1, 2)):
+            _, _, D = green.green_relations(chain(sizes))
+            starts = list(itertools.accumulate((0,) + sizes))
+            blocks = [frozenset(range(a, b)) for a, b in zip(starts, starts[1:])]
+            assert sorted(D.classes, key=min) == blocks
 
     def test_totally_ordered_image(self):
         S = chain((2, 2))
@@ -77,10 +79,11 @@ class TestChain:
 
 class TestRectangularAndProduct:
     def test_rectangular_single_d_class(self):
-        S = rectangular(2, 3)
-        _, _, D = green.green_relations(S)
-        assert D.size == 1
-        assert varieties.classify(S)["rectangular"]
+        for shape in ((1, 1), (2, 3), (3, 1), (4, 4)):
+            S = rectangular(*shape)
+            _, _, D = green.green_relations(S)
+            assert D.size == 1
+            assert varieties.classify(S)["rectangular"]
 
     def test_rectangular_join_is_flipped_meet(self):
         S = rectangular(2, 2)
@@ -117,6 +120,15 @@ class TestRingBand:
             for S, _, _ in ring_band(spec).emitted:
                 r = varieties.classify(S)
                 assert r["distributive"] and r["cancellative"]
+
+    @pytest.mark.parametrize("spec", [RingSpec("ut", 2, 2), RingSpec("full", 2, 2), RingSpec("ut", 3, 2)])
+    def test_idempotent_quadratic_join_is_the_cubic_join(self, spec):
+        p = spec.mod
+        idempotents = [a for a in constructions._all_matrices(spec) if constructions._mat_mul(a, a, p) == a]
+        for a, b in itertools.product(idempotents, repeat=2):
+            q = constructions._quadratic_join(a, b, p)
+            if constructions._mat_mul(q, q, p) == q:
+                assert constructions._cubic_join(a, b, p) == q
 
     def test_emitted_pass_solution_checks(self):
         for S, _, _ in ring_band(RingSpec("ut", 2, 2)).emitted:

@@ -2,20 +2,18 @@ import itertools
 
 import pytest
 
-from skewlat import constructions, ybe
+from skewlat import constructions, theorems, ybe
 from skewlat.core import CayleyPair, validate
 from skewlat.ybe import (
     MAP_KINDS,
     braid_check,
     build_map,
     degeneracy,
-    lower_update,
     lower_update_value,
     power_class,
     solution_identity_check,
     solution_report,
     twist_map,
-    upper_update,
 )
 
 
@@ -76,16 +74,12 @@ class TestBuildMap:
 
 class TestUpdates:
     def test_lower_update_properties_asserted(self, census5):
-        # lower_update carries internal coset/meet assertions; exercising it
-        # over every pair of every algebra up to n=4 must never raise
+        # the coset and meet properties of both updates and the lower update's
+        # left-handed shortcut, checked by their battery entry up to n=4
+        check = theorems.THEOREMS["lower-update-composition-law"]
         for n in (2, 3, 4):
             for S in census5[n]:
-                for x in S.elements():
-                    for y in S.elements():
-                        v = lower_update(S, x, y)
-                        assert v == lower_update_value(S, x, y)
-                        u = upper_update(S, x, y)
-                        assert 0 <= u < S.n
+                assert check(S) is True
 
     def test_update_maps_are_idempotent_solutions(self, census5):
         for S in census5[4]:
