@@ -8,7 +8,6 @@ quasi-identity uses `=>` between the premises and the conclusion.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -16,7 +15,9 @@ from types import MappingProxyType
 
 from .core import SkewLattice
 
-MAX_VARIABLES = 8  # n**8 at n=6 is ~1.7M evaluations, still instant
+# holds runs one nested loop per variable; Python allows 20 nested blocks,
+# and n**8 assignments at n=6 are about 1.7M
+MAX_VARIABLES = 8
 
 
 class ParseError(ValueError):
@@ -42,11 +43,13 @@ class Formula:
         return not self.premises
 
     @cached_property
+    def sides(self) -> tuple:
+        """Each equation's two terms, premises first."""
+        return tuple(t for eq in self.premises + (self.conclusion,) for t in eq)
+
+    @cached_property
     def variables(self) -> tuple:
-        seen = set()
-        for lhs, rhs in self.premises + (self.conclusion,):
-            seen |= term_variables(lhs) | term_variables(rhs)
-        return tuple(sorted(seen))
+        return tuple(sorted(set().union(*map(term_variables, self.sides))))
 
     def __str__(self):
         body = format_equation(*self.conclusion)
@@ -190,40 +193,65 @@ def format_equation(lhs, rhs) -> str:
 
 # --- evaluation --------------------------------------------------------------
 #
-# The one term compiler: a tuple of terms becomes a function of (meet, join,
-# *values), values in the given variables' order, returning each term's
-# value. Its source names only m, j, v0, v1, ... and a temporary t0, t1, ...
-# per distinct subterm, one per line; no user text enters it. On tables padded
-# with a last row and column of -1 (the search's partial tables) an unknown
-# cell reads -1, and so does every term over it.
+# The one term compiler turns a tuple of terms over the given variables into
+# generated Python. Its source names only m, j (the tables), r (range(n)),
+# v0, v1, ... (the values, in the variables' order) and a temporary t0,
+# t1, ... per distinct subterm, one per line; no user text enters it. The
+# walker gives each temporary a depth: the position of the last variable it
+# reads. From that one walk it emits either of two bodies:
+#
+# - flat: a function of (m, j, *values) returning each term's value. On
+#   tables padded with a last row and column of -1 (the search's partial
+#   tables) an unknown cell reads -1, and so does every term over it.
+# - nested, for the universal check of a formula whose first 2*p terms are
+#   p premises' sides and whose last two are the conclusion's: a function
+#   of (m, j, r) running one `for` loop per variable, outermost first, as
+#   itertools.product does. Each temporary is computed in the loop of its
+#   depth; a premise that is false there `continue`s that loop, since every
+#   assignment below has the same false premise. The innermost loop returns
+#   the first assignment whose conclusion fails as a tuple, else None.
 
 
 @lru_cache(maxsize=1024)
-def _compile(terms_: tuple, variables: tuple):
-    names = {("var", name): f"v{k}" for k, name in enumerate(variables)}
-    body = []
+def _compile(terms_: tuple, variables: tuple, premises=None):
+    names = {("var", name): (f"v{k}", k) for k, name in enumerate(variables)}
+    lines = []  # (depth, line) in the order made, so operands come first
 
     def bind(term):
         if term not in names:
-            left, right = bind(term[1]), bind(term[2])
-            names[term] = f"t{len(body)}"
+            (left, dl), (right, dr) = bind(term[1]), bind(term[2])
             table = "m" if term[0] == "meet" else "j"
-            body.append(f"    {names[term]} = {table}[{left}][{right}]\n")
+            names[term] = (f"t{len(lines)}", max(dl, dr))
+            lines.append((max(dl, dr), f"{names[term][0]} = {table}[{left}][{right}]"))
         return names[term]
 
-    results = [bind(t) for t in terms_]
-    params = ", ".join(["m", "j"] + [f"v{k}" for k in range(len(variables))])
-    source = f"def evaluate({params}):\n{''.join(body)}    return ({', '.join(results)},)\n"
+    if premises is None:
+        results = ", ".join(bind(t)[0] for t in terms_)
+        params = ", ".join(["m", "j"] + [f"v{k}" for k in range(len(variables))])
+        body = "".join(f"    {line}\n" for _, line in lines)
+        source = f"def evaluate({params}):\n{body}    return ({results},)\n"
+    else:
+        # a premise is tested as soon as both its sides are known, the
+        # conclusion last, in the innermost loop
+        for k in range(premises + 1):
+            (left, dl), (right, dr) = bind(terms_[2 * k]), bind(terms_[2 * k + 1])
+            lines.append((max(dl, dr), f"if {left} != {right}: continue"))
+        values = ", ".join(f"v{k}" for k in range(len(variables)))
+        lines[-1] = (len(variables) - 1, f"if {left} != {right}: return ({values},)")
+        source = "def check(m, j, r):\n"
+        for depth in range(len(variables)):
+            source += f"{'    ' * (depth + 1)}for v{depth} in r:\n"
+            source += "".join(f"{'    ' * (depth + 2)}{line}\n" for d, line in lines if d == depth)
+        source += "    return None\n"
     namespace = {"__builtins__": {}}
     exec(compile(source, "<terms>", "exec"), namespace)
-    return namespace["evaluate"]
+    return namespace["evaluate" if premises is None else "check"]
 
 
 def compile_formula(f: Formula):
     """f's sides, premises first, as a function of (meet, join, *values)
     with the values in the order of f.variables."""
-    sides = tuple(t for eq in f.premises + (f.conclusion,) for t in eq)
-    return _compile(sides, f.variables)
+    return _compile(f.sides, f.variables)
 
 
 def evaluate(S: SkewLattice, term, env: dict) -> int:
@@ -241,14 +269,9 @@ def holds(S: SkewLattice, f: Formula):
     vars_ = f.variables
     if len(vars_) > MAX_VARIABLES:
         raise VariableLimitError(f"{len(vars_)} variables exceed the limit {MAX_VARIABLES}")
-    sides = compile_formula(f)
-    m, j = S.pair.meet, S.pair.join
-    k = 2 * len(f.premises)
-    for values in itertools.product(range(S.n), repeat=len(vars_)):
-        s = sides(m, j, *values)
-        if s[k] != s[k + 1] and s[:k:2] == s[1:k:2]:
-            return dict(zip(vars_, values))
-    return True
+    check = _compile(f.sides, vars_, len(f.premises))
+    found = check(S.pair.meet, S.pair.join, range(S.n))
+    return True if found is None else dict(zip(vars_, found))
 
 
 def holds_at(S: SkewLattice, f: Formula, env: dict):

@@ -362,8 +362,7 @@ class BatteryResult:
 
 
 def run_battery(max_n: int, names=None) -> BatteryResult:
-    if names is None:
-        names = list(THEOREMS)
+    names = list(THEOREMS) if names is None else list(dict.fromkeys(names))  # once each, first order kept
     unknown = [k for k in names if k not in THEOREMS]
     if unknown:
         raise ValueError(f"unknown theorem names: {unknown}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import terms
@@ -126,22 +125,28 @@ def twist_map(n: int) -> PairMap:
 
 def braid_check(m: PairMap):
     """None if the braid relation holds, else the lexicographically first
-    failing triple with both evaluated sides."""
+    failing triple with both evaluated sides.
+
+    With r12 = r x id and r23 = id x r, the sides on (x, y, z) are
+    r12 r23 r12 = (e, f, d) and r23 r12 r23 = (i, p, q), where
+    r(x, y) = (a, b), r(b, z) = (c, d), r(a, c) = (e, f) and
+    r(y, z) = (g, h), r(x, g) = (i, k), r(k, h) = (p, q).
+    """
     t = m.table
-
-    def r12(x, y, z):
-        a, b = t[x][y]
-        return a, b, z
-
-    def r23(x, y, z):
-        a, b = t[y][z]
-        return x, a, b
-
-    for x, y, z in itertools.product(range(m.n), repeat=3):
-        lhs = r12(*r23(*r12(x, y, z)))
-        rhs = r23(*r12(*r23(x, y, z)))
-        if lhs != rhs:
-            return BraidWitness((x, y, z), lhs, rhs)
+    r = range(m.n)
+    for x in r:
+        tx = t[x]
+        for y in r:
+            a, b = tx[y]
+            ta, tb, ty = t[a], t[b], t[y]
+            for z in r:
+                c, d = tb[z]
+                e, f = ta[c]
+                g, h = ty[z]
+                i, k = tx[g]
+                p, q = t[k][h]
+                if e != i or f != p or d != q:
+                    return BraidWitness((x, y, z), (e, f, d), (i, p, q))
     return None
 
 

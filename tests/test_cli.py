@@ -164,6 +164,14 @@ class TestTheorems:
         assert code == 0
         assert len(out.splitlines()) == 2 and "orders-cohere-with-green" in out
 
+    def test_repeated_name_runs_once(self, capsys):
+        only = "orders-cohere-with-green,decomposition-invariants,orders-cohere-with-green"
+        code, out, _ = run(capsys, "theorems", "--max-n", "2", "--only", only)
+        assert code == 0
+        lines = out.splitlines()[1:]
+        assert len(lines) == 2 and "orders-cohere-with-green" in lines[0]
+        assert all("4 checked" in ln for ln in lines)
+
     def test_unknown_theorem_exits_two(self, capsys):
         code, _, _ = run(capsys, "theorems", "--max-n", "2", "--only", "nope")
         assert code == 2

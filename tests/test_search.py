@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewlat import green, search, terms
-from skewlat.constructions import chain, direct_product, rectangular, subalgebras
+from skewlat.constructions import RingSpec, chain, direct_product, rectangular, ring_band, subalgebras
 from skewlat.core import CayleyPair, MalformedTableError, is_skew_lattice
 from skewlat.search import (
     SearchSpec,
@@ -80,6 +80,20 @@ class TestEnumeration:
     def test_satisfy_filter(self, census5):
         res = enumerate_skew_lattices(SearchSpec(n=4, satisfy=("lattice",)))
         assert res.count_up_to_iso == 2  # the two 4-element lattices
+
+    @pytest.mark.parametrize(
+        "satisfy, counts",
+        [
+            (("lattice",), [1, 1, 1, 2, 5, 15]),  # OEIS A006966
+            (("lattice", "distributive"), [1, 1, 1, 2, 3, 5]),  # OEIS A006982
+            (("rectangular",), [1, 2, 2, 3, 2, 4]),  # d(n): one L x R shape per factorization
+            (("left_handed",), [1, 2, 4, 10, 23, 67]),
+        ],
+        ids=["lattice", "distributive-lattice", "rectangular", "left-handed"],
+    )
+    def test_published_filtered_counts(self, satisfy, counts):
+        got = [enumerate_skew_lattices(SearchSpec(n=n, satisfy=satisfy)).count_up_to_iso for n in range(1, 7)]
+        assert got == counts
 
     def test_falsify_filter(self):
         res = enumerate_skew_lattices(SearchSpec(n=3, falsify=("lattice",)))
@@ -159,7 +173,11 @@ def _constructed(max_n):
 def test_constructions_land_in_the_census():
     max_n = 6
     members = {n: {S.pair.flat() for S in census(n)} for n in range(1, max_n + 1)}
-    pairs = {S.pair.flat(): S.pair for S in _constructed(max_n)}
+    # the ring bands of 2x2 matrices mod 2 and upper triangular ones mod 3:
+    # 36 algebras of order 4 and 5
+    specs = (RingSpec("ut", 2, 2), RingSpec("full", 2, 2), RingSpec("ut", 2, 3))
+    rings = [S for spec in specs for S, _, _ in ring_band(spec).emitted]
+    pairs = {S.pair.flat(): S.pair for S in _constructed(max_n) + rings}
     for pair in pairs.values():
         assert canonical_form(pair).flat() in members[pair.n], pair
 

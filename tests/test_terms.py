@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewlat import terms
-from skewlat.core import CayleyPair, validate
+from skewlat.core import CayleyPair, SkewLattice, validate
 from skewlat.terms import (
     Formula,
     ParseError,
@@ -133,23 +133,45 @@ class TestEvaluation:
         assert holds(S, parse("x v y = y v x => x = y")) is True
 
     def test_against_nested_loop_oracle(self, census5):
+        # identities, and quasi-identities whose premises read only the outer
+        # variables, so that a false premise skips whole inner loops; raw
+        # random tables beside the census make one-variable premises fail too
         rng = random.Random(23)
+
+        def equation(variables, depth):
+            return random_term(rng, variables, depth), random_term(rng, variables, depth)
+
         formulas = [
             parse(format_equation(random_term(rng, "xyz", 3), random_term(rng, "xyz", 3)))
             for _ in range(40)
         ]
-        for S in census5[4][:6]:
+        for _ in range(60):
+            premises = tuple(equation(rng.choice(("x", "xy", "xyz")), 2) for _ in range(rng.randint(1, 2)))
+            formulas.append(Formula(premises, equation("xyz", 2)))
+        raw = [
+            SkewLattice(CayleyPair.from_tables(*(
+                [[rng.randrange(3) for _ in range(3)] for _ in range(3)] for _ in range(2)
+            )))
+            for _ in range(6)
+        ]
+        failures = 0
+        for S in [*census5[4][:6], *raw]:
             for f in formulas:
                 lhs, rhs = f.conclusion
                 expected = True
                 for env_vals in itertools.product(S.elements(), repeat=len(f.variables)):
                     env = dict(zip(f.variables, env_vals))
-                    if oracle_evaluate(S, lhs, env) != oracle_evaluate(S, rhs, env):
-                        expected = dict(sorted(env.items()))
+                    premises_hold = all(
+                        oracle_evaluate(S, l, env) == oracle_evaluate(S, r, env) for l, r in f.premises
+                    )
+                    if premises_hold and oracle_evaluate(S, lhs, env) != oracle_evaluate(S, rhs, env):
+                        expected = env
                         break
-                assert holds(S, f) == expected
+                assert holds(S, f) == expected, (f, S)
+                failures += expected is not True
                 env = dict(zip(f.variables, itertools.repeat(S.n - 1)))
                 assert evaluate(S, lhs, env) == oracle_evaluate(S, lhs, env)
+        assert failures > 100
 
     def test_deep_terms_evaluate(self):
         # bound one subterm per line, so depth is no limit of the compiler

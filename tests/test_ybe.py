@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,25 +18,22 @@ from skewlat.ybe import (
 )
 
 
-def brute_braid_holds(m):
-    """Oracle: apply the two braid sides literally on triples."""
-    t = m.table
+def oracle_braid_witness(m):
+    """Oracle: the first triple where the two braid sides differ, composed
+    literally from r12 = r x id and r23 = id x r."""
 
-    def r(x, y):
-        return t[x][y]
+    def r12(x, y, z):
+        return (*m.table[x][y], z)
 
-    for x, y, z in itertools.product(range(m.n), repeat=3):
-        a, b = r(x, y)
-        c, d = r(b, z)
-        e, f = r(a, c)
-        lhs = (e, f, d)
-        g, h = r(y, z)
-        i, j = r(x, g)
-        k, l = r(j, h)
-        rhs = (i, k, l)
+    def r23(x, y, z):
+        return (x, *m.table[y][z])
+
+    for triple in itertools.product(range(m.n), repeat=3):
+        lhs = r12(*r23(*r12(*triple)))
+        rhs = r23(*r12(*r23(*triple)))
         if lhs != rhs:
-            return False
-    return True
+            return ybe.BraidWitness(triple, lhs, rhs)
+    return None
 
 
 class TestBuildMap:
@@ -61,10 +59,16 @@ class TestBuildMap:
         assert braid_check(build_map(S, "strong")) is not None
 
     def test_braid_check_matches_oracle(self, census5):
-        for S in census5[4][:10]:
-            for kind in MAP_KINDS:
-                m = build_map(S, kind)
-                assert (braid_check(m) is None) == brute_braid_holds(m)
+        # the exact witness on every solution map of order 5, and on random
+        # pair maps of order <= 4 that come from no algebra
+        rng = random.Random(31)
+        maps = [build_map(S, kind) for S in census5[5] for kind in MAP_KINDS]
+        for _ in range(600):
+            n = rng.randint(1, 4)
+            table = tuple(tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n)) for _ in range(n))
+            maps.append(ybe.PairMap(n, table))
+        for m in maps:
+            assert braid_check(m) == oracle_braid_witness(m), m
 
     def test_twist_map_is_involutive_solution(self):
         m = twist_map(4)
