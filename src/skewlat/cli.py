@@ -223,6 +223,8 @@ def _check_predicates(args) -> None:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError("--jobs must be >= 1")
     _check_predicates(args)
     spec = _make_spec(args, args.n)
     resume = None

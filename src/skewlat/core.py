@@ -6,6 +6,7 @@ module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -65,6 +66,38 @@ class CayleyPair:
 
     def flat(self) -> tuple:
         return tuple(v for row in self.meet for v in row) + tuple(v for row in self.join for v in row)
+
+
+def _undercuts(tables, n, perm, pinv, flat) -> bool:
+    """True iff the tables relabeled by perm (pinv its inverse) read smaller
+    than flat; stops at the first position where they differ."""
+    pos = 0
+    for t in tables:
+        for a in range(n):
+            row = t[pinv[a]]
+            for b in range(n):
+                v, f = perm[row[pinv[b]]], flat[pos]
+                if v != f:
+                    return v < f
+                pos += 1
+    return False
+
+
+def canonical_labeling(pair: CayleyPair):
+    """(least flat table, first permutation that gives it) over every
+    relabeling of the pair. A permutation p renames x as p[x], so the
+    relabeled tables hold p[t[a][b]] at (p[a], p[b]); "first" is in
+    itertools.permutations order. Isomorphic pairs get the same table."""
+    n, tables = pair.n, (pair.meet, pair.join)
+    best, best_perm = pair.flat(), tuple(range(n))
+    for perm in itertools.permutations(range(n)):
+        pinv = [0] * n
+        for i, v in enumerate(perm):
+            pinv[v] = i
+        if _undercuts(tables, n, perm, pinv, best):
+            best = tuple(perm[t[pinv[a]][pinv[b]]] for t in tables for a in range(n) for b in range(n))
+            best_perm = perm
+    return best, best_perm
 
 
 @dataclass(frozen=True)

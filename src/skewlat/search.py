@@ -1,12 +1,15 @@
 """Bounded enumeration of skew lattices up to isomorphism, with filters,
 counterexample search, node/time budgets and resumable checkpoints.
 
-The meet table is filled first (depth-first, cell by cell, incremental
-associativity checking); the dualities and absorption laws then pin or
-narrow most join cells. Isomorphism rejection keeps exactly the lex-least
-representative of each class. Since that representative's meet table is the
-least of its relabelings, a node is cut as soon as some relabeling makes the
-decided prefix of the meet table strictly smaller.
+One depth-first search decides the 2·n·(n−1) off-diagonal cells, and its
+decision path is the checkpoint. The meet table comes first, cell by cell
+with incremental associativity checking; once it is complete, the dualities
+and absorption laws pin or narrow the join cells, which follow in the same
+order. Isomorphism rejection keeps exactly the lex-least representative of
+each class (`core.canonical_labeling`). Since that representative's meet
+table is the least of its relabelings, a node is cut as soon as some
+relabeling makes the decided prefix of the meet table strictly smaller;
+each leaf is then checked with `is_canonical`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import terms, varieties, ybe
-from .core import CayleyPair, SkewLattice, validate
+from .core import CayleyPair, SkewLattice, canonical_labeling, validate
 from .core import axiom_violations  # noqa: F401  bench/spans.py traces it through this module
 
 
@@ -66,54 +69,16 @@ def spec_hash(spec: SearchSpec) -> str:
 # --- canonical forms ---------------------------------------------------------
 
 
-def _cmp_relabeled(meet, join, n, perm, pinv, flat):
-    """Compare the relabeled flat table against flat: -1 smaller, 0, 1."""
-    pos = 0
-    for t in (meet, join):
-        for a in range(n):
-            row = t[pinv[a]]
-            for b in range(n):
-                v = perm[row[pinv[b]]]
-                f = flat[pos]
-                if v != f:
-                    return -1 if v < f else 1
-                pos += 1
-    return 0
-
-
 def is_canonical(pair: CayleyPair) -> bool:
     """True iff the pair is the lex-least labeling of its isomorphism class."""
-    n = pair.n
-    flat = pair.flat()
-    for perm in itertools.permutations(range(n)):
-        pinv = [0] * n
-        for i, v in enumerate(perm):
-            pinv[v] = i
-        if _cmp_relabeled(pair.meet, pair.join, n, perm, pinv, flat) < 0:
-            return False
-    return True
-
-
-def relabel(pair: CayleyPair, perm) -> CayleyPair:
-    n = pair.n
-    pinv = [0] * n
-    for i, v in enumerate(perm):
-        pinv[v] = i
-    meet = [[perm[pair.meet[pinv[a]][pinv[b]]] for b in range(n)] for a in range(n)]
-    join = [[perm[pair.join[pinv[a]][pinv[b]]] for b in range(n)] for a in range(n)]
-    return CayleyPair.from_tables(meet, join)
+    return canonical_labeling(pair)[0] == pair.flat()
 
 
 def canonical_form(pair: CayleyPair) -> CayleyPair:
-    best = pair
-    best_flat = pair.flat()
-    n = pair.n
-    for perm in itertools.permutations(range(n)):
-        cand = relabel(pair, perm)
-        f = cand.flat()
-        if f < best_flat:
-            best, best_flat = cand, f
-    return best
+    """The lex-least labeling of the pair's isomorphism class."""
+    flat, n = canonical_labeling(pair)[0], pair.n
+    rows = tuple(flat[k : k + n] for k in range(0, 2 * n * n, n))
+    return CayleyPair(n, rows[:n], rows[n:])
 
 
 # --- named predicates --------------------------------------------------------
@@ -234,9 +199,14 @@ class _Enumerator:
         self.meet_prunes, self.join_prunes = _prunes(spec.satisfy)
         n = self.n
         # a last row and column of -1 pad each table, so index -1 reads
-        # "unknown" (see terms); the prunes evaluate on these partial tables
+        # "unknown" (see terms); the prunes evaluate on these partial tables.
+        # occ[v] and jocc[v] list the cells of meet and join that hold v.
         self.meet = [[-1] * (n + 1) for _ in range(n + 1)]
         self.join = [[-1] * (n + 1) for _ in range(n + 1)]
+        self.occ = [[(x, x)] for x in range(n)]
+        self.jocc = [[(x, x)] for x in range(n)]
+        for x in range(n):
+            self.meet[x][x] = self.join[x][x] = x
         self.mcells = [(i, j) for i in range(n) for j in range(n) if i != j]
         # the pairs a prune re-checks after cell (i, j) is assigned
         self.touching = {
@@ -245,9 +215,10 @@ class _Enumerator:
         }
         self.perm_values, self.perm_sources = _relabelings(n, self.mcells)
         self.path = []
-        # restriction on the first decision cell; used to split the tree
-        # into disjoint subtrees for parallel workers
-        self.first_values = None if first_values is None else set(first_values)
+        self.cand = None  # the join cells' candidates, set when the meet table is complete
+        # the values tried at the first decision cell; restricting them
+        # splits the tree into disjoint subtrees for parallel workers
+        self.first_domain = [v for v in range(n) if first_values is None or v in first_values]
 
     # -- bookkeeping
 
@@ -273,7 +244,7 @@ class _Enumerator:
             return False, resume[1:] if len(resume) > 1 else None
         return False, None
 
-    # -- meet stage
+    # -- the search
 
     def run(self):
         # every relabeling starts tied with the empty prefix, compared at 0
@@ -282,7 +253,7 @@ class _Enumerator:
             chain = (q, 0, chain)
         wake = [chain] + [None] * (len(self.mcells) - 1)
         try:
-            self._meet_dfs(0, self.resume, wake)
+            self._dfs(0, self.resume, wake)
         except _BudgetExhausted as stop:
             self.result.exhausted = False
             self.result.checkpoint = stop.path
@@ -291,8 +262,8 @@ class _Enumerator:
         return self.result
 
     def _check_assign(self, t, occ, prunes, i, j):
-        """Associativity and the satisfy prunes after t[i][j] is assigned;
-        occ[v] lists the cells of t that hold v."""
+        """Associativity and the current stage's satisfy prunes after
+        t[i][j] is assigned; occ[v] lists the cells of t that hold v."""
         for a in range(self.n):
             if not _triple_ok(t, i, j, a) or not _triple_ok(t, a, i, j):
                 return False
@@ -325,7 +296,9 @@ class _Enumerator:
         decided, so it waits in wake[max(f, source)]: a chain of (q, f, rest)
         tuples that sibling nodes share. One that reads larger, or is tied on
         the whole table, can never give a smaller table and is dropped for
-        the subtree."""
+        the subtree. Join cells are not compared: a relabeling tied on the
+        whole meet table (an automorphism of the meet band) is dropped too,
+        and `is_canonical` rejects at the leaf what it would undercut."""
         vals = self.path
         values, sources = self.perm_values, self.perm_sources
         n, m = self.n, len(self.mcells)
@@ -348,38 +321,43 @@ class _Enumerator:
                 f += 1
         return later
 
-    def _meet_dfs(self, depth, resume, wake):
-        if depth == 0:
-            n = self.n
-            self.occ = [[] for _ in range(n)]
-            for x in range(n):
-                self.meet[x][x] = x
-                self.occ[x].append((x, x))
-        if depth == len(self.mcells):
-            self._join_stage(resume)
+    def _dfs(self, depth, resume, wake):
+        """Decide cell `depth` of the 2·n·(n−1) decision cells: the meet
+        cells in `mcells` order, then the join cells in the same order.
+        `wake` is `_lex_leader`'s state, advanced on meet cells only."""
+        m = len(self.mcells)
+        if depth == m:
+            self.cand = self._join_candidates()
+            if self.cand is None:
+                return
+        if depth == 2 * m:
+            self._emit()
             return
-        i, j = self.mcells[depth]
-        for v in range(self.n):
-            if depth == 0 and self.first_values is not None and v not in self.first_values:
-                continue
+        if depth < m:
+            i, j = self.mcells[depth]
+            table, occ, prunes = self.meet, self.occ, self.meet_prunes
+            values = self.first_domain if depth == 0 else range(self.n)
+        else:
+            i, j = self.mcells[depth - m]
+            table, occ, prunes = self.join, self.jocc, self.join_prunes
+            values = self.cand[i, j]
+        for v in values:
             skip, sub = self._consume_resume(resume, v)
             if skip:
                 continue
             self._tick(v)
-            self.meet[i][j] = v
-            self.occ[v].append((i, j))
+            table[i][j] = v
+            occ[v].append((i, j))
             self.path.append(v)
             try:
-                if self._check_assign(self.meet, self.occ, self.meet_prunes, i, j):
-                    later = self._lex_leader(depth, wake)
+                if self._check_assign(table, occ, prunes, i, j):
+                    later = self._lex_leader(depth, wake) if depth < m else wake
                     if later is not None:
-                        self._meet_dfs(depth + 1, sub, later)
+                        self._dfs(depth + 1, sub, later)
             finally:
                 self.path.pop()
-                self.occ[v].pop()
-                self.meet[i][j] = -1
-
-    # -- join stage
+                occ[v].pop()
+                table[i][j] = -1
 
     def _join_candidates(self):
         n = self.n
@@ -417,41 +395,6 @@ class _Enumerator:
                         return None
                     cand[cell] = [forced]
         return cand
-
-    def _join_stage(self, resume):
-        cand = self._join_candidates()
-        if cand is None:
-            return
-        n = self.n
-        self.jocc = [[] for _ in range(n)]
-        self.join = [[-1] * (n + 1) for _ in range(n + 1)]
-        for x in range(n):
-            self.join[x][x] = x
-            self.jocc[x].append((x, x))
-        jcells = self.mcells
-
-        def dfs(depth, resume):
-            if depth == len(jcells):
-                self._emit()
-                return
-            i, j = jcells[depth]
-            for v in cand[(i, j)]:
-                skip, sub = self._consume_resume(resume, v)
-                if skip:
-                    continue
-                self._tick(v)
-                self.join[i][j] = v
-                self.jocc[v].append((i, j))
-                self.path.append(v)
-                try:
-                    if self._check_assign(self.join, self.jocc, self.join_prunes, i, j):
-                        dfs(depth + 1, sub)
-                finally:
-                    self.path.pop()
-                    self.jocc[v].pop()
-                    self.join[i][j] = -1
-
-        dfs(0, resume)
 
     # -- leaf handling
 

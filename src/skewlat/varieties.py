@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 from . import green, terms
-from .core import SkewLattice
+from .constructions import fixed
+from .core import CayleyPair, SkewLattice, canonical_labeling
 
 # Stable flag order for reports.
 FLAG_NAMES = (
@@ -108,26 +110,6 @@ def classify(S: SkewLattice) -> VarietyReport:
     return VarietyReport(flags, witnesses)
 
 
-def _subalgebra_closed(S: SkewLattice, subset: frozenset) -> bool:
-    m, j = S.pair.meet, S.pair.join
-    return all(m[x][y] in subset and j[x][y] in subset for x in subset for y in subset)
-
-
-def _isomorphism(S: SkewLattice, subset: tuple, T: SkewLattice):
-    """A bijection subset -> T respecting both tables, or None."""
-    m, j = S.pair.meet, S.pair.join
-    tm, tj = T.pair.meet, T.pair.join
-    for perm in itertools.permutations(range(T.n)):
-        img = dict(zip(subset, perm))
-        if all(
-            img[m[x][y]] == tm[img[x]][img[y]] and img[j[x][y]] == tj[img[x]][img[y]]
-            for x in subset
-            for y in subset
-        ):
-            return img
-    return None
-
-
 # The two non-distributive 5-element lattices complete the forbidden-
 # subalgebra list for simple cancellativity: M3 (three incomparable atoms)
 # and N5 (the pentagon). Both fail the simple-cancellation implication at
@@ -142,35 +124,49 @@ _N5 = (
 )
 
 
+@functools.cache
+def _forbidden() -> dict:
+    """Canonical flat table -> (name, inverse of its canonical permutation)
+    for each of the four forbidden algebras."""
+    pairs = (
+        ("NC5R", fixed("NC5R").pair),
+        ("NC5L", fixed("NC5L").pair),
+        ("M3", CayleyPair.from_tables(*_M3)),
+        ("N5", CayleyPair.from_tables(*_N5)),
+    )
+    out = {}
+    for name, pair in pairs:
+        flat, perm = canonical_labeling(pair)
+        out[flat] = (name, tuple(perm.index(c) for c in range(5)))
+    return out
+
+
 def nc5_free(S: SkewLattice):
     """True, or the first embedded copy of one of the four forbidden
-    5-element algebras (as (name, subset, element map)).
+    5-element algebras (as (name, subset, element map onto that algebra)).
 
     The forbidden list is NC5R, NC5L plus the non-distributive lattices M3
     and N5: a skew lattice is simply cancellative exactly when none of the
     four embeds; the theorem battery checks the verdict against the
-    simple-cancellation quasi-identity.
+    simple-cancellation quasi-identity. Each closed 5-subset, in
+    combinations order, is canonicalized once and looked up among the
+    forbidden algebras' canonical tables; two labelings with the same
+    canonical table differ by the composite of their canonical permutations.
     """
-    from .constructions import fixed
-    from .core import CayleyPair, validate
-
-    found = None
-    if S.n >= 5:
-        targets = [
-            ("NC5R", fixed("NC5R")),
-            ("NC5L", fixed("NC5L")),
-            ("M3", validate(CayleyPair.from_tables(*_M3))),
-            ("N5", validate(CayleyPair.from_tables(*_N5))),
-        ]
-        for subset in itertools.combinations(range(S.n), 5):
-            fs = frozenset(subset)
-            if not _subalgebra_closed(S, fs):
-                continue
-            for name, T in targets:
-                img = _isomorphism(S, subset, T)
-                if img is not None:
-                    found = (name, subset, img)
-                    break
-            if found:
-                break
-    return True if found is None else found
+    m, j = S.pair.meet, S.pair.join
+    for subset in itertools.combinations(range(S.n), 5):
+        index = {x: k for k, x in enumerate(subset)}
+        try:
+            sub = CayleyPair(
+                5,
+                tuple(tuple(index[m[x][y]] for y in subset) for x in subset),
+                tuple(tuple(index[j[x][y]] for y in subset) for x in subset),
+            )
+        except KeyError:  # not closed
+            continue
+        flat, perm = canonical_labeling(sub)
+        hit = _forbidden().get(flat)
+        if hit is not None:
+            name, pinv = hit
+            return name, subset, {x: pinv[perm[k]] for k, x in enumerate(subset)}
+    return True

@@ -123,6 +123,8 @@ class TestConstructAndSearch:
             ("enumerate", "3", "--limit", "-1"),
             ("enumerate", "3", "--max-nodes", "-5"),
             ("enumerate", "3", "--max-seconds", "-1"),
+            ("theorems", "--max-n", "0"),
+            ("enumerate", "3", "--jobs", "0"),
         ],
     )
     def test_bad_sizes_and_budgets_exit_two(self, capsys, argv):

@@ -1,13 +1,14 @@
 import io
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewlat import green, search, terms
-from skewlat.constructions import RingSpec, chain, direct_product, rectangular, ring_band, subalgebras
-from skewlat.core import CayleyPair, MalformedTableError, is_skew_lattice
+from skewlat import green, search, terms, varieties
+from skewlat.constructions import RingSpec, chain, direct_product, fixed, rectangular, ring_band, subalgebras
+from skewlat.core import CayleyPair, MalformedTableError, is_skew_lattice, validate
 from skewlat.search import (
     SearchSpec,
     canonical_form,
@@ -16,11 +17,21 @@ from skewlat.search import (
     find_counterexample,
     is_canonical,
     load_checkpoint,
-    relabel,
     resolve_predicate,
     save_checkpoint,
     spec_hash,
 )
+
+
+def relabel(pair, perm):
+    """The pair with each element x renamed perm[x]."""
+    n = pair.n
+    pinv = [0] * n
+    for i, v in enumerate(perm):
+        pinv[v] = i
+    meet = [[perm[pair.meet[pinv[a]][pinv[b]]] for b in range(n)] for a in range(n)]
+    join = [[perm[pair.join[pinv[a]][pinv[b]]] for b in range(n)] for a in range(n)]
+    return CayleyPair.from_tables(meet, join)
 
 
 def _associative(t, n):
@@ -127,6 +138,67 @@ class TestEnumeration:
         res = enumerate_skew_lattices(SearchSpec(n=5))
         assert res.count_up_to_iso == 53
         assert leaves == [True] * 53
+
+
+def test_orbit_stabilizer_counts_the_labeled_algebras(census5):
+    # each class S has n!/|Aut S| labelings on 0..n-1, so the sum over the
+    # census is the number of labeled skew lattices
+    for n, labeled in zip(range(1, 6), (1, 4, 20, 180, 1862)):
+        perms = list(itertools.permutations(range(n)))
+        total = 0
+        for S in census5[n]:
+            automorphisms = sum(relabel(S.pair, p) == S.pair for p in perms)
+            total += math.factorial(n) // automorphisms
+        assert total == labeled
+
+
+def _embeds(S, found):
+    """True iff the element map of an nc5_free result is an isomorphism of
+    its subset onto the named forbidden algebra."""
+    name, subset, img = found
+    T = {
+        "NC5R": fixed("NC5R").pair,
+        "NC5L": fixed("NC5L").pair,
+        "M3": CayleyPair.from_tables(*varieties._M3),
+        "N5": CayleyPair.from_tables(*varieties._N5),
+    }[name]
+    m, j = S.pair.meet, S.pair.join
+    return sorted(img) == sorted(subset) and sorted(img.values()) == list(range(5)) and all(
+        img[m[x][y]] == T.meet[img[x]][img[y]] and img[j[x][y]] == T.join[img[x]][img[y]]
+        for x in subset
+        for y in subset
+    )
+
+
+def test_nc5_free_maps_are_isomorphisms(census5):
+    algebras = list(census5[5]) + [direct_product(fixed("NC5R"), chain((1, 1)))]
+    found = [(S, res) for S in algebras for res in [varieties.nc5_free(S)] if res is not True]
+    assert {res[0] for _, res in found} == {"NC5R", "NC5L", "M3", "N5"}
+    assert all(_embeds(S, res) for S, res in found)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabeling_changes_nothing(data):
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    S = data.draw(st.sampled_from(census(n)))
+    perm = data.draw(st.permutations(range(n)))
+    pair = relabel(S.pair, perm)
+    assert canonical_form(pair) == S.pair
+    # the census member is the canonical labeling, so only an automorphism
+    # gives back a canonical pair
+    assert is_canonical(pair) == (pair == S.pair)
+    relabeled = validate(pair)
+    before, after = varieties.nc5_free(S), varieties.nc5_free(relabeled)
+    assert (before is True) == (after is True)
+    if after is not True:
+        assert _embeds(S, before) and _embeds(relabeled, after)
+        # the first copy found depends on the labeling when S holds copies of
+        # two forbidden algebras, but the copy found after relabeling is one
+        # in S too, and of the same algebra
+        name, subset, img = after
+        back = sorted(perm.index(x) for x in subset)
+        assert _embeds(S, (name, back, {y: img[perm[y]] for y in back}))
 
 
 def _random_term(rng, variables, depth):
