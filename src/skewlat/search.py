@@ -83,18 +83,6 @@ def canonical_form(pair: CayleyPair) -> CayleyPair:
 
 # --- named predicates --------------------------------------------------------
 
-_SOLUTION_PREDICATES = {
-    "strong-solution": "strong",
-    "left-solution": "left",
-    "right-solution": "right",
-    "weak-solution": "weak",
-    "update-solution": "update",
-    "lower-update-solution": "lower_update",
-    "co-update-solution": "co_update",
-    "upper-update-solution": "upper_update",
-}
-
-
 def _formulas(name: str):
     """The formulas whose conjunction a predicate name means: a variety
     flag, a bundled formula name or a raw formula. None for other names."""
@@ -111,12 +99,13 @@ def _formulas(name: str):
 def resolve_predicate(name: str):
     """Map a satisfy/falsify entry to a boolean predicate on SkewLattice.
 
-    Accepts variety flag names, solution-family names, bundled formula
-    names, or a raw formula in the term grammar.
+    Accepts variety flag names, `<map kind>-solution` names (the kind with
+    hyphens, such as lower-update-solution), bundled formula names, or a raw
+    formula in the term grammar.
     """
-    if name in _SOLUTION_PREDICATES:
-        kind = _SOLUTION_PREDICATES[name]
-        return lambda S: ybe.braid_check(ybe.build_map(S, kind)) is None
+    for kind in ybe.MAP_KINDS:
+        if name == kind.replace("_", "-") + "-solution":
+            return lambda S: ybe.braid_check(ybe.build_map(S, kind)) is None
     if name == "quasi_distributive":
         return lambda S: varieties.is_quasi_distributive(S)[0]
     formulas = _formulas(name)
@@ -187,12 +176,11 @@ def _relabelings(n, cells):
 
 
 class _Enumerator:
-    def __init__(self, spec: SearchSpec, resume=None, collect_all=False, first_values=None):
+    def __init__(self, spec: SearchSpec, resume=None, first_values=None):
         self.spec = spec
         self.n = spec.n
         self.result = EnumerationResult()
         self.resume = list(resume) if resume else None
-        self.collect_all = collect_all
         self.deadline = time.monotonic() + spec.max_seconds if spec.max_seconds else None
         self.satisfy = [(name, resolve_predicate(name)) for name in spec.satisfy]
         self.falsify = [(name, resolve_predicate(name)) for name in spec.falsify]
@@ -409,9 +397,8 @@ class _Enumerator:
         if self.falsify and all(pred(S) for _, pred in self.falsify):
             return
         self.result.count_up_to_iso += 1
-        if not self.spec.limit or len(self.result.witnesses) < self.spec.limit:
-            self.result.witnesses.append(S)
-        if self.spec.limit and self.result.count_up_to_iso >= self.spec.limit and not self.collect_all:
+        self.result.witnesses.append(S)
+        if self.spec.limit and self.result.count_up_to_iso >= self.spec.limit:
             raise _LimitReached
 
 
@@ -474,11 +461,6 @@ def find_counterexample(spec: SearchSpec) -> CounterexampleResult:
 def census(n: int) -> tuple:
     """All skew lattices of order exactly n, up to isomorphism (cached)."""
     return tuple(enumerate_skew_lattices(SearchSpec(n=n)).witnesses)
-
-
-def census_up_to(max_n: int):
-    for n in range(1, max_n + 1):
-        yield from census(n)
 
 
 # --- checkpoint files --------------------------------------------------------

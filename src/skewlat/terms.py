@@ -169,6 +169,14 @@ def parse(text: str) -> Formula:
     return f
 
 
+def parse_term(text: str):
+    """One term of the grammar, such as `(x ^ y) v x`."""
+    parser = _Parser(text)
+    term = parser.join_expr()
+    parser.eat("END")
+    return term
+
+
 _PREC = {"join": 1, "meet": 2, "var": 3}
 
 
@@ -248,9 +256,14 @@ def _compile(terms_: tuple, variables: tuple, premises=None):
     return namespace["evaluate" if premises is None else "check"]
 
 
+def compile_terms(terms_: tuple, variables: tuple):
+    """The terms as one function of (meet, join, *values) returning their
+    values, with the values in the order of `variables`."""
+    return _compile(terms_, variables)
+
+
 def compile_formula(f: Formula):
-    """f's sides, premises first, as a function of (meet, join, *values)
-    with the values in the order of f.variables."""
+    """f's sides, premises first, as compile_terms over f.variables."""
     return _compile(f.sides, f.variables)
 
 
@@ -281,10 +294,9 @@ def holds_at(S: SkewLattice, f: Formula, env: dict):
     return s[:k:2] == s[1:k:2], s[k], s[k + 1]
 
 
-# --- formula files and the bundled library ---------------------------------
+# --- the bundled library -----------------------------------------------------
 #
-# Formula files: one formula per line, '#' comments. Library lines are
-# "name: formula".
+# One "name: formula" per line, '#' comments.
 
 
 def parse_library(text: str) -> dict:
@@ -301,14 +313,6 @@ def parse_library(text: str) -> dict:
             raise ParseError(f"library line {lineno} redefines {name!r}", 0)
         out[name] = parse(body)
     return out
-
-
-def parse_formula_file(text: str) -> list:
-    return [
-        parse(ln)
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
 
 
 @lru_cache(maxsize=None)

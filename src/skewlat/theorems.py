@@ -61,9 +61,13 @@ def _family_identity_equivalences(S: SkewLattice):
     return True
 
 
+def _flag(S: SkewLattice, flag: str) -> bool:
+    """One variety flag from its own formulas; classify decides all of them."""
+    return varieties._eval_conjunction(S, terms.library(), varieties._FORMULA_FLAGS[flag])[0]
+
+
 def _strong_and_co_strong_implies_cubic(S: SkewLattice):
-    rep = varieties.classify(S)
-    if not (rep["strongly_distributive"] and rep["co_strongly_distributive"]):
+    if not (_flag(S, "strongly_distributive") and _flag(S, "co_strongly_distributive")):
         return True
     m = ybe.build_map(S, "strong")
     if ybe.braid_check(m) is not None:
@@ -124,7 +128,7 @@ def _handed_solution_equivalences(S: SkewLattice):
 
 
 def _symmetric_triple_equivalence(S: SkewLattice):
-    if not varieties.classify(S)["symmetric"]:
+    if not _flag(S, "symmetric"):
         return True
     verdicts = [
         ybe.braid_check(ybe.build_map(S, f)) is None for f in ("left", "right", "weak")
@@ -168,15 +172,18 @@ def _update_failure(kind, side, inner, outer, D, x, y, u):
 
 
 def _lower_update_composition(S: SkewLattice):
-    lu, uu = ybe.lower_update_value, ybe.upper_update_value
+    # lu[x][y] is the lower update of x by y, uu[x][y] the upper update of x by y
+    lu = [[u for u, _ in row] for row in ybe.build_map(S, "lower_update").table]
+    upper = ybe.build_map(S, "upper_update").table
+    uu = [[upper[y][x][1] for y in S.elements()] for x in S.elements()]
     m, j = S.pair.meet, S.pair.join
     _, _, D = green.green_relations(S)
     left_handed = green.is_left_handed(S)
     for x in S.elements():
         for y in S.elements():
-            u = lu(S, x, y)
+            u = lu[x][y]
             failed = _update_failure("lower", "above", m, j, D, x, y, u) or _update_failure(
-                "upper", "below", j, m, D, x, y, uu(S, x, y)
+                "upper", "below", j, m, D, x, y, uu[x][y]
             )
             if failed:
                 return failed
@@ -186,7 +193,7 @@ def _lower_update_composition(S: SkewLattice):
     for x in S.elements():
         for y in S.elements():
             for z in S.elements():
-                if lu(S, lu(S, x, y), lu(S, y, z)) != lu(S, x, lu(S, y, z)):
+                if lu[lu[x][y]][lu[y][z]] != lu[x][lu[y][z]]:
                     return f"coset law fails at ({x},{y},{z})"
     return True
 

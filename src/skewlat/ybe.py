@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import terms
 from .core import SkewLattice
 
-MAP_KINDS = ("update", "lower_update", "co_update", "upper_update", "strong", "left", "right", "weak")
+# Each solution map r(x, y) = (σ(x, y), τ(x, y)) as its two component terms,
+# in report order. The lower update (y^x^y) v x v (y^x^y) of x by y stays in
+# the D-class of x and is the unique element of the coset M v x v M (M the
+# class of x^y) above y^x^y; the upper update (xvyvx) ^ y ^ (xvyvx) of y by x
+# is its syntactic dual. The theorem battery checks these properties.
+MAPS = {
+    "update": ("(x ^ y) v x", "y"),
+    "lower_update": ("y ^ x ^ y v x v y ^ x ^ y", "y"),
+    "co_update": ("x", "(y v x) ^ y"),
+    "upper_update": ("x", "(x v y v x) ^ y ^ (x v y v x)"),
+    "strong": ("x ^ y", "x v y"),
+    "left": ("x ^ y", "y v x"),
+    "right": ("y ^ x", "x v y"),
+    "weak": ("x ^ y ^ x", "x v y v x"),
+}
+MAP_KINDS = tuple(MAPS)
 
 # Identities characterizing each family (library names).
 FAMILY_IDENTITIES = {
@@ -75,48 +91,23 @@ class SolutionReport:
         return "\n".join(lines) + "\n"
 
 
-def lower_update_value(S: SkewLattice, x: int, y: int) -> int:
-    """The lower update of x by y, (y^x^y) v x v (y^x^y).
-
-    It stays in the D-class of x and is the unique element of the coset
-    M v x v M (M the class of x^y) above y^x^y; the theorem battery checks
-    these properties.
-    """
-    m, j = S.pair.meet, S.pair.join
-    t = m[m[y][x]][y]
-    return j[j[t][x]][t]
-
-
-def upper_update_value(S: SkewLattice, x: int, y: int) -> int:
-    """(yvxvy) ^ x ^ (yvxvy), the syntactic dual of the lower update."""
-    m, j = S.pair.meet, S.pair.join
-    t = j[j[y][x]][y]
-    return m[m[t][x]][t]
+@functools.cache
+def _compiled_maps() -> dict:
+    """Each kind's component terms, parsed and compiled once, as one
+    function of (meet, join, x, y) returning the pair."""
+    return {
+        kind: terms.compile_terms(tuple(map(terms.parse_term, pair)), ("x", "y"))
+        for kind, pair in MAPS.items()
+    }
 
 
 def build_map(S: SkewLattice, kind: str) -> PairMap:
     """Construct one of the solution maps as a full pair table."""
-    m, j = S.pair.meet, S.pair.join
-    if kind == "update":
-        f = lambda x, y: (j[m[x][y]][x], y)
-    elif kind == "lower_update":
-        f = lambda x, y: (lower_update_value(S, x, y), y)
-    elif kind == "co_update":
-        f = lambda x, y: (x, m[j[y][x]][y])
-    elif kind == "upper_update":
-        f = lambda x, y: (x, upper_update_value(S, y, x))
-    elif kind == "strong":
-        f = lambda x, y: (m[x][y], j[x][y])
-    elif kind == "left":
-        f = lambda x, y: (m[x][y], j[y][x])
-    elif kind == "right":
-        f = lambda x, y: (m[y][x], j[x][y])
-    elif kind == "weak":
-        f = lambda x, y: (m[m[x][y]][x], j[j[x][y]][x])
-    else:
+    if kind not in MAPS:
         raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
-    table = tuple(tuple(f(x, y) for y in range(S.n)) for x in range(S.n))
-    return PairMap(S.n, table)
+    f = _compiled_maps()[kind]
+    m, j, r = S.pair.meet, S.pair.join, range(S.n)
+    return PairMap(S.n, tuple(tuple(f(m, j, x, y) for y in r) for x in r))
 
 
 def twist_map(n: int) -> PairMap:

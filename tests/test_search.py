@@ -349,8 +349,10 @@ class TestBudgetsAndCheckpoints:
             SearchSpec(n=3, **{field: value})
 
     def test_time_budget(self):
-        res = enumerate_skew_lattices(SearchSpec(n=5, max_seconds=0.05))
+        # the order-7 census takes seconds, far beyond the budget
+        res = enumerate_skew_lattices(SearchSpec(n=7, max_seconds=0.05))
         assert not res.exhausted
+        assert res.checkpoint
 
 
 class TestCounterexample:

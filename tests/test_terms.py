@@ -19,6 +19,7 @@ from skewlat.terms import (
     library,
     parse,
     parse_library,
+    parse_term,
 )
 
 THREE_R0 = validate(
@@ -69,6 +70,12 @@ class TestParser:
         text = " ^ ".join("abcdefgh") + " = a"
         assert len(parse(text).variables) == 8
 
+    def test_parse_term_reads_one_term(self):
+        assert parse_term("(x ^ y) v x") == parse("(x ^ y) v x = x").conclusion[0]
+        for text in ("x ^", "x = y", "x y", ""):
+            with pytest.raises(ParseError):
+                parse_term(text)
+
 
 def random_term(rng, variables, depth):
     if depth == 0 or rng.random() < 0.3:
@@ -84,6 +91,7 @@ class TestFormatRoundTrip:
             t = random_term(rng, "xyz", 4)
             f = parse(format_equation(t, t))
             assert f.conclusion == (t, t)
+            assert parse_term(format_term(t)) == t
 
     @given(st.integers(min_value=0, max_value=2**40))
     def test_hypothesis_round_trip(self, seed):

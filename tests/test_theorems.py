@@ -44,6 +44,21 @@ def _flip_binormal(real):
     return fake
 
 
+def _identity_map_for(kind):
+    """A build_map fault: the map (x, y) -> (x, y) in place of `kind`."""
+
+    def fault(real):
+        def fake(S, k):
+            if k != kind:
+                return real(S, k)
+            return ybe.PairMap(S.n, tuple(tuple((x, y) for y in S.elements()) for x in S.elements()))
+
+        return fake
+
+    fault.kind = kind
+    return fault
+
+
 # (owner entry, module, function, fault, algebra it shows on, battery max_n)
 FAULTS = [
     ("orders-cohere-with-green", core, "orders", _flip_one_leq_cell, "3R0", 2),
@@ -55,9 +70,9 @@ FAULTS = [
     ("coset-membership-criterion", green, "cosets", lambda real: lambda *a: real(*a)[:-1], "3R0", 2),
     ("coset-membership-criterion", green, "coset_bijection",
      lambda real: lambda S, X, Y: {x: x for x in X.elements}, "3R0", 2),
-    ("lower-update-composition-law", ybe, "lower_update_value", lambda real: lambda S, x, y: x, "3R0", 3),
-    ("lower-update-composition-law", ybe, "upper_update_value", lambda real: lambda S, x, y: x, "3R0", 3),
-    ("handed-update-coincidences", ybe, "lower_update_value", lambda real: lambda S, x, y: x, "3R0", 3),
+    ("lower-update-composition-law", ybe, "build_map", _identity_map_for("lower_update"), "3R0", 3),
+    ("lower-update-composition-law", ybe, "build_map", _identity_map_for("upper_update"), "3R0", 3),
+    ("handed-update-coincidences", ybe, "build_map", _identity_map_for("lower_update"), "3R0", 3),
     ("update-maps-are-idempotent-solutions", ybe, "power_class",
      lambda real: lambda m: ybe.PowerClass(involutive=False, idempotent=True, cubic=False), "3R0", 1),
     ("family-identity-iff-braid", ybe, "solution_identity_check", lambda real: lambda S, family: True, "3R0", 3),
@@ -69,7 +84,8 @@ FAULTS = [
 @pytest.mark.parametrize(
     "entry, module, name, fault, algebra, max_n",
     FAULTS,
-    ids=[f"{entry}:{name}" for entry, _, name, *_ in FAULTS],
+    # a build_map fault is named by the kind it replaces
+    ids=[f"{entry}:{getattr(fault, 'kind', name)}" for entry, _, name, fault, *_ in FAULTS],
 )
 def test_owner_entry_catches_a_wrong_answer(monkeypatch, capsys, entry, module, name, fault, algebra, max_n):
     S = constructions.fixed(algebra)

@@ -10,7 +10,6 @@ from skewlat.ybe import (
     braid_check,
     build_map,
     degeneracy,
-    lower_update_value,
     power_class,
     solution_identity_check,
     solution_report,
@@ -36,17 +35,50 @@ def oracle_braid_witness(m):
     return None
 
 
+def oracle_map_table(S, kind):
+    """Oracle: the map's pair table from its components written out by hand."""
+    m, j = S.pair.meet, S.pair.join
+
+    def lower(x, y):  # (y^x^y) v x v (y^x^y)
+        t = m[m[y][x]][y]
+        return j[j[t][x]][t]
+
+    def upper(x, y):  # (yvxvy) ^ x ^ (yvxvy)
+        t = j[j[y][x]][y]
+        return m[m[t][x]][t]
+
+    f = {
+        "update": lambda x, y: (j[m[x][y]][x], y),
+        "lower_update": lambda x, y: (lower(x, y), y),
+        "co_update": lambda x, y: (x, m[j[y][x]][y]),
+        "upper_update": lambda x, y: (x, upper(y, x)),
+        "strong": lambda x, y: (m[x][y], j[x][y]),
+        "left": lambda x, y: (m[x][y], j[y][x]),
+        "right": lambda x, y: (m[y][x], j[x][y]),
+        "weak": lambda x, y: (m[m[x][y]][x], j[j[x][y]][x]),
+    }[kind]
+    return tuple(tuple(f(x, y) for y in S.elements()) for x in S.elements())
+
+
 class TestBuildMap:
+    def test_map_kinds_are_the_term_table_in_order(self):
+        assert MAP_KINDS == tuple(ybe.MAPS) == (
+            "update", "lower_update", "co_update", "upper_update", "strong", "left", "right", "weak",
+        )
+
+    def test_every_kind_matches_the_oracle(self, census5):
+        fixed = [constructions.fixed(name) for name in ("3R0", "3R1", "NC5R", "NC5L")]
+        algebras = [S for n in census5 for S in census5[n]] + fixed
+        for S in algebras:
+            for kind in MAP_KINDS:
+                got, want = build_map(S, kind).table, oracle_map_table(S, kind)
+                for x in S.elements():
+                    for y in S.elements():
+                        assert got[x][y] == want[x][y], (kind, x, y, S.pair.flat())
+
     def test_unknown_kind_rejected(self, threes):
         with pytest.raises(ValueError):
             build_map(threes[0], "bogus")
-
-    def test_update_matches_formula(self, threes):
-        S, _ = threes
-        m = build_map(S, "update")
-        for x in S.elements():
-            for y in S.elements():
-                assert m.table[x][y] == (S.join(S.meet(x, y), x), y)
 
     def test_strong_map_on_three_r0_fails_braid(self, threes):
         S, _ = threes
@@ -96,7 +128,7 @@ class TestUpdates:
         S, _ = threes  # right handed
         for x in S.elements():
             for y in S.elements():
-                assert lower_update_value(S, x, y) == S.join(S.meet(x, y), x)
+                assert build_map(S, "lower_update").table[x][y][0] == S.join(S.meet(x, y), x)
 
 
 class TestClassification:
