@@ -17,16 +17,20 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _load_algebra(path) -> core.SkewLattice:
-    """Read and validate a skewlat v1 file; I/O and format problems map to
-    usage errors, axiom violations to check failures."""
+def _read_pair(path) -> core.CayleyPair:
+    """Read a skewlat v1 file; I/O and format problems map to usage errors."""
     try:
-        pair = core.load(path)
+        return core.load(path)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}")
     except (core.MalformedTableError, ValueError) as exc:
         raise _UsageError(f"{path}: {exc}")
-    return core.validate(pair)
+
+
+def _load_algebra(path) -> core.SkewLattice:
+    """Read and validate a skewlat v1 file; axiom violations are check
+    failures."""
+    return core.validate(_read_pair(path))
 
 
 class _UsageError(Exception):
@@ -43,12 +47,7 @@ def _tsv(rows) -> str:
 def _cmd_validate(args) -> int:
     status = EXIT_OK
     for path in args.files:
-        try:
-            pair = core.load(path)
-        except OSError as exc:
-            raise _UsageError(f"cannot read {path}: {exc.strerror or exc}")
-        except (core.MalformedTableError, ValueError) as exc:
-            raise _UsageError(f"{path}: {exc}")
+        pair = _read_pair(path)
         violations = core.axiom_violations(pair)
         if not violations:
             print(f"{path}: valid skew lattice (n={pair.n})")
@@ -80,7 +79,7 @@ def _cmd_props(args) -> int:
     free = varieties.nc5_free(S)
     if args.format == "tsv":
         rows = [("property", "value", "witness")]
-        for name in varieties.FLAG_NAMES + ("quasi_distributive",):
+        for name in varieties.FLAG_NAMES:
             w = report.witnesses.get(name)
             wtext = "" if w is None else " ".join(f"{k}={v}" for k, v in sorted(w.items()))
             rows.append((name, str(report.flags[name]).lower(), wtext))

@@ -86,19 +86,14 @@ def green_relations(S: SkewLattice):
     return L, R, D
 
 
-def _satisfies(S: SkewLattice, *names) -> bool:
-    lib = terms.library()
-    return all(terms.holds(S, lib[name]) is True for name in names)
-
-
 def is_left_handed(S: SkewLattice) -> bool:
     """x^y^x = x^y everywhere (equivalently L = D)."""
-    return _satisfies(S, "left-handed")
+    return terms.holds_all(S, ("left-handed",)) is True
 
 
 def is_right_handed(S: SkewLattice) -> bool:
     """x^y^x = y^x everywhere (equivalently R = D)."""
-    return _satisfies(S, "right-handed")
+    return terms.holds_all(S, ("right-handed",)) is True
 
 
 def is_congruence(S: SkewLattice, P: Partition):
@@ -128,7 +123,7 @@ def quotient(S: SkewLattice, P: Partition) -> QuotientAlgebra:
 
 
 def is_lattice(S: SkewLattice) -> bool:
-    return _satisfies(S, "commute-meet", "commute-join")
+    return terms.holds_all(S, ("commute-meet", "commute-join")) is True
 
 
 def maximal_lattice_image(S: SkewLattice) -> QuotientAlgebra:
@@ -174,27 +169,21 @@ def cosets(S: SkewLattice, A: int, B: int, direction: str, D: Partition = None) 
     ord_ = class_order(S, D)
     if not (ord_[B][A] and A != B):
         raise ValueError(f"classes {A} > {B} are not strictly comparable")
-    m, j = S.pair.meet, S.pair.join
     upper = sorted(D.classes[A])
     lower = sorted(D.classes[B])
-    out = []
-    seen = set()
+    # each x of the target class gives the coset {(s x) s' : s, s' in the
+    # source class}, multiplied by the direction's operation t
     if direction == "of-upper-in-lower":
-        for b in lower:
-            cs = frozenset(m[m[a][b]][a2] for a in upper for a2 in upper)
-            if cs not in seen:
-                seen.add(cs)
-                out.append(Coset(A, B, direction, cs))
+        t, source, target = S.pair.meet, upper, lower
     elif direction == "of-lower-in-upper":
-        for a in upper:
-            cs = frozenset(j[j[b][a]][b2] for b in lower for b2 in lower)
-            if cs not in seen:
-                seen.add(cs)
-                out.append(Coset(A, B, direction, cs))
+        t, source, target = S.pair.join, lower, upper
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    out.sort(key=lambda c: min(c.elements))
-    return out
+    out = {}
+    for x in target:
+        cs = frozenset(t[t[s][x]][s2] for s in source for s2 in source)
+        out.setdefault(cs, Coset(A, B, direction, cs))
+    return sorted(out.values(), key=lambda c: min(c.elements))
 
 
 def coset_bijection(S: SkewLattice, coset_upper: Coset, coset_lower: Coset) -> dict:

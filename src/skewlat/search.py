@@ -87,8 +87,8 @@ def _formulas(name: str):
     """The formulas whose conjunction a predicate name means: a variety
     flag, a bundled formula name or a raw formula. None for other names."""
     lib = terms.library()
-    if name in varieties._FORMULA_FLAGS:
-        return tuple(lib[k] for k in varieties._FORMULA_FLAGS[name])
+    if name in varieties.FLAGS:
+        return tuple(lib[k] for k in varieties.FLAGS[name])
     if name in lib:
         return (lib[name],)
     if "=" in name:
@@ -106,8 +106,8 @@ def resolve_predicate(name: str):
     for kind in ybe.MAP_KINDS:
         if name == kind.replace("_", "-") + "-solution":
             return lambda S: ybe.braid_check(ybe.build_map(S, kind)) is None
-    if name == "quasi_distributive":
-        return lambda S: varieties.is_quasi_distributive(S)[0]
+    if name in varieties.FLAGS:
+        return lambda S: varieties.check(S, name) is True
     formulas = _formulas(name)
     if formulas is None:
         raise ValueError(f"unknown predicate {name!r}")

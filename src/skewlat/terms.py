@@ -287,6 +287,17 @@ def holds(S: SkewLattice, f: Formula):
     return True if found is None else dict(zip(vars_, found))
 
 
+def holds_all(S: SkewLattice, names: tuple):
+    """True, or the first of the named bundled formulas that fails with its
+    first failing assignment, as (name, assignment)."""
+    lib = library()
+    for name in names:
+        found = holds(S, lib[name])
+        if found is not True:
+            return name, found
+    return True
+
+
 def holds_at(S: SkewLattice, f: Formula, env: dict):
     """Evaluate one assignment; returns (premises_ok, lhs, rhs)."""
     k = 2 * len(f.premises)

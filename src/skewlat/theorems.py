@@ -61,13 +61,8 @@ def _family_identity_equivalences(S: SkewLattice):
     return True
 
 
-def _flag(S: SkewLattice, flag: str) -> bool:
-    """One variety flag from its own formulas; classify decides all of them."""
-    return varieties._eval_conjunction(S, terms.library(), varieties._FORMULA_FLAGS[flag])[0]
-
-
 def _strong_and_co_strong_implies_cubic(S: SkewLattice):
-    if not (_flag(S, "strongly_distributive") and _flag(S, "co_strongly_distributive")):
+    if not all(varieties.check(S, f) is True for f in ("strongly_distributive", "co_strongly_distributive")):
         return True
     m = ybe.build_map(S, "strong")
     if ybe.braid_check(m) is not None:
@@ -128,7 +123,7 @@ def _handed_solution_equivalences(S: SkewLattice):
 
 
 def _symmetric_triple_equivalence(S: SkewLattice):
-    if not _flag(S, "symmetric"):
+    if varieties.check(S, "symmetric") is not True:
         return True
     verdicts = [
         ybe.braid_check(ybe.build_map(S, f)) is None for f in ("left", "right", "weak")

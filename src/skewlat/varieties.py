@@ -10,38 +10,19 @@ from . import green, terms
 from .constructions import fixed
 from .core import CayleyPair, SkewLattice, canonical_labeling
 
-# Stable flag order for reports.
-FLAG_NAMES = (
-    "distributive",
-    "quasi_distributive",
-    "cancellative",
-    "left_cancellative",
-    "right_cancellative",
-    "simply_cancellative",
-    "symmetric",
-    "upper_symmetric",
-    "lower_symmetric",
-    "normal",
-    "conormal",
-    "binormal",
-    "strongly_distributive",
-    "co_strongly_distributive",
-    "left_handed",
-    "right_handed",
-    "rectangular",
-    "lattice",
-)
-
-# flag -> library formula names whose conjunction defines it
-_FORMULA_FLAGS = {
+# Each variety flag, in report order, with the bundled formulas whose
+# conjunction defines it. quasi_distributive names none on S: it is decided
+# on S/D (see check).
+FLAGS = {
     "distributive": ("D1", "D2"),
+    "quasi_distributive": (),
+    "cancellative": ("C1", "C2"),
     "left_cancellative": ("C1",),
     "right_cancellative": ("C2",),
-    "cancellative": ("C1", "C2"),
     "simply_cancellative": ("simple-canc",),
+    "symmetric": ("upper-sym", "lower-sym"),
     "upper_symmetric": ("upper-sym",),
     "lower_symmetric": ("lower-sym",),
-    "symmetric": ("upper-sym", "lower-sym"),
     "normal": ("normal",),
     "conormal": ("conormal",),
     "binormal": ("normal", "conormal"),
@@ -52,6 +33,7 @@ _FORMULA_FLAGS = {
     "rectangular": ("rect1", "rect2"),
     "lattice": ("commute-meet", "commute-join"),
 }
+FLAG_NAMES = tuple(FLAGS)
 
 
 @dataclass(frozen=True)
@@ -73,20 +55,17 @@ class VarietyReport:
         return "\n".join(lines) + "\n"
 
 
-def _eval_conjunction(S: SkewLattice, lib: dict, names: tuple):
-    """(all hold?, first witness or None) for a conjunction of formulas."""
-    for name in names:
-        res = terms.holds(S, lib[name])
-        if res is not True:
-            return False, res
-    return True, None
+def check(S: SkewLattice, flag: str):
+    """True, or the first failing assignment of the flag's formulas.
 
-
-def is_quasi_distributive(S: SkewLattice):
-    """S/D is a distributive lattice; witness is over class ids of S/D."""
-    q = green.maximal_lattice_image(S).algebra
-    lib = terms.library()
-    return _eval_conjunction(q, lib, ("D1", "D2"))
+    quasi_distributive means S/D is a distributive lattice, so it is decided
+    by D1 and D2 on S/D and its witness is over class ids of S/D.
+    """
+    names = FLAGS[flag]
+    if flag == "quasi_distributive":
+        S, names = green.maximal_lattice_image(S).algebra, ("D1", "D2")
+    found = terms.holds_all(S, names)
+    return True if found is True else found[1]
 
 
 def classify(S: SkewLattice) -> VarietyReport:
@@ -95,19 +74,11 @@ def classify(S: SkewLattice) -> VarietyReport:
     The known implications between the flags are checked by the theorem
     battery.
     """
-    lib = terms.library()
-    flags = {}
-    witnesses = {}
-    for flag, names in _FORMULA_FLAGS.items():
-        ok, wit = _eval_conjunction(S, lib, names)
-        flags[flag] = ok
-        if wit is not None:
-            witnesses[flag] = wit
-    ok, wit = is_quasi_distributive(S)
-    flags["quasi_distributive"] = ok
-    if wit is not None:
-        witnesses["quasi_distributive"] = wit
-    return VarietyReport(flags, witnesses)
+    results = {flag: check(S, flag) for flag in FLAG_NAMES}
+    return VarietyReport(
+        {flag: found is True for flag, found in results.items()},
+        {flag: found for flag, found in results.items() if found is not True},
+    )
 
 
 # The two non-distributive 5-element lattices complete the forbidden-
@@ -142,8 +113,8 @@ def _forbidden() -> dict:
 
 
 def nc5_free(S: SkewLattice):
-    """True, or the first embedded copy of one of the four forbidden
-    5-element algebras (as (name, subset, element map onto that algebra)).
+    """True, or an embedded copy of one of the four forbidden 5-element
+    algebras (as (name, subset, element map onto that algebra)).
 
     The forbidden list is NC5R, NC5L plus the non-distributive lattices M3
     and N5: a skew lattice is simply cancellative exactly when none of the
@@ -152,8 +123,12 @@ def nc5_free(S: SkewLattice):
     combinations order, is canonicalized once and looked up among the
     forbidden algebras' canonical tables; two labelings with the same
     canonical table differ by the composite of their canonical permutations.
+    The copy reported is of the first algebra in that list that embeds, on
+    the first subset holding one, so its name does not depend on the
+    labeling.
     """
     m, j = S.pair.meet, S.pair.join
+    first = {}  # name -> its first copy
     for subset in itertools.combinations(range(S.n), 5):
         index = {x: k for k, x in enumerate(subset)}
         try:
@@ -166,7 +141,9 @@ def nc5_free(S: SkewLattice):
             continue
         flat, perm = canonical_labeling(sub)
         hit = _forbidden().get(flat)
-        if hit is not None:
+        if hit is not None and hit[0] not in first:
             name, pinv = hit
-            return name, subset, {x: pinv[perm[k]] for k, x in enumerate(subset)}
-    return True
+            first[name] = name, subset, {x: pinv[perm[k]] for k, x in enumerate(subset)}
+            if name == "NC5R":  # first in the list: nothing can come before it
+                break
+    return next((first[name] for name, _ in _forbidden().values() if name in first), True)

@@ -174,12 +174,7 @@ def solution_identity_check(S: SkewLattice, family: str):
     """
     if family not in FAMILY_IDENTITIES:
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(FAMILY_IDENTITIES)}")
-    lib = terms.library()
-    for name in FAMILY_IDENTITIES[family]:
-        res = terms.holds(S, lib[name])
-        if res is not True:
-            return (name, res)
-    return True
+    return terms.holds_all(S, FAMILY_IDENTITIES[family])
 
 
 def solution_report(S: SkewLattice, kind: str) -> SolutionReport:

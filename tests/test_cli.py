@@ -58,6 +58,14 @@ class TestReports:
         assert code == 0
         assert out.splitlines()[0] == "property\tvalue\twitness"
 
+    def test_props_tsv_names_each_flag_once(self, capsys, r0_file):
+        _, tsv, _ = run(capsys, "props", r0_file, "--format", "tsv")
+        _, text, _ = run(capsys, "props", r0_file)
+        names = [row.split("\t")[0] for row in tsv.splitlines()[1:]]
+        flags = [line.split(":")[0] for line in text.splitlines() if not line.startswith(" ")]
+        assert len(names) == len(set(names))
+        assert names == flags
+
     def test_ybe_strong_failure(self, capsys, r0_file):
         code, out, _ = run(capsys, "ybe", "--map", "strong", r0_file)
         assert code == 1

@@ -188,17 +188,31 @@ def test_relabeling_changes_nothing(data):
     # the census member is the canonical labeling, so only an automorphism
     # gives back a canonical pair
     assert is_canonical(pair) == (pair == S.pair)
-    relabeled = validate(pair)
+    _assert_same_nc5_verdict(S, perm)
+
+
+def _assert_same_nc5_verdict(S, perm):
+    relabeled = validate(relabel(S.pair, perm))
     before, after = varieties.nc5_free(S), varieties.nc5_free(relabeled)
     assert (before is True) == (after is True)
     if after is not True:
+        assert before[0] == after[0]
         assert _embeds(S, before) and _embeds(relabeled, after)
-        # the first copy found depends on the labeling when S holds copies of
-        # two forbidden algebras, but the copy found after relabeling is one
-        # in S too, and of the same algebra
+        # the first subset holding a copy depends on the labeling, but the
+        # copy found after relabeling is one in S too
         name, subset, img = after
         back = sorted(perm.index(x) for x in subset)
         assert _embeds(S, (name, back, {y: img[perm[y]] for y in back}))
+
+
+def test_nc5_free_names_the_first_forbidden_algebra_that_embeds():
+    # this order-6 member holds copies of NC5L and N5; the N5 copy comes
+    # first in combinations order, and after swapping 3 and 4 the NC5L one
+    meet = ((0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 1), (0, 0, 2, 2, 0, 2),
+            (0, 0, 2, 3, 0, 3), (0, 4, 0, 0, 4, 4), (0, 1, 2, 3, 4, 5))
+    (S,) = [S for S in census(6) if S.pair.meet == meet]
+    assert varieties.nc5_free(S)[0] == "NC5L"
+    _assert_same_nc5_verdict(S, (0, 1, 2, 4, 3, 5))
 
 
 def _random_term(rng, variables, depth):
