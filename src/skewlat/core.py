@@ -68,9 +68,10 @@ class CayleyPair:
         return tuple(v for row in self.meet for v in row) + tuple(v for row in self.join for v in row)
 
 
-def _undercuts(tables, n, perm, pinv, flat) -> bool:
-    """True iff the tables relabeled by perm (pinv its inverse) read smaller
-    than flat; stops at the first position where they differ."""
+def _compare(tables, n, perm, pinv, flat) -> int:
+    """-1, 0 or 1 as the tables relabeled by perm (pinv its inverse) read
+    smaller than, equal to or larger than flat; stops at the first position
+    where they differ."""
     pos = 0
     for t in tables:
         for a in range(n):
@@ -78,23 +79,48 @@ def _undercuts(tables, n, perm, pinv, flat) -> bool:
             for b in range(n):
                 v, f = perm[row[pinv[b]]], flat[pos]
                 if v != f:
-                    return v < f
+                    return -1 if v < f else 1
                 pos += 1
-    return False
+    return 0
+
+
+def _inverses(pair: CayleyPair):
+    """The inverses (label -> element) of the relabelings that can give the
+    least table. When x ^ x = x for every x, meet row 0 of a relabeling
+    starts with one 0 for each y with x0 ^ y = x0, where x0 gets label 0;
+    so x0 is an element with the most such y, labels 1..c-1 go to those y
+    in every order, and the rest follow in every order. Otherwise every
+    permutation can."""
+    n, m = pair.n, pair.meet
+    if any(m[x][x] != x for x in range(n)):
+        yield from itertools.permutations(range(n))
+        return
+    under = [[y for y in range(n) if m[x][y] == x and y != x] for x in range(n)]
+    most = max(map(len, under))
+    for x0 in range(n):
+        if len(under[x0]) == most:
+            rest = [y for y in range(n) if m[x0][y] != x0]
+            for head in itertools.permutations(under[x0]):
+                for tail in itertools.permutations(rest):
+                    yield (x0, *head, *tail)
 
 
 def canonical_labeling(pair: CayleyPair):
     """(least flat table, first permutation that gives it) over every
     relabeling of the pair. A permutation p renames x as p[x], so the
     relabeled tables hold p[t[a][b]] at (p[a], p[b]); "first" is in
-    itertools.permutations order. Isomorphic pairs get the same table."""
+    itertools.permutations order. Isomorphic pairs get the same table.
+    Only the relabelings `_inverses` yields are compared: no other can give
+    the least table."""
     n, tables = pair.n, (pair.meet, pair.join)
-    best, best_perm = pair.flat(), tuple(range(n))
-    for perm in itertools.permutations(range(n)):
-        pinv = [0] * n
-        for i, v in enumerate(perm):
-            pinv[v] = i
-        if _undercuts(tables, n, perm, pinv, best):
+    best = best_perm = None
+    for pinv in _inverses(pair):
+        perm = [0] * n
+        for label, x in enumerate(pinv):
+            perm[x] = label
+        perm = tuple(perm)
+        c = -1 if best is None else _compare(tables, n, perm, pinv, best)
+        if c < 0 or (c == 0 and perm < best_perm):
             best = tuple(perm[t[pinv[a]][pinv[b]]] for t in tables for a in range(n) for b in range(n))
             best_perm = perm
     return best, best_perm

@@ -2,14 +2,17 @@
 counterexample search, node/time budgets and resumable checkpoints.
 
 One depth-first search decides the 2·n·(n−1) off-diagonal cells, and its
-decision path is the checkpoint. The meet table comes first, cell by cell
-with incremental associativity checking; once it is complete, the dualities
-and absorption laws pin or narrow the join cells, which follow in the same
-order. Isomorphism rejection keeps exactly the lex-least representative of
-each class (`core.canonical_labeling`). Since that representative's meet
-table is the least of its relabelings, a node is cut as soon as some
-relabeling makes the decided prefix of the meet table strictly smaller;
-each leaf is then checked with `is_canonical`.
+decision path is the checkpoint. The meet table comes first, cell by cell;
+each assignment is checked, in one inline loop, against the associativity
+triples it completes. Once the meet table is complete, the dualities and
+absorption laws pin or narrow the join cells, which follow in the same
+order; their candidates come from two sets per element, built once.
+Isomorphism rejection keeps exactly the lex-least representative of each
+class (`core.canonical_labeling`). Since that representative's meet table
+is the least of its relabelings, a node is cut as soon as some relabeling
+makes the decided prefix of the meet table strictly smaller; each leaf is
+then checked with `is_canonical`, which compares only the relabelings that
+give label 0 to an element x0 with the most y such that x0 ^ y = x0.
 """
 
 from __future__ import annotations
@@ -140,20 +143,6 @@ class _BudgetExhausted(Exception):
         self.path = path
 
 
-def _triple_ok(t, x, y, z) -> bool:
-    xy = t[x][y]
-    if xy < 0:
-        return True
-    yz = t[y][z]
-    if yz < 0:
-        return True
-    l = t[xy][z]
-    if l < 0:
-        return True
-    r = t[x][yz]
-    return r < 0 or l == r
-
-
 def _relabelings(n, cells):
     """Every non-identity permutation of range(n), in two flat byte strings.
 
@@ -251,17 +240,33 @@ class _Enumerator:
 
     def _check_assign(self, t, occ, prunes, i, j):
         """Associativity and the current stage's satisfy prunes after
-        t[i][j] is assigned; occ[v] lists the cells of t that hold v."""
+        t[i][j] is assigned; occ[v] lists the cells of t that hold v.
+
+        The triples checked are (i, j, a) and (a, i, j) for every a, then
+        (x, y, j) for each cell (x, y) holding i and (i, x, y) for each cell
+        holding j, in one inline loop over hoisted rows. A triple is skipped
+        while either side reads unknown: the -1 padding makes any product
+        with an unknown factor read -1 too."""
+        ti, tj = t[i], t[j]
+        v = ti[j]
+        tv = t[v]
         for a in range(self.n):
-            if not _triple_ok(t, i, j, a) or not _triple_ok(t, a, i, j):
+            ta = t[a]
+            l, r = tv[a], ti[tj[a]]
+            if l != r and l >= 0 and r >= 0:
+                return False
+            l, r = t[ta[i]][j], ta[v]
+            if l != r and l >= 0 and r >= 0:
                 return False
         # new cell (i,j) as outer-left product: pairs with product i, z = j
         for x, y in occ[i]:
-            if not _triple_ok(t, x, y, j):
+            r = t[x][t[y][j]]
+            if r != v and r >= 0:
                 return False
         # new cell (i,j) as outer-right product: pairs with product j, x = i
         for x, y in occ[j]:
-            if not _triple_ok(t, i, x, y):
+            l = t[ti[x]][y]
+            if l != v and l >= 0:
                 return False
         # a violation needs both sides known; missed ones fail at the leaf
         m, jt = self.meet, self.join
@@ -348,27 +353,26 @@ class _Enumerator:
                 table[i][j] = -1
 
     def _join_candidates(self):
+        """Each join cell's candidate values once the meet table is complete,
+        or None when absorption leaves some cell none. Off the cells the
+        dualities pin (x ^ y = x gives y, x ^ y = y gives x), x v y is some
+        v other than x and y with x ^ v = x and v ^ y = y."""
         n = self.n
         m = self.meet
+        # xv[x] holds the v with x ^ v = x, vy[y] the v with v ^ y = y
+        xv = [{v for v in range(n) if m[x][v] == x} for x in range(n)]
+        vy = [{v for v in range(n) if m[v][y] == y} for y in range(n)]
         cand = {}
         for x in range(n):
             for y in range(n):
                 if x == y:
                     continue
-                opts = []
-                for v in range(n):
-                    if m[x][v] != x or m[v][y] != y:
-                        continue
-                    if v == x and m[x][y] != y:
-                        continue
-                    if v == y and m[x][y] != x:
-                        continue
-                    opts.append(v)
                 if m[x][y] == x:
-                    opts = [y] if y in opts else []
+                    cand[x, y] = [y]
                 elif m[x][y] == y:
-                    opts = [x] if x in opts else []
-                cand[(x, y)] = opts
+                    cand[x, y] = [x]
+                else:
+                    cand[x, y] = sorted((xv[x] & vy[y]) - {x, y})
         # absorption on the join side forces join[x][x^y] = x, join[x^y][y] = y
         for x in range(n):
             for y in range(n):

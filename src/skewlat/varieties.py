@@ -112,6 +112,22 @@ def _forbidden() -> dict:
     return out
 
 
+def _fingerprint(meet, join) -> tuple:
+    """A labeling-invariant summary of a pair: for each x, the number of y
+    with x ^ y = x and the number with x v y = x, sorted."""
+    return tuple(sorted((mr.count(x), jr.count(x)) for x, (mr, jr) in enumerate(zip(meet, join))))
+
+
+@functools.cache
+def _forbidden_fingerprints() -> frozenset:
+    """The fingerprints of the four forbidden algebras."""
+    out = set()
+    for flat in _forbidden():
+        rows = [flat[k : k + 5] for k in range(0, 50, 5)]
+        out.add(_fingerprint(rows[:5], rows[5:]))
+    return frozenset(out)
+
+
 def nc5_free(S: SkewLattice):
     """True, or an embedded copy of one of the four forbidden 5-element
     algebras (as (name, subset, element map onto that algebra)).
@@ -120,9 +136,10 @@ def nc5_free(S: SkewLattice):
     and N5: a skew lattice is simply cancellative exactly when none of the
     four embeds; the theorem battery checks the verdict against the
     simple-cancellation quasi-identity. Each closed 5-subset, in
-    combinations order, is canonicalized once and looked up among the
-    forbidden algebras' canonical tables; two labelings with the same
-    canonical table differ by the composite of their canonical permutations.
+    combinations order, whose `_fingerprint` is one of the forbidden
+    algebras' is canonicalized once and looked up among their canonical
+    tables; two labelings with the same canonical table differ by the
+    composite of their canonical permutations.
     The copy reported is of the first algebra in that list that embeds, on
     the first subset holding one, so its name does not depend on the
     labeling.
@@ -138,6 +155,8 @@ def nc5_free(S: SkewLattice):
                 tuple(tuple(index[j[x][y]] for y in subset) for x in subset),
             )
         except KeyError:  # not closed
+            continue
+        if _fingerprint(sub.meet, sub.join) not in _forbidden_fingerprints():
             continue
         flat, perm = canonical_labeling(sub)
         hit = _forbidden().get(flat)

@@ -1,4 +1,6 @@
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from skewlat.core import (
     CayleyPair,
     MalformedTableError,
     axiom_violations,
+    canonical_labeling,
     from_text,
     is_skew_lattice,
     orders,
@@ -159,3 +162,54 @@ class TestFileFormat:
     def test_malformed_text_rejected(self):
         with pytest.raises(ValueError):
             from_text("2\n0 0\n")
+
+
+def _relabeled(pair: CayleyPair, perm):
+    """The two tables with each element x renamed perm[x]."""
+    n = pair.n
+    tables = [[[0] * n for _ in range(n)] for _ in range(2)]
+    for new, t in zip(tables, (pair.meet, pair.join)):
+        for a, b in itertools.product(range(n), repeat=2):
+            new[perm[a]][perm[b]] = perm[t[a][b]]
+    return tables
+
+
+def brute_force_canonical_labeling(pair: CayleyPair):
+    """The least flat table over all n! relabelings, and the first
+    permutation in itertools.permutations order that gives it."""
+    best = None
+    for perm in itertools.permutations(range(pair.n)):
+        flat = tuple(v for t in _relabeled(pair, perm) for row in t for v in row)
+        if best is None or flat < best[0]:
+            best = flat, perm
+    return best
+
+
+def _canonical_cases(census5):
+    rng = random.Random(10)
+    for n, members in census5.items():
+        for S in members:
+            for _ in range(2):
+                yield CayleyPair.from_tables(*_relabeled(S.pair, rng.sample(range(n), n)))
+    inputs = Path(__file__).resolve().parent.parent / "bench" / "inputs"
+    for path in sorted(inputs.glob("*.skl")):
+        pair = core.load(path)
+        if pair.n <= 7:
+            yield pair
+    # raw pairs; the even-numbered ones draw the diagonal at random too
+    for k in range(200):
+        n = rng.randint(1, 4)
+        yield CayleyPair.from_tables(
+            *[
+                [[a if k % 2 and a == b else rng.randrange(n) for b in range(n)] for a in range(n)]
+                for _ in range(2)
+            ]
+        )
+
+
+def test_canonical_labeling_matches_brute_force(census5):
+    cases = list(_canonical_cases(census5))
+    assert any(pair.n == 7 for pair in cases)
+    assert any(any(pair.meet[x][x] != x for x in range(pair.n)) for pair in cases)
+    for pair in cases:
+        assert canonical_labeling(pair) == brute_force_canonical_labeling(pair), pair

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -138,6 +139,31 @@ class TestEnumeration:
         res = enumerate_skew_lattices(SearchSpec(n=5))
         assert res.count_up_to_iso == 53
         assert leaves == [True] * 53
+
+
+def _flats_digest(witnesses):
+    """sha256 of the witness flats, one line of space-separated values each."""
+    text = "".join(" ".join(map(str, S.pair.flat())) + "\n" for S in witnesses)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_search_counters_are_pinned():
+    # nodes and witnesses are deterministic; a speed-up must leave them alone
+    runs = [enumerate_skew_lattices(SearchSpec(n=n)) for n in range(1, 7)]
+    assert [r.nodes for r in runs] == [0, 12, 158, 1554, 14836, 157170]
+    assert [_flats_digest(r.witnesses) for r in runs[:5]] == [
+        "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101",
+        "3f2b573094643a3f14acbfb9dccfdd7bca0374cd4f4d49b3115bdb6a3742e174",
+        "d40f195d256ca17f5aaddc77bc8b1b03d8550a3e0de6924ff0dfd41a6fee0912",
+        "dd4eff5dd9408445ba277f575a99c5743caf3bd3a0848f8f3867f408ee69667d",
+        "47d92854688d519455c2d6af770cba4564e73779a3b754fa5fde30403d9f54f9",
+    ]
+    # criterion 11: no counterexample up to order 5
+    spec = SearchSpec(
+        n=5, satisfy=("left_handed", "distributive", "cancellative"), falsify=("strong-solution",)
+    )
+    res = find_counterexample(spec)
+    assert (res.witness, res.exhausted, res.nodes) == (None, True, 9682)
 
 
 def test_orbit_stabilizer_counts_the_labeled_algebras(census5):
