@@ -199,13 +199,13 @@ def _parse_sizes(text):
         raise _UsageError(f"expected comma-separated integers, got {text!r}")
 
 
-def _make_spec(args, n) -> search.SearchSpec:
+def _make_spec(args, n, limit=0) -> search.SearchSpec:
     try:
         return search.SearchSpec(
             n=n,
             satisfy=tuple(args.satisfy or ()),
             falsify=tuple(args.falsify or ()),
-            limit=args.limit,
+            limit=limit,
             max_nodes=args.max_nodes,
             max_seconds=args.max_seconds,
         )
@@ -222,17 +222,15 @@ def _check_predicates(args) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.jobs < 1:
-        raise _UsageError("--jobs must be >= 1")
     _check_predicates(args)
-    spec = _make_spec(args, args.n)
+    spec = _make_spec(args, args.n, limit=args.limit)
     resume = None
     if args.resume:
         try:
             resume = search.load_checkpoint(spec, args.resume)
         except (OSError, ValueError) as exc:
             raise _UsageError(f"cannot resume from {args.resume}: {exc}")
-    result = search.enumerate_skew_lattices(spec, resume=resume, jobs=args.jobs)
+    result = search.enumerate_skew_lattices(spec, resume=resume)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         for idx, S in enumerate(result.witnesses):
@@ -321,17 +319,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def search_flags(p):
         p.add_argument("--satisfy", action="append", default=[], metavar="PRED")
         p.add_argument("--falsify", action="append", default=[], metavar="PRED")
-        p.add_argument("--limit", type=int, default=0)
         p.add_argument("--max-nodes", type=int, default=0)
         p.add_argument("--max-seconds", type=float, default=0.0)
 
     p = sub.add_parser("enumerate", help="enumerate skew lattices of one order up to isomorphism")
     p.add_argument("n", type=int)
     search_flags(p)
+    p.add_argument("--limit", type=int, default=0, help="stop after this many witnesses (0 = all)")
     p.add_argument("--out-dir", help="write each witness as a skewlat v1 file")
     p.add_argument("--checkpoint", help="write a resume checkpoint on budget exhaustion")
     p.add_argument("--resume", help="resume from a checkpoint file")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("text", "tsv"), default="text")
     p.set_defaults(func=_cmd_enumerate)
 

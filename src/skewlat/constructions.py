@@ -133,12 +133,14 @@ class BudgetExceededError(RuntimeError):
     pass
 
 
+MAX_MATRICES = 65536  # the most matrices ring_band will enumerate
+
+
 @dataclass(frozen=True)
 class RingSpec:
     kind: str  # "full" | "ut" (upper triangular)
     dim: int
     mod: int
-    max_matrices: int = 65536
 
     def __post_init__(self):
         if self.kind not in ("full", "ut"):
@@ -187,8 +189,8 @@ def _all_matrices(spec: RingSpec):
     else:
         cells = [(i, j) for i in range(d) for j in range(d) if i <= j]
     count = p ** len(cells)
-    if count > spec.max_matrices:
-        raise BudgetExceededError(f"{count} matrices exceed the budget {spec.max_matrices}")
+    if count > MAX_MATRICES:
+        raise BudgetExceededError(f"{count} matrices exceed the budget {MAX_MATRICES}")
     for values in itertools.product(range(p), repeat=len(cells)):
         m = [[0] * d for _ in range(d)]
         for (i, j), v in zip(cells, values):

@@ -156,7 +156,7 @@ def class_order(S: SkewLattice, D: Partition):
     return [tuple(row) for row in leq]
 
 
-def cosets(S: SkewLattice, A: int, B: int, direction: str, D: Partition = None) -> list:
+def cosets(S: SkewLattice, A: int, B: int, direction: str, D: Partition) -> list:
     """Cosets between comparable D-classes A > B.
 
     direction "of-upper-in-lower": subsets a ^ b ^ a' of B for b in B;
@@ -164,8 +164,6 @@ def cosets(S: SkewLattice, A: int, B: int, direction: str, D: Partition = None) 
     The returned cosets partition the target class (checked by the theorem
     battery).
     """
-    if D is None:
-        _, _, D = green_relations(S)
     ord_ = class_order(S, D)
     if not (ord_[B][A] and A != B):
         raise ValueError(f"classes {A} > {B} are not strictly comparable")
@@ -196,10 +194,9 @@ def coset_bijection(S: SkewLattice, coset_upper: Coset, coset_lower: Coset) -> d
     return {x: next(y for y in lower if leq[y][x]) for x in sorted(coset_upper.elements)}
 
 
-def skew_diamonds(S: SkewLattice, D: Partition = None) -> list:
+def skew_diamonds(S: SkewLattice) -> list:
     """All class quadruples {J > A,B > M} with M = A^B and J = AvB."""
-    if D is None:
-        _, _, D = green_relations(S)
+    _, _, D = green_relations(S)
     reps = [min(c) for c in D.classes]
     k = D.size
     m, j = S.pair.meet, S.pair.join

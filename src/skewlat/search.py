@@ -165,7 +165,7 @@ def _relabelings(n, cells):
 
 
 class _Enumerator:
-    def __init__(self, spec: SearchSpec, resume=None, first_values=None):
+    def __init__(self, spec: SearchSpec, resume=None):
         self.spec = spec
         self.n = spec.n
         self.result = EnumerationResult()
@@ -193,9 +193,6 @@ class _Enumerator:
         self.perm_values, self.perm_sources = _relabelings(n, self.mcells)
         self.path = []
         self.cand = None  # the join cells' candidates, set when the meet table is complete
-        # the values tried at the first decision cell; restricting them
-        # splits the tree into disjoint subtrees for parallel workers
-        self.first_domain = [v for v in range(n) if first_values is None or v in first_values]
 
     # -- bookkeeping
 
@@ -329,7 +326,7 @@ class _Enumerator:
         if depth < m:
             i, j = self.mcells[depth]
             table, occ, prunes = self.meet, self.occ, self.meet_prunes
-            values = self.first_domain if depth == 0 else range(self.n)
+            values = range(self.n)
         else:
             i, j = self.mcells[depth - m]
             table, occ, prunes = self.join, self.jocc, self.join_prunes
@@ -406,37 +403,11 @@ class _Enumerator:
             raise _LimitReached
 
 
-def _enumerate_subtree(args):
-    spec, values = args
-    return _Enumerator(spec, first_values=values).run()
-
-
-def enumerate_skew_lattices(spec: SearchSpec, resume=None, jobs: int = 1) -> EnumerationResult:
+def enumerate_skew_lattices(spec: SearchSpec, resume=None) -> EnumerationResult:
     """Enumerate all skew lattices of order spec.n up to isomorphism that
     pass the satisfy filters (and, if falsify is nonempty, violate at least
-    one falsify entry). Deterministic output order.
-
-    With jobs > 1 the tree is split on the first decision cell and the
-    disjoint subtrees run in worker processes; results merge in subtree
-    order, so the output is identical to a sequential run. Budgeted,
-    limited, or resumed runs are inherently sequential."""
-    parallel_ok = jobs > 1 and spec.n >= 2 and not (
-        spec.limit or spec.max_nodes or spec.max_seconds or resume
-    )
-    if not parallel_ok:
-        return _Enumerator(spec, resume=resume).run()
-    from concurrent.futures import ProcessPoolExecutor
-
-    tasks = [(spec, (v,)) for v in range(spec.n)]
-    with ProcessPoolExecutor(max_workers=min(jobs, spec.n)) as ex:
-        parts = list(ex.map(_enumerate_subtree, tasks))
-    merged = EnumerationResult()
-    for part in parts:
-        merged.count_up_to_iso += part.count_up_to_iso
-        merged.witnesses.extend(part.witnesses)
-        merged.nodes += part.nodes
-        merged.exhausted = merged.exhausted and part.exhausted
-    return merged
+    one falsify entry). Deterministic output order."""
+    return _Enumerator(spec, resume=resume).run()
 
 
 def find_counterexample(spec: SearchSpec) -> CounterexampleResult:
@@ -469,40 +440,36 @@ def census(n: int) -> tuple:
 
 # --- checkpoint files --------------------------------------------------------
 #
-# Plain text: line 1 the spec hash, line 2 the decision path (space separated).
+# Plain text: line 1 the format version, line 2 the spec hash, line 3 the
+# decision path (space separated).
+
+CHECKPOINT_HEADER = "skewlat checkpoint v1"
 
 
-def save_checkpoint(spec: SearchSpec, path_vector, fh_or_path) -> None:
-    """Write a checkpoint. A file path is replaced atomically: the text goes
-    to a temporary file in the same directory, which then takes its name."""
-    text = spec_hash(spec) + "\n" + " ".join(str(v) for v in path_vector) + "\n"
-    if hasattr(fh_or_path, "write"):
-        fh_or_path.write(text)
-        return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(fh_or_path)), suffix=".tmp")
+def save_checkpoint(spec: SearchSpec, path_vector, path) -> None:
+    """Write a checkpoint file atomically: the text goes to a temporary file
+    in the same directory, which then takes its name."""
+    text = f"{CHECKPOINT_HEADER}\n{spec_hash(spec)}\n{' '.join(str(v) for v in path_vector)}\n"
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, fh_or_path)
+        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def load_checkpoint(spec: SearchSpec, fh_or_path):
-    if hasattr(fh_or_path, "read"):
-        text = fh_or_path.read()
-    else:
-        with open(fh_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != spec_hash(spec):
+def load_checkpoint(spec: SearchSpec, path):
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh.read().splitlines()] + ["", ""]  # a missing line reads ""
+    if lines[0] != CHECKPOINT_HEADER:
+        raise ValueError(f"not a checkpoint file: the first line is not {CHECKPOINT_HEADER!r}")
+    if lines[1] != spec_hash(spec):
         raise ValueError("checkpoint does not match the search spec")
-    if len(lines) < 2 or not lines[1].strip():
-        return tuple()
-    path = tuple(int(tok) for tok in lines[1].split())
+    path = tuple(int(tok) for tok in lines[2].split())
     # one value in 0..n-1 per decision cell: the meet cells, then the join cells
     n, cells = spec.n, 2 * spec.n * (spec.n - 1)
     if len(path) > cells or any(not 0 <= v < n for v in path):

@@ -18,6 +18,11 @@ from .core import SkewLattice
 # holds runs one nested loop per variable; Python allows 20 nested blocks,
 # and n**8 assignments at n=6 are about 1.7M
 MAX_VARIABLES = 8
+# the walkers over a term (term_variables, the compiler, format_term) recurse
+# once per level, so a term at most this deep, in operators or in
+# parentheses, leaves over half of Python's default recursion limit (1000)
+# to their callers
+MAX_DEPTH = 400
 
 
 class ParseError(ValueError):
@@ -91,6 +96,10 @@ def _tokenize(text: str):
     return tokens
 
 
+_OPERATORS = {"^": "meet", "JOIN": "join"}
+_PREC = {"join": 1, "meet": 2, "var": 3}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -109,38 +118,53 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def atom(self):
-        tok = self.peek()
-        if tok == "(":
+    def term(self):
+        """One term, read with explicit stacks rather than recursion: `^`
+        binds tighter than `v`, both left associative. A term nested deeper
+        than MAX_DEPTH is refused."""
+        out, ops, opened = [], [], 0  # operands as (term, depth); operators and "("
+        while True:
+            while self.peek() == "(":
+                opened += 1
+                if opened > MAX_DEPTH:
+                    raise ParseError(f"parentheses nest deeper than {MAX_DEPTH}", self.here())
+                ops.append(self.eat())
+            tok = self.peek()
+            if not tok.startswith("VAR:"):
+                raise ParseError(f"expected a variable or '(', found {tok!r}", self.here())
+            out.append((("var", self.eat()[4:]), 0))
+            while opened and self.peek() == ")":
+                while ops[-1] != "(":
+                    self._reduce(out, ops)
+                ops.pop()
+                opened -= 1
+                self.eat()
+            op = _OPERATORS.get(self.peek())
+            if op is None:
+                break
+            while ops and ops[-1] != "(" and _PREC[ops[-1]] >= _PREC[op]:
+                self._reduce(out, ops)
+            ops.append(op)
             self.eat()
-            t = self.join_expr()
-            self.eat(")")
-            return t
-        if tok.startswith("VAR:"):
-            self.eat()
-            return ("var", tok[4:])
-        raise ParseError(f"expected a variable or '(', found {tok!r}", self.here())
+        if opened:
+            raise ParseError(f"expected ')', found {self.peek()!r}", self.here())
+        while ops:
+            self._reduce(out, ops)
+        return out[0][0]
 
-    def meet_expr(self):
-        t = self.atom()
-        while self.peek() == "^":
-            self.eat()
-            t = ("meet", t, self.atom())
-        return t
-
-    def join_expr(self):
-        t = self.meet_expr()
-        while self.peek() == "JOIN":
-            self.eat()
-            t = ("join", t, self.meet_expr())
-        return t
+    def _reduce(self, out, ops):
+        (right, dr), (left, dl) = out.pop(), out.pop()
+        depth = 1 + max(dl, dr)
+        if depth > MAX_DEPTH:
+            raise ParseError(f"term nests deeper than {MAX_DEPTH}", self.here())
+        out.append(((ops.pop(), left, right), depth))
 
     def equation(self):
-        lhs = self.join_expr()
+        lhs = self.term()
         self.eat("=")
         if self.peek() == "END":
             raise ParseError("missing right-hand side", self.here())
-        rhs = self.join_expr()
+        rhs = self.term()
         return (lhs, rhs)
 
     def formula(self):
@@ -172,12 +196,11 @@ def parse(text: str) -> Formula:
 def parse_term(text: str):
     """One term of the grammar, such as `(x ^ y) v x`."""
     parser = _Parser(text)
-    term = parser.join_expr()
+    term = parser.term()
     parser.eat("END")
     return term
 
 
-_PREC = {"join": 1, "meet": 2, "var": 3}
 
 
 def format_term(term) -> str:

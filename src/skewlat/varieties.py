@@ -44,11 +44,11 @@ class VarietyReport:
     def __getitem__(self, name: str) -> bool:
         return self.flags[name]
 
-    def to_text(self, with_witnesses: bool = True) -> str:
+    def to_text(self) -> str:
         lines = []
         for name in FLAG_NAMES:
             lines.append(f"{name}: {str(self.flags[name]).lower()}")
-            if with_witnesses and name in self.witnesses:
+            if name in self.witnesses:
                 w = self.witnesses[name]
                 assign = ", ".join(f"{k}={v}" for k, v in sorted(w.items()))
                 lines.append(f"  counterexample: {assign}")

@@ -4,7 +4,6 @@ Each test prints exactly one `[criterion NN] PASS|FAIL - summary` line
 (through disabled capture, so the lines always appear in the pytest run).
 """
 
-import io
 import random
 import time
 
@@ -204,7 +203,7 @@ def test_criterion_10_ring_corollaries(report):
     report(10, ok, f"{emitted} ring-band algebras pass all checks ({elapsed:.1f}s)")
 
 
-def test_criterion_11_search_substitute(report):
+def test_criterion_11_search_substitute(report, tmp_path):
     spec = search.SearchSpec(
         n=6,
         satisfy=("left_handed", "distributive", "cancellative"),
@@ -226,10 +225,8 @@ def test_criterion_11_search_substitute(report):
         runs += 1
         if part.exhausted:
             break
-        buf = io.StringIO()
-        search.save_checkpoint(sub, part.checkpoint, buf)
-        buf.seek(0)
-        resume = search.load_checkpoint(sub, buf)
+        search.save_checkpoint(sub, part.checkpoint, tmp_path / "ck.txt")
+        resume = search.load_checkpoint(sub, tmp_path / "ck.txt")
     resume_ok = (
         runs > 1
         and len(full.witnesses) == 49

@@ -132,12 +132,21 @@ class TestConstructAndSearch:
             ("enumerate", "3", "--max-nodes", "-5"),
             ("enumerate", "3", "--max-seconds", "-1"),
             ("theorems", "--max-n", "0"),
-            ("enumerate", "3", "--jobs", "0"),
+            # formulas nested too deeply for the term walkers
+            pytest.param(("enumerate", "2", "--satisfy", "(" * 3000 + "x" + ")" * 3000 + " = x"), id="deep-parens"),
+            pytest.param(("enumerate", "2", "--satisfy", " ^ ".join(["x"] * 5000) + " = x"), id="long-chain"),
         ],
     )
     def test_bad_sizes_and_budgets_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error: ") and out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [("enumerate", "3", "--jobs", "2"), ("search", "--max-n", "3", "--limit", "1")]
+    )
+    def test_unknown_option_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "unrecognized arguments" in err and out == ""
 
     def test_checkpoint_resume_flow(self, capsys, tmp_path):
         ck = tmp_path / "ck.txt"
@@ -153,9 +162,19 @@ class TestConstructAndSearch:
         from skewlat import search
 
         ck = tmp_path / "ck.txt"
-        ck.write_text(search.spec_hash(search.SearchSpec(n=4)) + "\n" + path + "\n")
+        header = search.CHECKPOINT_HEADER + "\n" + search.spec_hash(search.SearchSpec(n=4))
+        ck.write_text(header + "\n" + path + "\n")
         code, out, err = run(capsys, "enumerate", "4", "--resume", str(ck))
         assert code == 2 and err.startswith("error: ") and out == ""
+
+    def test_resume_from_file_without_format_line_exits_two(self, capsys, tmp_path):
+        from skewlat import search
+
+        # a valid spec hash and path, but no format line above them
+        ck = tmp_path / "ck.txt"
+        ck.write_text(search.spec_hash(search.SearchSpec(n=4)) + "\n0 1\n")
+        code, out, err = run(capsys, "enumerate", "4", "--resume", str(ck))
+        assert code == 2 and "not a checkpoint file" in err and out == ""
 
 
 class TestTheorems:

@@ -140,5 +140,6 @@ class TestRingBand:
             RingSpec(kind="ut", dim=2, mod=4)
 
     def test_budget_cap(self):
+        # 5**9 full 3x3 matrices mod 5 exceed MAX_MATRICES
         with pytest.raises(BudgetExceededError):
-            ring_band(RingSpec(kind="full", dim=3, mod=5, max_matrices=1000))
+            ring_band(RingSpec(kind="full", dim=3, mod=5))

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import itertools
 import math
 import random
@@ -7,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewlat import green, search, terms, varieties
+from skewlat import green, search, terms, theorems, varieties, ybe
 from skewlat.constructions import RingSpec, chain, direct_product, fixed, rectangular, ring_band, subalgebras
 from skewlat.core import CayleyPair, MalformedTableError, is_skew_lattice, validate
 from skewlat.search import (
@@ -116,15 +115,6 @@ class TestEnumeration:
         assert res.count_up_to_iso == 5
         assert not res.exhausted
 
-    def test_parallel_matches_sequential(self):
-        seq = enumerate_skew_lattices(SearchSpec(n=4))
-        par = enumerate_skew_lattices(SearchSpec(n=4), jobs=3)
-        assert [S.pair for S in seq.witnesses] == [S.pair for S in par.witnesses]
-        assert seq.count_up_to_iso == par.count_up_to_iso
-        # symmetry pruning looks only at the current path, so the subtrees
-        # of the first-cell split are cut exactly as in the sequential run
-        assert seq.nodes == par.nodes
-
     def test_pruning_reaches_only_canonical_leaves(self, monkeypatch):
         # at n=5 every non-canonical labeling is undercut in its meet table,
         # so the search cuts it before the leaf and is_canonical rejects none
@@ -215,6 +205,18 @@ def test_relabeling_changes_nothing(data):
     # gives back a canonical pair
     assert is_canonical(pair) == (pair == S.pair)
     _assert_same_nc5_verdict(S, perm)
+    # every flag, solution verdict and invariant is the same after relabeling,
+    # and every battery entry holds on the relabeled algebra
+    T = validate(pair)
+    assert varieties.classify(T).flags == varieties.classify(S).flags
+    for kind in ybe.MAP_KINDS:
+        a, b = ybe.solution_report(S, kind), ybe.solution_report(T, kind)
+        assert (a.braid is None, a.power, a.left_nondegenerate, a.right_nondegenerate) == (
+            b.braid is None, b.power, b.left_nondegenerate, b.right_nondegenerate
+        ), kind
+    sizes = [sorted(len(c) for c in green.green_relations(A)[2].classes) for A in (S, T)]
+    assert sizes[0] == sizes[1]
+    assert [name for name, check in theorems.THEOREMS.items() if check(T) is not True] == []
 
 
 def _assert_same_nc5_verdict(S, perm):
@@ -354,14 +356,22 @@ class TestBudgetsAndCheckpoints:
             load_checkpoint(SearchSpec(n=5), path)
 
     @pytest.mark.parametrize("path", [(99,), (-1, -1), (4,), (0,) * 25])
-    def test_checkpoint_path_out_of_range_rejected(self, path):
+    def test_checkpoint_path_out_of_range_rejected(self, tmp_path, path):
         # n=4 has 2*4*3 = 24 decision cells, each taking a value in 0..3
         spec = SearchSpec(n=4)
-        buf = io.StringIO()
-        save_checkpoint(spec, path, buf)
-        buf.seek(0)
+        save_checkpoint(spec, path, tmp_path / "ck.txt")
         with pytest.raises(ValueError):
-            load_checkpoint(spec, buf)
+            load_checkpoint(spec, tmp_path / "ck.txt")
+
+    def test_checkpoint_without_format_line_rejected(self, tmp_path):
+        spec = SearchSpec(n=4)
+        path = tmp_path / "ck.txt"
+        save_checkpoint(spec, (0, 1), path)
+        lines = path.read_text().splitlines()
+        assert lines == [search.CHECKPOINT_HEADER, spec_hash(spec), "0 1"]
+        path.write_text("\n".join(lines[1:]) + "\n")
+        with pytest.raises(ValueError, match="not a checkpoint file"):
+            load_checkpoint(spec, path)
 
     @pytest.mark.parametrize("failing", ["fsync", "replace"])
     def test_failed_checkpoint_write_keeps_the_previous_one(self, tmp_path, monkeypatch, failing):

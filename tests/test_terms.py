@@ -187,6 +187,19 @@ class TestEvaluation:
         assert holds(THREE_R0, f) is True
         assert evaluate(THREE_R0, f.conclusion[0], {"x": 1, "y": 2}) == 2
 
+    def test_depth_limit(self):
+        # a term at the limit, in operators or in parentheses, still compiles
+        # and evaluates; one level more is a parse error, not a RecursionError
+        d = terms.MAX_DEPTH
+        chain = " ^ ".join(["x"] * d + ["y"])
+        nested = "x ^ (" * (d - 1) + "x ^ y" + ")" * (d - 1)
+        for text in (chain, nested):
+            assert holds(THREE_R0, parse(text + " = x ^ y")) is True
+            assert parse_term(format_term(parse_term(text))) == parse_term(text)
+        for text in (chain + " ^ y", "(" * (d + 1) + "x" + ")" * (d + 1)):
+            with pytest.raises(ParseError, match="deeper than"):
+                parse(text + " = x")
+
     def test_unknown_cells_make_the_value_unknown(self):
         # tables padded with a row and column of -1, as in the search
         meet = [[0, 0, -1], [-1, 1, -1], [-1, -1, -1]]
