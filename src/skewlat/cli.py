@@ -261,8 +261,10 @@ def _cmd_search(args) -> int:
             core.save(result.witness.pair, args.output)
             print(f"witness written to {args.output}", file=sys.stderr)
         return EXIT_OK
-    tag = "exhausted" if result.exhausted else "budget exhausted"
-    print(f"no witness up to n={args.max_n} ({tag}, {result.nodes} nodes)")
+    if result.exhausted:
+        print(f"no witness up to n={args.max_n} (exhausted, {result.nodes} nodes)")
+    else:
+        print(f"no witness up to n={result.found_n - 1} (budget exhausted at n={result.found_n}, {result.nodes} nodes)")
     return EXIT_FAIL
 
 

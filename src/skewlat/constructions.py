@@ -73,22 +73,15 @@ def chain(sizes) -> SkewLattice:
 def rectangular(left_size: int, right_size: int) -> SkewLattice:
     """L x R rectangular algebra: (a,b)^(c,d)=(a,d), (a,b)v(c,d)=(c,b).
 
-    Element (a,b) is numbered a*right_size + b. Exactly one D-class.
+    Element (a,b) is numbered a*right_size + b. Exactly one D-class. It is
+    the product of the left-zero algebra on L (x^y = x, the opposite of a
+    one-class chain) and the right-zero one on R (x^y = y).
     """
     if left_size < 1 or right_size < 1:
         raise ValueError("sizes must be >= 1")
-    n = left_size * right_size
-
-    def idx(a, b):
-        return a * right_size + b
-
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for a, b in itertools.product(range(left_size), range(right_size)):
-        for c, d in itertools.product(range(left_size), range(right_size)):
-            meet[idx(a, b)][idx(c, d)] = idx(a, d)
-            join[idx(a, b)][idx(c, d)] = idx(c, b)
-    return validate(CayleyPair.from_tables(meet, join))
+    left = chain([left_size]).pair
+    left_zero = validate(CayleyPair.from_tables(*_opposite((left.meet, left.join))))
+    return direct_product(left_zero, chain([right_size]))
 
 
 def direct_product(S1: SkewLattice, S2: SkewLattice) -> SkewLattice:

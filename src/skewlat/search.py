@@ -1,6 +1,10 @@
 """Bounded enumeration of skew lattices up to isomorphism, with filters,
 counterexample search, node/time budgets and resumable checkpoints.
 
+Budgets cover the whole call, across all sizes in `find_counterexample`. A
+budgeted run stops before the node that would exceed it, which ends the
+checkpoint path; a run and its resumes count each node once.
+
 One depth-first search decides the 2·n·(n−1) off-diagonal cells, and its
 decision path is the checkpoint. The meet table comes first, cell by cell;
 each assignment is checked, in one inline loop, against the associativity
@@ -22,7 +26,7 @@ import itertools
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from . import terms, varieties, ybe
@@ -134,11 +138,9 @@ def _prunes(names):
     return meet, join
 
 
-class _LimitReached(Exception):
-    pass
-
-
 class _BudgetExhausted(Exception):
+    """A budget ran out (path: the checkpoint) or the witness limit was hit (None)."""
+
     def __init__(self, path):
         self.path = path
 
@@ -169,7 +171,7 @@ class _Enumerator:
         self.spec = spec
         self.n = spec.n
         self.result = EnumerationResult()
-        self.resume = list(resume) if resume else None
+        self.resume = tuple(resume or ())
         self.deadline = time.monotonic() + spec.max_seconds if spec.max_seconds else None
         self.satisfy = [(name, resolve_predicate(name)) for name in spec.satisfy]
         self.falsify = [(name, resolve_predicate(name)) for name in spec.falsify]
@@ -197,26 +199,13 @@ class _Enumerator:
     # -- bookkeeping
 
     def _tick(self, next_value):
-        self.result.nodes += 1
-        over_nodes = self.spec.max_nodes and self.result.nodes > self.spec.max_nodes
+        """Count the node that assigns next_value, or stop before it when
+        the budget is spent; the checkpoint path then ends at that node."""
+        over_nodes = self.spec.max_nodes and self.result.nodes >= self.spec.max_nodes
         over_time = self.deadline and time.monotonic() > self.deadline
         if over_nodes or over_time:
             raise _BudgetExhausted(tuple(self.path + [next_value]))
-
-    @staticmethod
-    def _consume_resume(resume, value):
-        """(skip, remaining-suffix) for a candidate at the current level.
-
-        `resume` is the still-unconsumed suffix of the checkpoint path; it
-        only constrains the branch while we follow that path exactly."""
-        if not resume:
-            return False, None
-        want = resume[0]
-        if value < want:
-            return True, None
-        if value == want:
-            return False, resume[1:] if len(resume) > 1 else None
-        return False, None
+        self.result.nodes += 1
 
     # -- the search
 
@@ -227,12 +216,10 @@ class _Enumerator:
             chain = (q, 0, chain)
         wake = [chain] + [None] * (len(self.mcells) - 1)
         try:
-            self._dfs(0, self.resume, wake)
+            self._dfs(0, bool(self.resume), wake)
         except _BudgetExhausted as stop:
             self.result.exhausted = False
             self.result.checkpoint = stop.path
-        except _LimitReached:
-            self.result.exhausted = False
         return self.result
 
     def _check_assign(self, t, occ, prunes, i, j):
@@ -311,10 +298,14 @@ class _Enumerator:
                 f += 1
         return later
 
-    def _dfs(self, depth, resume, wake):
+    def _dfs(self, depth, on_path, wake):
         """Decide cell `depth` of the 2·n·(n−1) decision cells: the meet
         cells in `mcells` order, then the join cells in the same order.
-        `wake` is `_lex_leader`'s state, advanced on meet cells only."""
+        `wake` is `_lex_leader`'s state, advanced on meet cells only.
+
+        While `on_path`, the node's ancestors follow the checkpoint path:
+        values below its next one were searched by the run that stopped,
+        which counted every node on the path but the last."""
         m = len(self.mcells)
         if depth == m:
             self.cand = self._join_candidates()
@@ -331,11 +322,13 @@ class _Enumerator:
             i, j = self.mcells[depth - m]
             table, occ, prunes = self.join, self.jocc, self.join_prunes
             values = self.cand[i, j]
+        want, inner = (self.resume[depth], depth < len(self.resume) - 1) if on_path else (-1, False)
         for v in values:
-            skip, sub = self._consume_resume(resume, v)
-            if skip:
+            if v < want:
                 continue
-            self._tick(v)
+            counted = inner and v == want
+            if not counted:
+                self._tick(v)
             table[i][j] = v
             occ[v].append((i, j))
             self.path.append(v)
@@ -343,7 +336,7 @@ class _Enumerator:
                 if self._check_assign(table, occ, prunes, i, j):
                     later = self._lex_leader(depth, wake) if depth < m else wake
                     if later is not None:
-                        self._dfs(depth + 1, sub, later)
+                        self._dfs(depth + 1, counted, later)
             finally:
                 self.path.pop()
                 occ[v].pop()
@@ -400,7 +393,7 @@ class _Enumerator:
         self.result.count_up_to_iso += 1
         self.result.witnesses.append(S)
         if self.spec.limit and self.result.count_up_to_iso >= self.spec.limit:
-            raise _LimitReached
+            raise _BudgetExhausted(None)
 
 
 def enumerate_skew_lattices(spec: SearchSpec, resume=None) -> EnumerationResult:
@@ -412,18 +405,19 @@ def enumerate_skew_lattices(spec: SearchSpec, resume=None) -> EnumerationResult:
 
 def find_counterexample(spec: SearchSpec) -> CounterexampleResult:
     """First witness over sizes 1..spec.n, or certified absence when the
-    search space was exhausted."""
-    nodes = 0
+    search space was exhausted. The node budget and the deadline cover all
+    sizes; found_n is then the size the budget ran out in."""
+    nodes, start = 0, time.monotonic()
     for n in range(1, spec.n + 1):
-        sub = SearchSpec(
-            n=n,
-            satisfy=spec.satisfy,
-            falsify=spec.falsify,
-            limit=1,
-            max_nodes=spec.max_nodes,
-            max_seconds=spec.max_seconds,
-        )
-        res = enumerate_skew_lattices(sub)
+        left = {}
+        if spec.max_nodes:
+            left["max_nodes"] = spec.max_nodes - nodes
+        if spec.max_seconds:
+            left["max_seconds"] = spec.max_seconds - (time.monotonic() - start)
+        # 0 would mean unbounded, so a spent budget stops here
+        if any(v <= 0 for v in left.values()):
+            return CounterexampleResult(None, n, False, nodes)
+        res = enumerate_skew_lattices(replace(spec, n=n, limit=1, **left))
         nodes += res.nodes
         if res.witnesses:
             return CounterexampleResult(res.witnesses[0], n, False, nodes)

@@ -218,11 +218,12 @@ def test_criterion_11_search_substitute(report, tmp_path):
     whole = search.SearchSpec(n=6, satisfy=spec.satisfy)
     full = search.enumerate_skew_lattices(whole)
     sub = search.SearchSpec(n=6, satisfy=spec.satisfy, max_nodes=5000)
-    witnesses, runs, resume = [], 0, None
+    witnesses, runs, nodes, resume = [], 0, 0, None
     while True:
         part = search.enumerate_skew_lattices(sub, resume=resume)
         witnesses += part.witnesses
         runs += 1
+        nodes += part.nodes
         if part.exhausted:
             break
         search.save_checkpoint(sub, part.checkpoint, tmp_path / "ck.txt")
@@ -231,6 +232,7 @@ def test_criterion_11_search_substitute(report, tmp_path):
         runs > 1
         and len(full.witnesses) == 49
         and [S.pair for S in witnesses] == [S.pair for S in full.witnesses]
+        and nodes == full.nodes
     )
     ok = none_up_to_6 and resume_ok
     report(11, ok, f"no left-handed+distributive+cancellative non-strong-solution up to n=6 ({result.nodes} nodes); checkpoint round trip ok={resume_ok} ({runs} runs)")

@@ -115,7 +115,12 @@ class TestConstructAndSearch:
         code, out, _ = run(
             capsys, "search", "--max-n", "3", "--satisfy", "lattice", "--falsify", "distributive"
         )
-        assert code == 1 and "no witness" in out
+        assert (code, out) == (1, "no witness up to n=3 (exhausted, 71 nodes)\n")
+        # sizes 1..4 take 1,724 nodes; one budget covers them all and runs out at n=5
+        code, out, _ = run(
+            capsys, "search", "--max-n", "6", "--falsify", "x ^ y = x ^ y", "--max-nodes", "10000"
+        )
+        assert (code, out) == (1, "no witness up to n=4 (budget exhausted at n=5, 10000 nodes)\n")
 
     def test_bad_predicate_exits_two(self, capsys):
         code, _, err = run(capsys, "enumerate", "3", "--satisfy", "nonsense")

@@ -329,18 +329,20 @@ class TestBudgetsAndCheckpoints:
 
     def test_resume_completes_the_count(self):
         for satisfy in ((), ("lattice",)):
-            spec = SearchSpec(n=4, satisfy=satisfy)
-            full = enumerate_skew_lattices(spec)
-            budget = SearchSpec(n=4, satisfy=satisfy, max_nodes=full.nodes // 2)
-            partial = enumerate_skew_lattices(budget)
-            assert not partial.exhausted
-            resumed = enumerate_skew_lattices(spec, resume=partial.checkpoint)
-            assert resumed.exhausted
-            # exactly once: the two runs split the witnesses, in order
-            assert [S.pair for S in partial.witnesses + resumed.witnesses] == [
-                S.pair for S in full.witnesses
-            ]
-            assert partial.count_up_to_iso + resumed.count_up_to_iso == full.count_up_to_iso
+            full = enumerate_skew_lattices(SearchSpec(n=4, satisfy=satisfy))
+            for budget in (1, 97, 500, 1553):
+                spec = SearchSpec(n=4, satisfy=satisfy, max_nodes=budget)
+                runs = [enumerate_skew_lattices(spec)]
+                while not runs[-1].exhausted:
+                    assert len(runs) < full.nodes  # each stopped run counts a node
+                    runs.append(enumerate_skew_lattices(spec, resume=runs[-1].checkpoint))
+                # each stopped run counts exactly its budget, and no node is
+                # counted twice across the chain
+                assert all(r.nodes == budget for r in runs[:-1])
+                assert sum(r.nodes for r in runs) == full.nodes
+                # exactly once: the runs split the witnesses, in order
+                assert [S.pair for r in runs for S in r.witnesses] == [S.pair for S in full.witnesses]
+                assert sum(r.count_up_to_iso for r in runs) == full.count_up_to_iso
 
     def test_checkpoint_file_round_trip(self, tmp_path):
         spec = SearchSpec(n=4, satisfy=("lattice",))
@@ -416,3 +418,19 @@ class TestCounterexample:
         res = find_counterexample(spec)
         assert res.witness is None
         assert res.exhausted
+
+    def test_node_budget_covers_all_sizes(self):
+        # sizes 1..4 take 1,724 nodes, so the budget runs out inside order 5
+        res = find_counterexample(SearchSpec(n=6, falsify=("x ^ y = x ^ y",), max_nodes=10000))
+        assert (res.witness, res.nodes, res.found_n, res.exhausted) == (None, 10000, 5, False)
+
+    def test_deadline_covers_all_sizes(self, monkeypatch):
+        # a fake clock that reads one second later at each call: sizes 1..3
+        # take 170 nodes, so 1,000 s run out inside order 4, and a fresh
+        # deadline per size would count more than 1,000 nodes in all
+        clock = itertools.count()
+        monkeypatch.setattr(search.time, "monotonic", lambda: float(next(clock)))
+        res = find_counterexample(SearchSpec(n=6, falsify=("x ^ y = x ^ y",), max_seconds=1000))
+        assert res.witness is None and not res.exhausted
+        assert res.found_n == 4
+        assert 170 < res.nodes <= 1000
