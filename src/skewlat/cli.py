@@ -235,9 +235,14 @@ def _cmd_enumerate(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
         for idx, S in enumerate(result.witnesses):
             core.save(S.pair, os.path.join(args.out_dir, f"n{args.n}-{idx:05d}.skl"))
-    if not result.exhausted and result.checkpoint and args.checkpoint:
-        search.save_checkpoint(spec, result.checkpoint, args.checkpoint)
-        print(f"checkpoint written to {args.checkpoint}", file=sys.stderr)
+    if not result.exhausted and args.checkpoint:
+        # a limit stop has no path: the leaf it ended at was emitted, so
+        # resuming there would emit that algebra twice
+        if result.checkpoint:
+            search.save_checkpoint(spec, result.checkpoint, args.checkpoint)
+            print(f"checkpoint written to {args.checkpoint}", file=sys.stderr)
+        else:
+            print(f"stopped at the witness limit ({args.limit}); no checkpoint written", file=sys.stderr)
     if args.format == "tsv":
         rows = [
             ("n", "count_up_to_iso", "nodes", "exhausted"),

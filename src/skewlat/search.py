@@ -8,9 +8,12 @@ checkpoint path; a run and its resumes count each node once.
 One depth-first search decides the 2·n·(n−1) off-diagonal cells, and its
 decision path is the checkpoint. The meet table comes first, cell by cell;
 each assignment is checked, in one inline loop, against the associativity
-triples it completes. Once the meet table is complete, the dualities and
-absorption laws pin or narrow the join cells, which follow in the same
-order; their candidates come from two sets per element, built once.
+triples it completes. A meet assignment is also cut when some decided
+x ^ y outside {x, y} is left with no possible join: no u with x ^ u in
+{x, unknown} and u ^ y in {y, unknown} (`_joins_possible`). Once the meet
+table is complete, the dualities and absorption laws pin or narrow the join
+cells, which follow in the same order; their candidates come from two sets
+per element, built once.
 Isomorphism rejection keeps exactly the lex-least representative of each
 class (`core.canonical_labeling`). Since that representative's meet table
 is the least of its relabelings, a node is cut as soon as some relabeling
@@ -166,6 +169,18 @@ def _relabelings(n, cells):
     return bytes(values), bytes(sources)
 
 
+def _has_join(t, n, x, y):
+    """Some u with t[x][u] in {x, -1} and t[u][y] in {y, -1}: a possible x v y."""
+    tx = t[x]
+    for u in range(n):
+        a = tx[u]
+        if a == x or a < 0:
+            b = t[u][y]
+            if b == y or b < 0:
+                return True
+    return False
+
+
 class _Enumerator:
     def __init__(self, spec: SearchSpec, resume=None):
         self.spec = spec
@@ -252,12 +267,40 @@ class _Enumerator:
             l = t[ti[x]][y]
             if l != v and l >= 0:
                 return False
-        # a violation needs both sides known; missed ones fail at the leaf
         m, jt = self.meet, self.join
+        if t is m and not self._joins_possible(i, j):
+            return False
+        # a violation needs both sides known; missed ones fail at the leaf
         for sides in prunes:
             for x, y in self.touching[i, j]:
                 lhs, rhs = sides(m, jt, x, y)
                 if lhs != rhs and lhs >= 0 and rhs >= 0:
+                    return False
+        return True
+
+    def _joins_possible(self, i, j):
+        """False when, after meet cell (i, j) is decided, some decided cell
+        x ^ y outside {x, y} has no possible join left.
+
+        In a skew lattice, x ^ y = x iff x v y = y and x ^ y = y iff
+        x v y = x, and absorption gives x ^ (x v y) = x = (x v y) ^ y. So
+        when x ^ y is neither x nor y, x v y is some u with x ^ u in
+        {x, unknown} and u ^ y in {y, unknown}; u = x and u = y never pass,
+        since x ^ y is decided. Cell (i, j) only removes candidates: j from
+        the pairs (i, y) unless it holds i, i from the pairs (x, j) unless
+        it holds j. (i, j) itself is one of the former."""
+        t, n = self.meet, self.n
+        v = t[i][j]
+        if v != i:
+            ti = t[i]
+            for y in range(n):
+                w = ti[y]
+                if w != i and w != y and w >= 0 and not _has_join(t, n, i, y):
+                    return False
+        if v != j:
+            for x in range(n):
+                w = t[x][j]
+                if x != i and w != x and w != j and w >= 0 and not _has_join(t, n, x, j):
                     return False
         return True
 
@@ -309,8 +352,6 @@ class _Enumerator:
         m = len(self.mcells)
         if depth == m:
             self.cand = self._join_candidates()
-            if self.cand is None:
-                return
         if depth == 2 * m:
             self._emit()
             return
@@ -343,10 +384,13 @@ class _Enumerator:
                 table[i][j] = -1
 
     def _join_candidates(self):
-        """Each join cell's candidate values once the meet table is complete,
-        or None when absorption leaves some cell none. Off the cells the
-        dualities pin (x ^ y = x gives y, x ^ y = y gives x), x v y is some
-        v other than x and y with x ^ v = x and v ^ y = y."""
+        """Each join cell's candidate values once the meet table is complete.
+        Off the cells the dualities pin (x ^ y = x gives y, x ^ y = y gives
+        x), x v y is some v other than x and y with x ^ v = x and v ^ y = y;
+        `_joins_possible` has made sure there is one. Absorption on the join
+        side (x v (x ^ y) = x, (x ^ y) v y = y) needs no check: in a band
+        x ^ (x ^ y) = x ^ y = (x ^ y) ^ y, so the dualities pin those cells
+        to exactly those values."""
         n = self.n
         m = self.meet
         # xv[x] holds the v with x ^ v = x, vy[y] the v with v ^ y = y
@@ -363,19 +407,6 @@ class _Enumerator:
                     cand[x, y] = [x]
                 else:
                     cand[x, y] = sorted((xv[x] & vy[y]) - {x, y})
-        # absorption on the join side forces join[x][x^y] = x, join[x^y][y] = y
-        for x in range(n):
-            for y in range(n):
-                t = m[x][y]
-                for cell, forced in (((x, t), x), ((t, y), y)):
-                    a, b = cell
-                    if a == b:
-                        if forced != a:
-                            return None
-                        continue
-                    if forced not in cand[cell]:
-                        return None
-                    cand[cell] = [forced]
         return cand
 
     # -- leaf handling

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from skewlat import cli, constructions, core
@@ -115,12 +120,12 @@ class TestConstructAndSearch:
         code, out, _ = run(
             capsys, "search", "--max-n", "3", "--satisfy", "lattice", "--falsify", "distributive"
         )
-        assert (code, out) == (1, "no witness up to n=3 (exhausted, 71 nodes)\n")
-        # sizes 1..4 take 1,724 nodes; one budget covers them all and runs out at n=5
+        assert (code, out) == (1, "no witness up to n=3 (exhausted, 59 nodes)\n")
+        # sizes 1..4 take 1,187 nodes; one budget covers them all and runs out at n=5
         code, out, _ = run(
-            capsys, "search", "--max-n", "6", "--falsify", "x ^ y = x ^ y", "--max-nodes", "10000"
+            capsys, "search", "--max-n", "6", "--falsify", "x ^ y = x ^ y", "--max-nodes", "5000"
         )
-        assert (code, out) == (1, "no witness up to n=4 (budget exhausted at n=5, 10000 nodes)\n")
+        assert (code, out) == (1, "no witness up to n=4 (budget exhausted at n=5, 5000 nodes)\n")
 
     def test_bad_predicate_exits_two(self, capsys):
         code, _, err = run(capsys, "enumerate", "3", "--satisfy", "nonsense")
@@ -162,6 +167,14 @@ class TestConstructAndSearch:
         code, out, _ = run(capsys, "enumerate", "4", "--resume", str(ck))
         assert code == 0 and "exhausted=true" in out
 
+    def test_limit_stop_writes_no_checkpoint(self, capsys, tmp_path):
+        # the run ends on an emitted leaf; a checkpoint there would emit it twice
+        ck = tmp_path / "lim.txt"
+        code, out, err = run(capsys, "enumerate", "5", "--limit", "5", "--checkpoint", str(ck))
+        assert code == 0 and "5 algebras up to isomorphism" in out and "exhausted=false" in out
+        assert "stopped at the witness limit (5); no checkpoint written" in err
+        assert not ck.exists()
+
     @pytest.mark.parametrize("path", ["99", "-1 -1", " ".join(["0"] * 25)])
     def test_resume_from_bad_path_exits_two(self, capsys, tmp_path, path):
         from skewlat import search
@@ -180,6 +193,17 @@ class TestConstructAndSearch:
         ck.write_text(search.spec_hash(search.SearchSpec(n=4)) + "\n0 1\n")
         code, out, err = run(capsys, "enumerate", "4", "--resume", str(ck))
         assert code == 2 and "not a checkpoint file" in err and out == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewlat", "enumerate", "3", "--format", "tsv"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "3\t7\t126\ttrue" in proc.stdout.splitlines()
 
 
 class TestTheorems:

@@ -138,9 +138,10 @@ def _flats_digest(witnesses):
 
 
 def test_search_counters_are_pinned():
-    # nodes and witnesses are deterministic; a speed-up must leave them alone
+    # nodes and witnesses are deterministic; a speed-up must leave the
+    # witnesses alone, and a new cut moves nodes only with its pin
     runs = [enumerate_skew_lattices(SearchSpec(n=n)) for n in range(1, 7)]
-    assert [r.nodes for r in runs] == [0, 12, 158, 1554, 14836, 157170]
+    assert [r.nodes for r in runs] == [0, 12, 126, 1049, 7646, 63814]
     assert [_flats_digest(r.witnesses) for r in runs[:5]] == [
         "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101",
         "3f2b573094643a3f14acbfb9dccfdd7bca0374cd4f4d49b3115bdb6a3742e174",
@@ -153,7 +154,26 @@ def test_search_counters_are_pinned():
         n=5, satisfy=("left_handed", "distributive", "cancellative"), falsify=("strong-solution",)
     )
     res = find_counterexample(spec)
-    assert (res.witness, res.exhausted, res.nodes) == (None, True, 9682)
+    assert (res.witness, res.exhausted, res.nodes) == (None, True, 5299)
+
+
+def test_join_cut_passes_every_meet_prefix_of_the_census(monkeypatch):
+    # the search without the cut finds the same census, and every prefix of
+    # each member's meet table, in mcells order, passes the cut: it loses
+    # no skew lattice
+    cut = search._Enumerator._joins_possible
+    with monkeypatch.context() as mp:
+        mp.setattr(search._Enumerator, "_joins_possible", lambda self, i, j: True)
+        uncut = [enumerate_skew_lattices(SearchSpec(n=n)).witnesses for n in range(1, 7)]
+    for n, members in enumerate(uncut, start=1):
+        assert [S.pair for S in members] == [S.pair for S in census(n)]
+        e = search._Enumerator(SearchSpec(n=n))
+        for S in members:
+            for i, j in e.mcells:
+                e.meet[i][j] = -1
+            for i, j in e.mcells:
+                e.meet[i][j] = S.pair.meet[i][j]
+                assert cut(e, i, j), (S.pair.meet, (i, j))
 
 
 def test_orbit_stabilizer_counts_the_labeled_algebras(census5):
@@ -330,7 +350,7 @@ class TestBudgetsAndCheckpoints:
     def test_resume_completes_the_count(self):
         for satisfy in ((), ("lattice",)):
             full = enumerate_skew_lattices(SearchSpec(n=4, satisfy=satisfy))
-            for budget in (1, 97, 500, 1553):
+            for budget in (1, 97, 500, full.nodes - 1):
                 spec = SearchSpec(n=4, satisfy=satisfy, max_nodes=budget)
                 runs = [enumerate_skew_lattices(spec)]
                 while not runs[-1].exhausted:
@@ -420,17 +440,17 @@ class TestCounterexample:
         assert res.exhausted
 
     def test_node_budget_covers_all_sizes(self):
-        # sizes 1..4 take 1,724 nodes, so the budget runs out inside order 5
-        res = find_counterexample(SearchSpec(n=6, falsify=("x ^ y = x ^ y",), max_nodes=10000))
-        assert (res.witness, res.nodes, res.found_n, res.exhausted) == (None, 10000, 5, False)
+        # sizes 1..4 take 1,187 nodes, so the budget runs out inside order 5
+        res = find_counterexample(SearchSpec(n=6, falsify=("x ^ y = x ^ y",), max_nodes=5000))
+        assert (res.witness, res.nodes, res.found_n, res.exhausted) == (None, 5000, 5, False)
 
     def test_deadline_covers_all_sizes(self, monkeypatch):
         # a fake clock that reads one second later at each call: sizes 1..3
-        # take 170 nodes, so 1,000 s run out inside order 4, and a fresh
+        # take 138 nodes, so 1,000 s run out inside order 4, and a fresh
         # deadline per size would count more than 1,000 nodes in all
         clock = itertools.count()
         monkeypatch.setattr(search.time, "monotonic", lambda: float(next(clock)))
         res = find_counterexample(SearchSpec(n=6, falsify=("x ^ y = x ^ y",), max_seconds=1000))
         assert res.witness is None and not res.exhausted
         assert res.found_n == 4
-        assert 170 < res.nodes <= 1000
+        assert 138 < res.nodes <= 1000
