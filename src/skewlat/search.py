@@ -17,9 +17,13 @@ per element, built once.
 Isomorphism rejection keeps exactly the lex-least representative of each
 class (`core.canonical_labeling`). Since that representative's meet table
 is the least of its relabelings, a node is cut as soon as some relabeling
-makes the decided prefix of the meet table strictly smaller; each leaf is
-then checked with `is_canonical`, which compares only the relabelings that
-give label 0 to an element x0 with the most y such that x0 ^ y = x0.
+makes the decided prefix of the meet table strictly smaller. By a leaf,
+every other relabeling reads larger somewhere in the meet table, except
+the automorphisms of the meet table, which the lex-leader keeps; the leaf
+is then checked with `is_canonical(pair, meet_automorphisms)`, which
+compares only the join table and only under those. The full scan of
+`canonical_labeling` serves `canonical_form`, `varieties.nc5_free` and the
+tests.
 """
 
 from __future__ import annotations
@@ -37,6 +41,14 @@ from .core import CayleyPair, SkewLattice, canonical_labeling, validate
 from .core import axiom_violations  # noqa: F401  bench/spans.py traces it through this module
 
 
+# The largest order a search accepts. Before its first node a search keeps
+# (n! - 1)·n² bytes of relabelings and one chain entry for each: at n = 9 a
+# process peaks near 106 MB after 5 s (2 shared CPUs, Python 3.11), and
+# each step up multiplies that by about n; a cell index stops fitting a
+# byte at n = 17. Exhausting n = 8 already needs checkpointed resumes.
+MAX_N = 9
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     n: int
@@ -47,8 +59,8 @@ class SearchSpec:
     max_seconds: float = 0.0  # wall-clock cap; 0 = unbounded
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"n must be in 1..{MAX_N}")
         for name in ("limit", "max_nodes", "max_seconds"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0 (0 = unbounded)")
@@ -79,9 +91,28 @@ def spec_hash(spec: SearchSpec) -> str:
 # --- canonical forms ---------------------------------------------------------
 
 
-def is_canonical(pair: CayleyPair) -> bool:
-    """True iff the pair is the lex-least labeling of its isomorphism class."""
-    return canonical_labeling(pair)[0] == pair.flat()
+def is_canonical(pair: CayleyPair, meet_automorphisms=None) -> bool:
+    """True iff the pair is the lex-least labeling of its isomorphism class.
+
+    `meet_automorphisms`, when given, are permutations p (p[x] the new label
+    of x) that fix the meet table, and the caller knows that every other
+    relabeling makes the meet table larger, as at a leaf of the search.
+    Only the join table can then undercut the pair, and only under them.
+    Without it, every relabeling is compared (`canonical_labeling`)."""
+    if meet_automorphisms is None:
+        return canonical_labeling(pair)[0] == pair.flat()
+    n, join = pair.n, pair.join
+    for p in meet_automorphisms:
+        pinv = sorted(range(n), key=p.__getitem__)
+        # row a of the relabeled join table, compared row by row
+        for a in range(n):
+            row = join[pinv[a]]
+            image = tuple(p[row[x]] for x in pinv)
+            if image != join[a]:
+                if image < join[a]:
+                    return False
+                break
+    return True
 
 
 def canonical_form(pair: CayleyPair) -> CayleyPair:
@@ -225,11 +256,12 @@ class _Enumerator:
     # -- the search
 
     def run(self):
-        # every relabeling starts tied with the empty prefix, compared at 0
+        # every relabeling starts tied with the empty prefix, compared at 0;
+        # the last slot collects the automorphisms of the meet table
         chain = None
         for q in range(len(self.perm_values) // self.n):
             chain = (q, 0, chain)
-        wake = [chain] + [None] * (len(self.mcells) - 1)
+        wake = [chain] + [None] * len(self.mcells)
         try:
             self._dfs(0, bool(self.resume), wake)
         except _BudgetExhausted as stop:
@@ -314,11 +346,12 @@ class _Enumerator:
         `mcells` order. A relabeling tied with the prefix before position f
         is next compared at f, which needs both f and its source position
         decided, so it waits in wake[max(f, source)]: a chain of (q, f, rest)
-        tuples that sibling nodes share. One that reads larger, or is tied on
-        the whole table, can never give a smaller table and is dropped for
-        the subtree. Join cells are not compared: a relabeling tied on the
-        whole meet table (an automorphism of the meet band) is dropped too,
-        and `is_canonical` rejects at the leaf what it would undercut."""
+        tuples that sibling nodes share. One that reads larger can never give
+        a smaller table and is dropped for the subtree. One tied on the whole
+        meet table (an automorphism of the meet band) waits in wake[m], which
+        the join stage passes through unchanged; at the leaf, `_emit` hands
+        those to `is_canonical`, which compares the join table under them
+        alone. Join cells are not compared during the join search."""
         vals = self.path
         values, sources = self.perm_values, self.perm_sources
         n, m = self.n, len(self.mcells)
@@ -339,12 +372,15 @@ class _Enumerator:
                         return None
                     break
                 f += 1
+            else:
+                later[m] = (q, m, later[m])
         return later
 
     def _dfs(self, depth, on_path, wake):
         """Decide cell `depth` of the 2·n·(n−1) decision cells: the meet
         cells in `mcells` order, then the join cells in the same order.
-        `wake` is `_lex_leader`'s state, advanced on meet cells only.
+        `wake` is `_lex_leader`'s state, advanced on meet cells only; at the
+        leaf, wake[m] chains the automorphisms of the meet table.
 
         While `on_path`, the node's ancestors follow the checkpoint path:
         values below its next one were searched by the run that stopped,
@@ -353,7 +389,7 @@ class _Enumerator:
         if depth == m:
             self.cand = self._join_candidates()
         if depth == 2 * m:
-            self._emit()
+            self._emit(wake[m])
             return
         if depth < m:
             i, j = self.mcells[depth]
@@ -411,10 +447,16 @@ class _Enumerator:
 
     # -- leaf handling
 
-    def _emit(self):
+    def _emit(self, automorphisms):
+        """Keep the leaf if it is canonical and passes the filters;
+        `automorphisms` is the chain of the meet table's automorphisms."""
         n = self.n
         pair = CayleyPair.from_tables([r[:n] for r in self.meet[:n]], [r[:n] for r in self.join[:n]])
-        if not is_canonical(pair):
+        perms = []
+        while automorphisms is not None:
+            q, _, automorphisms = automorphisms
+            perms.append(self.perm_values[q * n : q * n + n])
+        if not is_canonical(pair, perms):
             return
         S = validate(pair)
         if not all(pred(S) for _, pred in self.satisfy):

@@ -364,8 +364,8 @@ class BatteryResult:
 
 
 def run_battery(max_n: int, names=None) -> BatteryResult:
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+    if not 1 <= max_n <= search.MAX_N:
+        raise ValueError(f"max_n must be in 1..{search.MAX_N}")
     names = list(THEOREMS) if names is None else list(dict.fromkeys(names))  # once each, first order kept
     unknown = [k for k in names if k not in THEOREMS]
     if unknown:

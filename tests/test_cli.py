@@ -142,6 +142,10 @@ class TestConstructAndSearch:
             ("enumerate", "3", "--max-nodes", "-5"),
             ("enumerate", "3", "--max-seconds", "-1"),
             ("theorems", "--max-n", "0"),
+            # orders beyond search.MAX_N, rejected before any table is built
+            ("enumerate", "40", "--max-nodes", "5"),
+            ("search", "--max-n", "40", "--max-nodes", "5"),
+            ("theorems", "--max-n", "40"),
             # formulas nested too deeply for the term walkers
             pytest.param(("enumerate", "2", "--satisfy", "(" * 3000 + "x" + ")" * 3000 + " = x"), id="deep-parens"),
             pytest.param(("enumerate", "2", "--satisfy", " ^ ".join(["x"] * 5000) + " = x"), id="long-chain"),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewlat import green, search, terms, theorems, varieties, ybe
 from skewlat.constructions import RingSpec, chain, direct_product, fixed, rectangular, ring_band, subalgebras
-from skewlat.core import CayleyPair, MalformedTableError, is_skew_lattice, validate
+from skewlat.core import CayleyPair, MalformedTableError, canonical_labeling, is_skew_lattice, validate
 from skewlat.search import (
     SearchSpec,
     canonical_form,
@@ -116,19 +116,27 @@ class TestEnumeration:
         assert not res.exhausted
 
     def test_pruning_reaches_only_canonical_leaves(self, monkeypatch):
-        # at n=5 every non-canonical labeling is undercut in its meet table,
-        # so the search cuts it before the leaf and is_canonical rejects none
+        # each leaf's verdict from the meet automorphisms alone must equal
+        # the full scan's. At n=5 every non-canonical labeling is undercut
+        # in its meet table, so the search cuts it before the leaf; at n=6
+        # two leaves are the second join on a meet table that admits two
+        # isomorphic ones, and only the join table rejects them
         leaves = []
         real = search.is_canonical
 
-        def spy(pair):
-            leaves.append(real(pair))
-            return leaves[-1]
+        def spy(pair, automorphisms):
+            fast = real(pair, automorphisms)
+            leaves.append((fast, canonical_labeling(pair)[0] == pair.flat()))
+            return fast
 
         monkeypatch.setattr(search, "is_canonical", spy)
-        res = enumerate_skew_lattices(SearchSpec(n=5))
-        assert res.count_up_to_iso == 53
-        assert leaves == [True] * 53
+        for n, count, canonical in ((5, 53, 53), (6, 175, 173)):
+            leaves.clear()
+            res = enumerate_skew_lattices(SearchSpec(n=n))
+            assert res.count_up_to_iso == canonical
+            assert [fast for fast, _ in leaves] == [full for _, full in leaves]
+            assert len(leaves) == count
+            assert sum(fast for fast, _ in leaves) == canonical
 
 
 def _flats_digest(witnesses):
