@@ -224,22 +224,24 @@ def _check_predicates(args) -> None:
 def _cmd_enumerate(args) -> int:
     _check_predicates(args)
     spec = _make_spec(args, args.n, limit=args.limit)
-    resume = None
+    # witnesses found before the resume point, so a resumed run numbers its
+    # files on from where the runs before it stopped
+    resume, found = None, 0
     if args.resume:
         try:
-            resume = search.load_checkpoint(spec, args.resume)
+            resume, found = search.load_checkpoint(spec, args.resume)
         except (OSError, ValueError) as exc:
             raise _UsageError(f"cannot resume from {args.resume}: {exc}")
     result = search.enumerate_skew_lattices(spec, resume=resume)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        for idx, S in enumerate(result.witnesses):
+        for idx, S in enumerate(result.witnesses, start=found):
             core.save(S.pair, os.path.join(args.out_dir, f"n{args.n}-{idx:05d}.skl"))
     if not result.exhausted and args.checkpoint:
         # a limit stop has no path: the leaf it ended at was emitted, so
         # resuming there would emit that algebra twice
         if result.checkpoint:
-            search.save_checkpoint(spec, result.checkpoint, args.checkpoint)
+            search.save_checkpoint(spec, result.checkpoint, args.checkpoint, found + result.count_up_to_iso)
             print(f"checkpoint written to {args.checkpoint}", file=sys.stderr)
         else:
             print(f"stopped at the witness limit ({args.limit}); no checkpoint written", file=sys.stderr)

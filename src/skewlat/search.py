@@ -8,7 +8,9 @@ checkpoint path; a run and its resumes count each node once.
 One depth-first search decides the 2·n·(n−1) off-diagonal cells, and its
 decision path is the checkpoint. The meet table comes first, cell by cell;
 each assignment is checked, in one inline loop, against the associativity
-triples it completes. A meet assignment is also cut when some decided
+triples it completes, the band-law triples (i, j, j) and (i, i, j) first:
+two table reads settle many of the rejects. Only an assignment that passes
+enters the search's bookkeeping. A meet assignment is also cut when some decided
 x ^ y outside {x, y} is left with no possible join: no u with x ^ u in
 {x, unknown} and u ^ y in {y, unknown} (`_joins_possible`). Once the meet
 table is complete, the dualities and absorption laws pin or narrow the join
@@ -21,7 +23,9 @@ makes the decided prefix of the meet table strictly smaller. By a leaf,
 every other relabeling reads larger somewhere in the meet table, except
 the automorphisms of the meet table, which the lex-leader keeps; the leaf
 is then checked with `is_canonical(pair, meet_automorphisms)`, which
-compares only the join table and only under those. The full scan of
+compares only the join table and only under those. A meet table with one
+candidate in every join cell has one join, which its automorphisms must
+fix, so its leaf is handed none and is canonical. The full scan of
 `canonical_labeling` serves `canonical_form`, `varieties.nc5_free` and the
 tests.
 """
@@ -240,7 +244,9 @@ class _Enumerator:
         }
         self.perm_values, self.perm_sources = _relabelings(n, self.mcells)
         self.path = []
-        self.cand = None  # the join cells' candidates, set when the meet table is complete
+        # the join cells' candidates, and whether each cell has exactly one;
+        # set when the meet table is complete
+        self.cand, self.one_join = None, False
 
     # -- bookkeeping
 
@@ -281,6 +287,10 @@ class _Enumerator:
         ti, tj = t[i], t[j]
         v = ti[j]
         tv = t[v]
+        # the band laws (i, j, j) and (i, i, j) first: v ^ j = v = i ^ v
+        l, r = tv[j], ti[v]
+        if (l != v and l >= 0) or (r != v and r >= 0):
+            return False
         for a in range(self.n):
             ta = t[a]
             l, r = tv[a], ti[tj[a]]
@@ -387,7 +397,7 @@ class _Enumerator:
         which counted every node on the path but the last."""
         m = len(self.mcells)
         if depth == m:
-            self.cand = self._join_candidates()
+            self.cand, self.one_join = self._join_candidates()
         if depth == 2 * m:
             self._emit(wake[m])
             return
@@ -400,6 +410,9 @@ class _Enumerator:
             table, occ, prunes = self.join, self.jocc, self.join_prunes
             values = self.cand[i, j]
         want, inner = (self.resume[depth], depth < len(self.resume) - 1) if on_path else (-1, False)
+        # nothing is restored on a stop: it unwinds the whole search, and
+        # `run` then discards the tables
+        path = self.path
         for v in values:
             if v < want:
                 continue
@@ -407,20 +420,21 @@ class _Enumerator:
             if not counted:
                 self._tick(v)
             table[i][j] = v
-            occ[v].append((i, j))
-            self.path.append(v)
-            try:
-                if self._check_assign(table, occ, prunes, i, j):
-                    later = self._lex_leader(depth, wake) if depth < m else wake
-                    if later is not None:
-                        self._dfs(depth + 1, counted, later)
-            finally:
-                self.path.pop()
+            # occ[v] need not list (i, j) during the check: that cell's
+            # triples reduce to v = v
+            if self._check_assign(table, occ, prunes, i, j):
+                occ[v].append((i, j))
+                path.append(v)
+                later = self._lex_leader(depth, wake) if depth < m else wake
+                if later is not None:
+                    self._dfs(depth + 1, counted, later)
+                path.pop()
                 occ[v].pop()
-                table[i][j] = -1
+        table[i][j] = -1
 
     def _join_candidates(self):
-        """Each join cell's candidate values once the meet table is complete.
+        """Each join cell's candidate values once the meet table is complete,
+        and whether every cell has exactly one.
         Off the cells the dualities pin (x ^ y = x gives y, x ^ y = y gives
         x), x v y is some v other than x and y with x ^ v = x and v ^ y = y;
         `_joins_possible` has made sure there is one. Absorption on the join
@@ -443,17 +457,22 @@ class _Enumerator:
                     cand[x, y] = [x]
                 else:
                     cand[x, y] = sorted((xv[x] & vy[y]) - {x, y})
-        return cand
+        return cand, all(len(c) == 1 for c in cand.values())
 
     # -- leaf handling
 
     def _emit(self, automorphisms):
         """Keep the leaf if it is canonical and passes the filters;
-        `automorphisms` is the chain of the meet table's automorphisms."""
+        `automorphisms` is the chain of the meet table's automorphisms.
+
+        When every join cell had one candidate, no automorphism is compared:
+        an automorphism g of the meet table carries the join J to g(J), also
+        a join of that meet table, so each cell of g(J) is a candidate too,
+        and g(J) = J."""
         n = self.n
         pair = CayleyPair.from_tables([r[:n] for r in self.meet[:n]], [r[:n] for r in self.join[:n]])
         perms = []
-        while automorphisms is not None:
+        while automorphisms is not None and not self.one_join:
             q, _, automorphisms = automorphisms
             perms.append(self.perm_values[q * n : q * n + n])
         if not is_canonical(pair, perms):
@@ -508,15 +527,17 @@ def census(n: int) -> tuple:
 # --- checkpoint files --------------------------------------------------------
 #
 # Plain text: line 1 the format version, line 2 the spec hash, line 3 the
-# decision path (space separated).
+# decision path (space separated), line 4 the number of witnesses the search
+# found before that path, which is the index of the resumed run's first one.
 
-CHECKPOINT_HEADER = "skewlat checkpoint v1"
+CHECKPOINT_HEADER = "skewlat checkpoint v2"
 
 
-def save_checkpoint(spec: SearchSpec, path_vector, path) -> None:
+def save_checkpoint(spec: SearchSpec, path_vector, path, found=0) -> None:
     """Write a checkpoint file atomically: the text goes to a temporary file
-    in the same directory, which then takes its name."""
-    text = f"{CHECKPOINT_HEADER}\n{spec_hash(spec)}\n{' '.join(str(v) for v in path_vector)}\n"
+    in the same directory, which then takes its name. `found` counts the
+    witnesses before the path, over the run and the runs it resumed."""
+    text = f"{CHECKPOINT_HEADER}\n{spec_hash(spec)}\n{' '.join(str(v) for v in path_vector)}\n{found}\n"
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -530,8 +551,10 @@ def save_checkpoint(spec: SearchSpec, path_vector, path) -> None:
 
 
 def load_checkpoint(spec: SearchSpec, path):
+    """The decision path to resume from and the number of witnesses found
+    before it, as `save_checkpoint` wrote them."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh.read().splitlines()] + ["", ""]  # a missing line reads ""
+        lines = [line.strip() for line in fh.read().splitlines()] + ["", "", ""]  # a missing line reads ""
     if lines[0] != CHECKPOINT_HEADER:
         raise ValueError(f"not a checkpoint file: the first line is not {CHECKPOINT_HEADER!r}")
     if lines[1] != spec_hash(spec):
@@ -541,4 +564,6 @@ def load_checkpoint(spec: SearchSpec, path):
     n, cells = spec.n, 2 * spec.n * (spec.n - 1)
     if len(path) > cells or any(not 0 <= v < n for v in path):
         raise ValueError(f"checkpoint path is not at most {cells} values in 0..{n - 1}")
-    return path
+    if not lines[3].isdigit():
+        raise ValueError("checkpoint line 4 is not a witness count")
+    return path, int(lines[3])

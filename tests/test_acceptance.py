@@ -227,7 +227,7 @@ def test_criterion_11_search_substitute(report, tmp_path):
         if part.exhausted:
             break
         search.save_checkpoint(sub, part.checkpoint, tmp_path / "ck.txt")
-        resume = search.load_checkpoint(sub, tmp_path / "ck.txt")
+        resume, _ = search.load_checkpoint(sub, tmp_path / "ck.txt")
     resume_ok = (
         runs > 1
         and len(full.witnesses) == 49

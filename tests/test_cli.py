@@ -171,6 +171,24 @@ class TestConstructAndSearch:
         code, out, _ = run(capsys, "enumerate", "4", "--resume", str(ck))
         assert code == 0 and "exhausted=true" in out
 
+    def test_resumed_runs_number_witness_files_on(self, capsys, tmp_path):
+        # budgeted runs chained through one checkpoint into one directory
+        # leave the uninterrupted run's 53 files, names and bytes
+        whole, parts, ck = tmp_path / "whole", tmp_path / "parts", tmp_path / "ck.txt"
+        assert run(capsys, "enumerate", "5", "--out-dir", str(whole))[0] == 0
+        argv = ["enumerate", "5", "--max-nodes", "3000", "--checkpoint", str(ck), "--out-dir", str(parts)]
+        runs = 0
+        while True:
+            code, out, _ = run(capsys, *argv, *(["--resume", str(ck)] if runs else []))
+            assert code == 0
+            runs += 1
+            if "exhausted=true" in out:
+                break
+        assert runs == 3
+        names = sorted(p.name for p in whole.iterdir())
+        assert len(names) == 53 and sorted(p.name for p in parts.iterdir()) == names
+        assert all((parts / name).read_bytes() == (whole / name).read_bytes() for name in names)
+
     def test_limit_stop_writes_no_checkpoint(self, capsys, tmp_path):
         # the run ends on an emitted leaf; a checkpoint there would emit it twice
         ck = tmp_path / "lim.txt"
@@ -233,6 +251,11 @@ class TestTheorems:
         lines = out.splitlines()[1:]
         assert len(lines) == 2 and "orders-cohere-with-green" in lines[0]
         assert all("4 checked" in ln for ln in lines)
+
+    def test_battery_above_order_7_exits_two(self, capsys):
+        # the census of order 8 does not run to the end; refused before it starts
+        code, out, err = run(capsys, "theorems", "--max-n", "8")
+        assert (code, out, err) == (2, "", "error: max_n must be in 1..7\n")
 
     def test_unknown_theorem_exits_two(self, capsys):
         code, _, _ = run(capsys, "theorems", "--max-n", "2", "--only", "nope")

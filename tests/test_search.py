@@ -126,17 +126,35 @@ class TestEnumeration:
 
         def spy(pair, automorphisms):
             fast = real(pair, automorphisms)
-            leaves.append((fast, canonical_labeling(pair)[0] == pair.flat()))
+            leaves.append((fast, canonical_labeling(pair)[0] == pair.flat(), pair, automorphisms))
             return fast
 
         monkeypatch.setattr(search, "is_canonical", spy)
-        for n, count, canonical in ((5, 53, 53), (6, 175, 173)):
+        # a leaf whose meet table admits one join is handed no automorphism:
+        # 6 of the 511 meet automorphisms at n=5 are compared, 92 of 3,256 at n=6
+        by_n = {}
+        for n, count, canonical, compared in ((5, 53, 53, 6), (6, 175, 173, 92)):
             leaves.clear()
             res = enumerate_skew_lattices(SearchSpec(n=n))
+            by_n[n] = list(leaves)
             assert res.count_up_to_iso == canonical
-            assert [fast for fast, _ in leaves] == [full for _, full in leaves]
+            assert [leaf[0] for leaf in leaves] == [leaf[1] for leaf in leaves]
             assert len(leaves) == count
-            assert sum(fast for fast, _ in leaves) == canonical
+            assert sum(leaf[0] for leaf in leaves) == canonical
+            assert sum(len(leaf[3]) for leaf in leaves) == compared
+        # at n=5, by brute force over the 120 relabelings: a leaf is handed
+        # all of its meet table's automorphisms but the identity, or none,
+        # and then each of them maps the join table onto itself
+        perms = list(itertools.permutations(range(5)))[1:]
+        total = 0
+        for _, _, pair, handed in by_n[5]:
+            autos = [p for p in perms if relabel(pair, p).meet == pair.meet]
+            total += len(autos)
+            if handed:
+                assert sorted(tuple(p) for p in handed) == autos
+            else:
+                assert all(relabel(pair, p).join == pair.join for p in autos)
+        assert total == 511
 
 
 def _flats_digest(witnesses):
@@ -376,8 +394,8 @@ class TestBudgetsAndCheckpoints:
         spec = SearchSpec(n=4, satisfy=("lattice",))
         res = enumerate_skew_lattices(SearchSpec(n=4, satisfy=("lattice",), max_nodes=50))
         path = tmp_path / "ck.txt"
-        save_checkpoint(spec, res.checkpoint, path)
-        assert load_checkpoint(spec, path) == tuple(res.checkpoint)
+        save_checkpoint(spec, res.checkpoint, path, res.count_up_to_iso)
+        assert load_checkpoint(spec, path) == (tuple(res.checkpoint), res.count_up_to_iso)
 
     def test_checkpoint_spec_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ck.txt"
@@ -398,9 +416,17 @@ class TestBudgetsAndCheckpoints:
         path = tmp_path / "ck.txt"
         save_checkpoint(spec, (0, 1), path)
         lines = path.read_text().splitlines()
-        assert lines == [search.CHECKPOINT_HEADER, spec_hash(spec), "0 1"]
+        assert lines == ["skewlat checkpoint v2", spec_hash(spec), "0 1", "0"]
         path.write_text("\n".join(lines[1:]) + "\n")
         with pytest.raises(ValueError, match="not a checkpoint file"):
+            load_checkpoint(spec, path)
+
+    @pytest.mark.parametrize("count", ["", "-1", "x"])
+    def test_checkpoint_without_witness_count_rejected(self, tmp_path, count):
+        spec = SearchSpec(n=4)
+        path = tmp_path / "ck.txt"
+        path.write_text(f"{search.CHECKPOINT_HEADER}\n{spec_hash(spec)}\n0 1\n{count}\n")
+        with pytest.raises(ValueError, match="witness count"):
             load_checkpoint(spec, path)
 
     @pytest.mark.parametrize("failing", ["fsync", "replace"])
@@ -415,7 +441,7 @@ class TestBudgetsAndCheckpoints:
         monkeypatch.setattr(search.os, failing, fail)
         with pytest.raises(OSError):
             save_checkpoint(spec, (0, 2, 1), path)
-        assert load_checkpoint(spec, path) == (0, 1)
+        assert load_checkpoint(spec, path) == ((0, 1), 0)
         assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]
 
     def test_spec_hash_sensitive_to_filters(self):
