@@ -241,7 +241,10 @@ def _cmd_enumerate(args) -> int:
         # a limit stop has no path: the leaf it ended at was emitted, so
         # resuming there would emit that algebra twice
         if result.checkpoint:
-            search.save_checkpoint(spec, result.checkpoint, args.checkpoint, found + result.count_up_to_iso)
+            try:
+                search.save_checkpoint(spec, result.checkpoint, args.checkpoint, found + result.count_up_to_iso)
+            except OSError as exc:
+                raise _UsageError(f"cannot write checkpoint {args.checkpoint}: {exc.strerror or exc}")
             print(f"checkpoint written to {args.checkpoint}", file=sys.stderr)
         else:
             print(f"stopped at the witness limit ({args.limit}); no checkpoint written", file=sys.stderr)

@@ -157,16 +157,11 @@ def _mat_mul(a, b, p):
     )
 
 
-def _mat_add3(a, b, c, sign_c, p):
-    d = len(a)
-    return tuple(
-        tuple((a[i][j] + b[i][j] + sign_c * c[i][j]) % p for j in range(d)) for i in range(d)
-    )
-
-
 def _quadratic_join(x, y, p):
     # x + y - xy
-    return _mat_add3(x, y, _mat_mul(x, y, p), -1, p)
+    xy = _mat_mul(x, y, p)
+    d = len(x)
+    return tuple(tuple((x[i][j] + y[i][j] - xy[i][j]) % p for j in range(d)) for i in range(d))
 
 
 def _cubic_join(x, y, p):
@@ -191,15 +186,19 @@ def _all_matrices(spec: RingSpec):
         yield tuple(tuple(row) for row in m)
 
 
-def _closure(seed, p):
-    """Multiplicative closure of a set of matrices."""
-    elems = set(seed)
-    frontier = list(elems)
+def _closure(band, new, mul):
+    """Multiplicative closure of a closed band and new elements, as indices
+    into the operation table `mul`; None once a product is not idempotent."""
+    elems = set(band)
+    frontier = [x for x in new if x not in elems]
+    elems.update(frontier)
     while frontier:
         nxt = []
         for a in frontier:
             for b in list(elems):
-                for prod in (_mat_mul(a, b, p), _mat_mul(b, a, p)):
+                for prod in (mul[a][b], mul[b][a]):
+                    if prod < 0:
+                        return None
                     if prod not in elems:
                         elems.add(prod)
                         nxt.append(prod)
@@ -207,36 +206,26 @@ def _closure(seed, p):
     return frozenset(elems)
 
 
-def _find_bands(idempotents, p):
+def _find_bands(mul):
     """Closure-maximal multiplicative bands, grown greedily from pair seeds."""
-    eset = set(idempotents)
     bands = set()
-    order = sorted(idempotents)
-    for a, b in itertools.combinations_with_replacement(order, 2):
-        cl = _closure({a, b}, p)
-        if not cl <= eset:
+    for a, b in itertools.combinations_with_replacement(range(len(mul)), 2):
+        band = _closure((), (a, b), mul)
+        if band is None:
             continue
-        band = cl
-        grown = True
-        while grown:
-            grown = False
-            for e in order:
-                if e in band:
-                    continue
-                cl = _closure(band | {e}, p)
-                if cl <= eset:
-                    band = cl
-                    grown = True
+        # one pass is enough: once the closure of band and e holds a product
+        # that is not idempotent, so does the closure of every larger band and e
+        for e in range(len(mul)):
+            band = _closure(band, (e,), mul) or band
         bands.add(band)
     return sorted(bands, key=lambda b: (len(b), sorted(b)))
 
 
-def _band_to_algebra(band, join_of, p) -> SkewLattice:
+def _band_to_algebra(band, mul, join) -> SkewLattice:
     elems = sorted(band)
     pos = {m: i for i, m in enumerate(elems)}
-    meet = [[pos[_mat_mul(a, b, p)] for b in elems] for a in elems]
-    join = [[pos[join_of(a, b, p)] for b in elems] for a in elems]
-    return validate(CayleyPair.from_tables(meet, join))
+    tables = ([[pos[op[a][b]] for b in elems] for a in elems] for op in (mul, join))
+    return validate(CayleyPair.from_tables(*tables))
 
 
 def ring_band(spec: RingSpec) -> RingBandResult:
@@ -250,18 +239,24 @@ def ring_band(spec: RingSpec) -> RingBandResult:
     quadratic join is idempotent it agrees with the cubic one.
     """
     p = spec.mod
-    idem = [m for m in _all_matrices(spec) if _mat_mul(m, m, p) == m]
+    idem = sorted(m for m in _all_matrices(spec) if _mat_mul(m, m, p) == m)
+    index = {m: i for i, m in enumerate(idem)}
+    # each operation once, as indices into idem; -1 where the result is not idempotent
+    mul, quadratic, cubic = (
+        [[index.get(op(a, b, p), -1) for b in idem] for a in idem]
+        for op in (_mat_mul, _quadratic_join, _cubic_join)
+    )
     result = RingBandResult()
-    for band in _find_bands(idem, p):
-        if all(_quadratic_join(a, b, p) in band for a, b in itertools.product(band, repeat=2)):
-            result.emitted.append((_band_to_algebra(band, _quadratic_join, p), "quadratic", band))
-        if all(_cubic_join(a, b, p) in band for a, b in itertools.product(band, repeat=2)):
+    for band in _find_bands(mul):
+        matrices = frozenset(idem[i] for i in band)
+        if all(quadratic[a][b] in band for a, b in itertools.product(band, repeat=2)):
+            result.emitted.append((_band_to_algebra(band, mul, quadratic), "quadratic", matrices))
+        if all(cubic[a][b] in band for a, b in itertools.product(band, repeat=2)):
             assoc = all(
-                _cubic_join(_cubic_join(a, b, p), c, p) == _cubic_join(a, _cubic_join(b, c, p), p)
-                for a, b, c in itertools.product(band, repeat=3)
+                cubic[cubic[a][b]][c] == cubic[a][cubic[b][c]] for a, b, c in itertools.product(band, repeat=3)
             )
             if assoc:
-                result.emitted.append((_band_to_algebra(band, _cubic_join, p), "cubic", band))
+                result.emitted.append((_band_to_algebra(band, mul, cubic), "cubic", matrices))
             else:
-                result.nonassociative.append(band)
+                result.nonassociative.append(matrices)
     return result

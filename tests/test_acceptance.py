@@ -188,6 +188,8 @@ def test_criterion_10_ring_corollaries(report):
     for spec in (
         constructions.RingSpec(kind="ut", dim=2, mod=2),
         constructions.RingSpec(kind="full", dim=2, mod=2),
+        constructions.RingSpec(kind="ut", dim=3, mod=2),
+        constructions.RingSpec(kind="ut", dim=2, mod=5),
     ):
         for S, _, _ in constructions.ring_band(spec).emitted:
             emitted += 1

@@ -197,6 +197,13 @@ class TestConstructAndSearch:
         assert "stopped at the witness limit (5); no checkpoint written" in err
         assert not ck.exists()
 
+    def test_unwritable_checkpoint_names_its_path(self, capsys, tmp_path):
+        # the message names the path given, not the temporary file beside it
+        ck = tmp_path / "missing" / "ck"
+        code, _, err = run(capsys, "enumerate", "5", "--max-nodes", "10", "--checkpoint", str(ck))
+        assert code == 2
+        assert err == f"error: cannot write checkpoint {ck}: No such file or directory\n"
+
     @pytest.mark.parametrize("path", ["99", "-1 -1", " ".join(["0"] * 25)])
     def test_resume_from_bad_path_exits_two(self, capsys, tmp_path, path):
         from skewlat import search

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -14,7 +15,7 @@ from skewlat.constructions import (
     ring_band,
     subalgebras,
 )
-from skewlat.core import is_skew_lattice
+from skewlat.core import is_skew_lattice, to_text
 
 
 class TestFixed:
@@ -116,10 +117,27 @@ class TestRingBand:
             assert len(band) == S.n
 
     def test_emitted_are_distributive_and_cancellative(self):
-        for spec in (RingSpec("ut", 2, 2), RingSpec("full", 2, 2)):
+        for spec in (RingSpec("ut", 2, 2), RingSpec("full", 2, 2), RingSpec("ut", 3, 2), RingSpec("ut", 2, 5)):
             for S, _, _ in ring_band(spec).emitted:
                 r = varieties.classify(S)
                 assert r["distributive"] and r["cancellative"]
+
+    # sha256 of each emitted algebra's to_text followed by its join kind, in
+    # emission order, and the number of bands whose cubic join is not associative
+    @pytest.mark.parametrize(
+        "spec, emitted, digest, nonassociative",
+        [
+            (RingSpec("ut", 3, 2), 62, "fc8e1921af85f32d84ffac697c7e302d90b9cfbf59b53de7c1dd2f3c88afde82", 2),
+            (RingSpec("full", 2, 3), 28, "38b0468393431693063bfeeb7bed774601fc20fedc707af45e076409ad1e4cce", 0),
+            (RingSpec("ut", 2, 5), 14, "5fe7a89502de71a6cce84c71caecf4d8b191d90c72d84ec5d7ba377b5574704a", 0),
+        ],
+    )
+    def test_emitted_tables_are_pinned(self, spec, emitted, digest, nonassociative):
+        result = ring_band(spec)
+        text = "".join(to_text(S.pair) + kind for S, kind, _ in result.emitted)
+        assert len(result.emitted) == emitted
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert len(result.nonassociative) == nonassociative
 
     @pytest.mark.parametrize("spec", [RingSpec("ut", 2, 2), RingSpec("full", 2, 2), RingSpec("ut", 3, 2)])
     def test_idempotent_quadratic_join_is_the_cubic_join(self, spec):
