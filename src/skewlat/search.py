@@ -5,17 +5,22 @@ Budgets cover the whole call, across all sizes in `find_counterexample`. A
 budgeted run stops before the node that would exceed it, which ends the
 checkpoint path; a run and its resumes count each node once.
 
-One depth-first search decides the 2·n·(n−1) off-diagonal cells, and its
-decision path is the checkpoint. The meet table comes first, cell by cell;
-each assignment is checked, in one inline loop, against the associativity
-triples it completes, the band-law triples (i, j, j) and (i, i, j) first:
-two table reads settle many of the rejects. Only an assignment that passes
-enters the search's bookkeeping. A meet assignment is also cut when some decided
-x ^ y outside {x, y} is left with no possible join: no u with x ^ u in
-{x, unknown} and u ^ y in {y, unknown} (`_joins_possible`). Once the meet
-table is complete, the dualities and absorption laws pin or narrow the join
-cells, which follow in the same order; their candidates come from two sets
-per element, built once.
+One depth-first search decides the decision cells, and its decision path
+is the checkpoint. The n·(n−1) off-diagonal meet cells come first, cell by
+cell; each assignment is checked, in one inline loop, against the
+associativity triples it completes, the band-law triples (i, j, j) and
+(i, i, j) first: two table reads settle many of the rejects. Only an
+assignment that passes enters the search's bookkeeping. A meet assignment
+is also cut when some decided x ^ y outside {x, y} is left with no possible
+join: no u with x ^ u in {x, unknown} and u ^ y in {y, unknown}
+(`_joins_possible`). Once the meet table is complete, the dualities and
+absorption laws pin or narrow the join cells; their candidates come from
+two sets per element, built once. Every join cell with one candidate is
+written at once, and is no node; one early-exit pass then checks
+associativity on each triple of known join cells and the join-stage prunes
+on each pair, and a meet table that fails it is cut there. Only the open
+join cells, those with two candidates or more, are decision cells; they
+follow in `mcells` order, through the same check as the meet cells.
 Isomorphism rejection keeps exactly the lex-least representative of each
 class (`core.canonical_labeling`). Since that representative's meet table
 is the least of its relabelings, a node is cut as soon as some relabeling
@@ -23,9 +28,9 @@ makes the decided prefix of the meet table strictly smaller. By a leaf,
 every other relabeling reads larger somewhere in the meet table, except
 the automorphisms of the meet table, which the lex-leader keeps; the leaf
 is then checked with `is_canonical(pair, meet_automorphisms)`, which
-compares only the join table and only under those. A meet table with one
-candidate in every join cell has one join, which its automorphisms must
-fix, so its leaf is handed none and is canonical. The full scan of
+compares only the join table and only under those. A meet table with no
+open join cell has one join, which its automorphisms must fix, so its leaf
+is handed none and is canonical. The full scan of
 `canonical_labeling` serves `canonical_form`, `varieties.nc5_free` and the
 tests.
 """
@@ -49,7 +54,7 @@ from .core import axiom_violations  # noqa: F401  bench/spans.py traces it throu
 # (n! - 1)·n² bytes of relabelings and one chain entry for each: at n = 9 a
 # process peaks near 106 MB after 5 s (2 shared CPUs, Python 3.11), and
 # each step up multiplies that by about n; a cell index stops fitting a
-# byte at n = 17. n = 8 exhausts in one process: 1,971 classes in 554 s.
+# byte at n = 17. n = 8 exhausts in one process: 1,971 classes in 362 s.
 MAX_N = 9
 
 
@@ -244,9 +249,9 @@ class _Enumerator:
         }
         self.perm_values, self.perm_sources = _relabelings(n, self.mcells)
         self.path = []
-        # the join cells' candidates, and whether each cell has exactly one;
-        # set when the meet table is complete
-        self.cand, self.one_join = None, False
+        # the decision cells: the meet cells, then, once the meet table is
+        # complete, that table's open join cells and their candidates
+        self.cells, self.cand = list(self.mcells), None
 
     # -- bookkeeping
 
@@ -387,28 +392,31 @@ class _Enumerator:
         return later
 
     def _dfs(self, depth, on_path, wake):
-        """Decide cell `depth` of the 2·n·(n−1) decision cells: the meet
-        cells in `mcells` order, then the join cells in the same order.
-        `wake` is `_lex_leader`'s state, advanced on meet cells only; at the
-        leaf, wake[m] chains the automorphisms of the meet table.
+        """Decide cell `depth` of `self.cells`: the meet cells in `mcells`
+        order, then the open join cells of that meet table in the same
+        order. `wake` is `_lex_leader`'s state, advanced on meet cells only;
+        at the leaf, wake[m] chains the automorphisms of the meet table.
+
+        The call at depth m, with the meet table complete, first writes the
+        forced join cells (`_force_joins`), which are no nodes: a table that
+        fails there dies, and one without an open cell is a leaf.
 
         While `on_path`, the node's ancestors follow the checkpoint path:
         values below its next one were searched by the run that stopped,
-        which counted every node on the path but the last."""
+        which counted every node on the path but the last. The meet prefix
+        of the path fixes the open cells that the rest of it is read against."""
         m = len(self.mcells)
-        if depth == m:
-            self.cand, self.one_join = self._join_candidates()
-        if depth == 2 * m:
-            self._emit(wake[m])
+        if depth == m and not self._force_joins():
             return
+        if depth == len(self.cells):
+            # a meet table without an open cell has one join (see `_emit`)
+            self._emit(wake[m] if depth > m else None)
+            return
+        i, j = self.cells[depth]
         if depth < m:
-            i, j = self.mcells[depth]
-            table, occ, prunes = self.meet, self.occ, self.meet_prunes
-            values = range(self.n)
+            table, occ, prunes, values = self.meet, self.occ, self.meet_prunes, range(self.n)
         else:
-            i, j = self.mcells[depth - m]
-            table, occ, prunes = self.join, self.jocc, self.join_prunes
-            values = self.cand[i, j]
+            table, occ, prunes, values = self.join, self.jocc, self.join_prunes, self.cand[i, j]
         want, inner = (self.resume[depth], depth < len(self.resume) - 1) if on_path else (-1, False)
         # nothing is restored on a stop: it unwinds the whole search, and
         # `run` then discards the tables
@@ -432,47 +440,85 @@ class _Enumerator:
                 occ[v].pop()
         table[i][j] = -1
 
-    def _join_candidates(self):
-        """Each join cell's candidate values once the meet table is complete,
-        and whether every cell has exactly one.
+    def _force_joins(self):
+        """Once the meet table is complete, write every join cell that has
+        one candidate, then check the join table in one pass (`_join_passes`);
+        False when it fails. The other cells, the open ones, read unknown and
+        follow the meet cells in `self.cells`, with their candidates in
+        `self.cand`; `_joins_possible` leaves each of them two or more. Every
+        join cell is rewritten here, and the meet stage never reads the join
+        table, so nothing clears it when the search backs out.
+
         Off the cells the dualities pin (x ^ y = x gives y, x ^ y = y gives
         x), x v y is some v other than x and y with x ^ v = x and v ^ y = y;
         `_joins_possible` has made sure there is one. Absorption on the join
         side (x v (x ^ y) = x, (x ^ y) v y = y) needs no check: in a band
         x ^ (x ^ y) = x ^ y = (x ^ y) ^ y, so the dualities pin those cells
         to exactly those values."""
-        n = self.n
-        m = self.meet
+        n, m, join, jocc = self.n, self.meet, self.join, self.jocc
         # xv[x] holds the v with x ^ v = x, vy[y] the v with v ^ y = y
         xv = [{v for v in range(n) if m[x][v] == x} for x in range(n)]
         vy = [{v for v in range(n) if m[v][y] == y} for y in range(n)]
-        cand = {}
-        for x in range(n):
-            for y in range(n):
-                if x == y:
+        cells, cand = self.cells, {}
+        del cells[len(self.mcells) :]
+        for occ in jocc:
+            del occ[1:]
+        for x, y in self.mcells:
+            w = m[x][y]
+            if w == x:
+                v = y
+            elif w == y:
+                v = x
+            else:
+                c = (xv[x] & vy[y]) - {x, y}
+                if len(c) != 1:
+                    cells.append((x, y))
+                    cand[x, y] = sorted(c)
+                    join[x][y] = -1
                     continue
-                if m[x][y] == x:
-                    cand[x, y] = [y]
-                elif m[x][y] == y:
-                    cand[x, y] = [x]
-                else:
-                    cand[x, y] = sorted((xv[x] & vy[y]) - {x, y})
-        return cand, all(len(c) == 1 for c in cand.values())
+                (v,) = c
+            join[x][y] = v
+            jocc[v].append((x, y))
+        self.cand = cand
+        return self._join_passes()
+
+    def _join_passes(self):
+        """The checks `_check_assign` makes cell by cell, made once over the
+        join table: associativity on every triple whose cells are all known,
+        then the join-stage satisfy prunes on every pair. Early exit."""
+        t, n = self.join, self.n
+        for x in range(n):
+            tx = t[x]
+            for y in range(n):
+                ty, txy = t[y], t[tx[y]]
+                for z in range(n):
+                    l, r = txy[z], tx[ty[z]]
+                    if l != r and l >= 0 and r >= 0:
+                        return False
+        m = self.meet
+        for sides in self.join_prunes:
+            for x in range(n):
+                for y in range(n):
+                    lhs, rhs = sides(m, t, x, y)
+                    if lhs != rhs and lhs >= 0 and rhs >= 0:
+                        return False
+        return True
 
     # -- leaf handling
 
     def _emit(self, automorphisms):
         """Keep the leaf if it is canonical and passes the filters;
-        `automorphisms` is the chain of the meet table's automorphisms.
+        `automorphisms` chains the meet table's automorphisms, or is None
+        when the meet table left no open join cell.
 
-        When every join cell had one candidate, no automorphism is compared:
-        an automorphism g of the meet table carries the join J to g(J), also
-        a join of that meet table, so each cell of g(J) is a candidate too,
-        and g(J) = J."""
+        Such a table has one join, and no automorphism is compared: an
+        automorphism g of the meet table carries the join J to g(J), also a
+        join of that meet table, so each cell of g(J) is a candidate too, and
+        g(J) = J."""
         n = self.n
         pair = CayleyPair.from_tables([r[:n] for r in self.meet[:n]], [r[:n] for r in self.join[:n]])
         perms = []
-        while automorphisms is not None and not self.one_join:
+        while automorphisms is not None:
             q, _, automorphisms = automorphisms
             perms.append(self.perm_values[q * n : q * n + n])
         if not is_canonical(pair, perms):
@@ -486,7 +532,6 @@ class _Enumerator:
         self.result.witnesses.append(S)
         if self.spec.limit and self.result.count_up_to_iso >= self.spec.limit:
             raise _BudgetExhausted(None)
-
 
 def enumerate_skew_lattices(spec: SearchSpec, resume=None) -> EnumerationResult:
     """Enumerate all skew lattices of order spec.n up to isomorphism that
@@ -529,8 +574,10 @@ def census(n: int) -> tuple:
 # Plain text: line 1 the format version, line 2 the spec hash, line 3 the
 # decision path (space separated), line 4 the number of witnesses the search
 # found before that path, which is the index of the resumed run's first one.
+# Version 3 reads the path past the meet cells against the open join cells
+# alone; a version 2 path read every join cell, so it is refused.
 
-CHECKPOINT_HEADER = "skewlat checkpoint v2"
+CHECKPOINT_HEADER = "skewlat checkpoint v3"
 
 
 def save_checkpoint(spec: SearchSpec, path_vector, path, found=0) -> None:
@@ -560,7 +607,8 @@ def load_checkpoint(spec: SearchSpec, path):
     if lines[1] != spec_hash(spec):
         raise ValueError("checkpoint does not match the search spec")
     path = tuple(int(tok) for tok in lines[2].split())
-    # one value in 0..n-1 per decision cell: the meet cells, then the join cells
+    # one value in 0..n-1 per decision cell: the meet cells, then at most as
+    # many open join cells
     n, cells = spec.n, 2 * spec.n * (spec.n - 1)
     if len(path) > cells or any(not 0 <= v < n for v in path):
         raise ValueError(f"checkpoint path is not at most {cells} values in 0..{n - 1}")

@@ -365,7 +365,7 @@ class BatteryResult:
 
 # The largest order the battery runs to: it needs an unbudgeted census of
 # every order up to it. Order 7 (531 algebras) takes about 6 s; order 8
-# (1,971) runs to the end in 554 s, but prints nothing until then.
+# (1,971) runs to the end in 362 s, but prints nothing until then.
 MAX_N = 7
 
 

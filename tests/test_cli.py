@@ -120,8 +120,8 @@ class TestConstructAndSearch:
         code, out, _ = run(
             capsys, "search", "--max-n", "3", "--satisfy", "lattice", "--falsify", "distributive"
         )
-        assert (code, out) == (1, "no witness up to n=3 (exhausted, 59 nodes)\n")
-        # sizes 1..4 take 1,187 nodes; one budget covers them all and runs out at n=5
+        assert (code, out) == (1, "no witness up to n=3 (exhausted, 51 nodes)\n")
+        # sizes 1..4 take 866 nodes; one budget covers them all and runs out at n=5
         code, out, _ = run(
             capsys, "search", "--max-n", "6", "--falsify", "x ^ y = x ^ y", "--max-nodes", "5000"
         )
@@ -176,7 +176,7 @@ class TestConstructAndSearch:
         # leave the uninterrupted run's 53 files, names and bytes
         whole, parts, ck = tmp_path / "whole", tmp_path / "parts", tmp_path / "ck.txt"
         assert run(capsys, "enumerate", "5", "--out-dir", str(whole))[0] == 0
-        argv = ["enumerate", "5", "--max-nodes", "3000", "--checkpoint", str(ck), "--out-dir", str(parts)]
+        argv = ["enumerate", "5", "--max-nodes", "2000", "--checkpoint", str(ck), "--out-dir", str(parts)]
         runs = 0
         while True:
             code, out, _ = run(capsys, *argv, *(["--resume", str(ck)] if runs else []))
@@ -214,6 +214,16 @@ class TestConstructAndSearch:
         code, out, err = run(capsys, "enumerate", "4", "--resume", str(ck))
         assert code == 2 and err.startswith("error: ") and out == ""
 
+    def test_resume_from_version_2_checkpoint_exits_two(self, capsys, tmp_path):
+        from skewlat import search
+
+        # a version 2 path went on over every join cell, version 3 over the
+        # open ones alone, so an old file would resume at the wrong node
+        ck = tmp_path / "ck.txt"
+        ck.write_text("skewlat checkpoint v2\n" + search.spec_hash(search.SearchSpec(n=4)) + "\n0 1\n0\n")
+        code, out, err = run(capsys, "enumerate", "4", "--resume", str(ck))
+        assert code == 2 and "not a checkpoint file" in err and out == ""
+
     def test_resume_from_file_without_format_line_exits_two(self, capsys, tmp_path):
         from skewlat import search
 
@@ -232,7 +242,7 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "3\t7\t126\ttrue" in proc.stdout.splitlines()
+    assert "3\t7\t84\ttrue" in proc.stdout.splitlines()
 
 
 class TestTheorems:

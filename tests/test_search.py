@@ -167,7 +167,7 @@ def test_search_counters_are_pinned():
     # nodes and witnesses are deterministic; a speed-up must leave the
     # witnesses alone, and a new cut moves nodes only with its pin
     runs = [enumerate_skew_lattices(SearchSpec(n=n)) for n in range(1, 7)]
-    assert [r.nodes for r in runs] == [0, 12, 126, 1049, 7646, 63814]
+    assert [r.nodes for r in runs] == [0, 6, 84, 776, 5980, 47108]
     assert [_flats_digest(r.witnesses) for r in runs[:5]] == [
         "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101",
         "3f2b573094643a3f14acbfb9dccfdd7bca0374cd4f4d49b3115bdb6a3742e174",
@@ -180,7 +180,7 @@ def test_search_counters_are_pinned():
         n=5, satisfy=("left_handed", "distributive", "cancellative"), falsify=("strong-solution",)
     )
     res = find_counterexample(spec)
-    assert (res.witness, res.exhausted, res.nodes) == (None, True, 5299)
+    assert (res.witness, res.exhausted, res.nodes) == (None, True, 4413)
 
 
 def test_join_cut_passes_every_meet_prefix_of_the_census(monkeypatch):
@@ -200,6 +200,28 @@ def test_join_cut_passes_every_meet_prefix_of_the_census(monkeypatch):
             for i, j in e.mcells:
                 e.meet[i][j] = S.pair.meet[i][j]
                 assert cut(e, i, j), (S.pair.meet, (i, j))
+
+
+def test_forced_joins_match_every_census_member():
+    # each member's meet table forces exactly its join cells, leaves its
+    # other join cells open with its values among their candidates, and
+    # its join table passes the one-pass check, forced and whole
+    for n in range(1, 7):
+        e = search._Enumerator(SearchSpec(n=n))
+        m = len(e.mcells)
+        for S in census(n):
+            for i, j in e.mcells:
+                e.meet[i][j] = S.pair.meet[i][j]
+            assert e._force_joins(), S.pair
+            assert e.cells[m:] == [c for c in e.mcells if c in e.cand]
+            for i, j in e.mcells:
+                if (i, j) in e.cand:
+                    assert len(e.cand[i, j]) >= 2 and S.pair.join[i][j] in e.cand[i, j]
+                else:
+                    assert e.join[i][j] == S.pair.join[i][j], (S.pair, (i, j))
+            for i, j in e.cells[m:]:
+                e.join[i][j] = S.pair.join[i][j]
+            assert e._join_passes(), S.pair
 
 
 def test_orbit_stabilizer_counts_the_labeled_algebras(census5):
@@ -373,22 +395,49 @@ class TestBudgetsAndCheckpoints:
         assert not res.exhausted
         assert res.checkpoint is not None
 
+    @staticmethod
+    def _assert_resumes_split(spec, full):
+        """Runs of the budgeted spec, each resuming the last one's checkpoint,
+        split the uninterrupted run `full` between them; returns the runs."""
+        runs = [enumerate_skew_lattices(spec)]
+        while not runs[-1].exhausted:
+            assert len(runs) < full.nodes  # each stopped run counts a node
+            runs.append(enumerate_skew_lattices(spec, resume=runs[-1].checkpoint))
+        # each stopped run counts exactly its budget, and no node is
+        # counted twice across the chain
+        assert all(r.nodes == spec.max_nodes for r in runs[:-1])
+        assert sum(r.nodes for r in runs) == full.nodes
+        # exactly once: the runs split the witnesses, in order
+        assert [S.pair for r in runs for S in r.witnesses] == [S.pair for S in full.witnesses]
+        assert sum(r.count_up_to_iso for r in runs) == full.count_up_to_iso
+        return runs
+
     def test_resume_completes_the_count(self):
         for satisfy in ((), ("lattice",)):
             full = enumerate_skew_lattices(SearchSpec(n=4, satisfy=satisfy))
             for budget in (1, 97, 500, full.nodes - 1):
-                spec = SearchSpec(n=4, satisfy=satisfy, max_nodes=budget)
-                runs = [enumerate_skew_lattices(spec)]
-                while not runs[-1].exhausted:
-                    assert len(runs) < full.nodes  # each stopped run counts a node
-                    runs.append(enumerate_skew_lattices(spec, resume=runs[-1].checkpoint))
-                # each stopped run counts exactly its budget, and no node is
-                # counted twice across the chain
-                assert all(r.nodes == budget for r in runs[:-1])
-                assert sum(r.nodes for r in runs) == full.nodes
-                # exactly once: the runs split the witnesses, in order
-                assert [S.pair for r in runs for S in r.witnesses] == [S.pair for S in full.witnesses]
-                assert sum(r.count_up_to_iso for r in runs) == full.count_up_to_iso
+                self._assert_resumes_split(SearchSpec(n=4, satisfy=satisfy, max_nodes=budget), full)
+
+    def test_resume_inside_the_join_stage(self, monkeypatch):
+        # at n=5, 40 of the 5,980 nodes decide an open join cell; a budget
+        # that stops the first run at each of them leaves a checkpoint path
+        # past the 20 meet cells, which the resume reads against the open
+        # cells of the meet table the path gives
+        depths = []  # the depth of each node, in search order
+        tick = search._Enumerator._tick
+
+        def spy(self, next_value):
+            depths.append(len(self.path))
+            tick(self, next_value)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(search._Enumerator, "_tick", spy)
+            full = enumerate_skew_lattices(SearchSpec(n=5))
+        budgets = [k for k, depth in enumerate(depths) if depth >= 20]
+        assert (len(depths), full.nodes, len(budgets)) == (5980, 5980, 40)
+        for budget in budgets:
+            runs = self._assert_resumes_split(SearchSpec(n=5, max_nodes=budget), full)
+            assert len(runs[0].checkpoint) > 20
 
     def test_checkpoint_file_round_trip(self, tmp_path):
         spec = SearchSpec(n=4, satisfy=("lattice",))
@@ -416,7 +465,7 @@ class TestBudgetsAndCheckpoints:
         path = tmp_path / "ck.txt"
         save_checkpoint(spec, (0, 1), path)
         lines = path.read_text().splitlines()
-        assert lines == ["skewlat checkpoint v2", spec_hash(spec), "0 1", "0"]
+        assert lines == ["skewlat checkpoint v3", spec_hash(spec), "0 1", "0"]
         path.write_text("\n".join(lines[1:]) + "\n")
         with pytest.raises(ValueError, match="not a checkpoint file"):
             load_checkpoint(spec, path)
@@ -474,17 +523,17 @@ class TestCounterexample:
         assert res.exhausted
 
     def test_node_budget_covers_all_sizes(self):
-        # sizes 1..4 take 1,187 nodes, so the budget runs out inside order 5
+        # sizes 1..4 take 866 nodes, so the budget runs out inside order 5
         res = find_counterexample(SearchSpec(n=6, falsify=("x ^ y = x ^ y",), max_nodes=5000))
         assert (res.witness, res.nodes, res.found_n, res.exhausted) == (None, 5000, 5, False)
 
     def test_deadline_covers_all_sizes(self, monkeypatch):
         # a fake clock that reads one second later at each call: sizes 1..3
-        # take 138 nodes, so 1,000 s run out inside order 4, and a fresh
-        # deadline per size would count more than 1,000 nodes in all
+        # take 90 nodes, so 500 s run out inside order 4, and a fresh
+        # deadline per size would count more than 500 nodes in all
         clock = itertools.count()
         monkeypatch.setattr(search.time, "monotonic", lambda: float(next(clock)))
-        res = find_counterexample(SearchSpec(n=6, falsify=("x ^ y = x ^ y",), max_seconds=1000))
+        res = find_counterexample(SearchSpec(n=6, falsify=("x ^ y = x ^ y",), max_seconds=500))
         assert res.witness is None and not res.exhausted
         assert res.found_n == 4
-        assert 138 < res.nodes <= 1000
+        assert 90 < res.nodes <= 500
