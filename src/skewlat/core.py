@@ -84,25 +84,36 @@ def _compare(tables, n, perm, pinv, flat) -> int:
     return 0
 
 
+def label_zero_class(row, x0):
+    """The label-0 rule of the least table, when x ^ x = x for every x.
+
+    If x0 gets label 0, meet row 0 of the relabeled table holds 0 exactly at
+    the labels of the c elements y with x0 ^ y = x0 (x0 among them), and
+    the least row 0 starts with c zeros. So the least table gives label 0 to
+    an element x0 with the most such y, and labels 1..c-1 to those y other
+    than x0, in some order; a relabeling that gives x0 label 0 but a label
+    below c to another element reads larger in row 0. Returns x0, then those
+    y in increasing order, from `row`, the meet row of x0; an entry that is
+    not an element (a -1 for unknown) counts for no y."""
+    return (x0, *(y for y, v in enumerate(row) if v == x0 != y))
+
+
 def _inverses(pair: CayleyPair):
     """The inverses (label -> element) of the relabelings that can give the
-    least table. When x ^ x = x for every x, meet row 0 of a relabeling
-    starts with one 0 for each y with x0 ^ y = x0, where x0 gets label 0;
-    so x0 is an element with the most such y, labels 1..c-1 go to those y
-    in every order, and the rest follow in every order. Otherwise every
-    permutation can."""
+    least table: those `label_zero_class` allows, the rest in every order,
+    when x ^ x = x for every x. Otherwise every permutation can."""
     n, m = pair.n, pair.meet
     if any(m[x][x] != x for x in range(n)):
         yield from itertools.permutations(range(n))
         return
-    under = [[y for y in range(n) if m[x][y] == x and y != x] for x in range(n)]
-    most = max(map(len, under))
+    most = max(m[x].count(x) for x in range(n))
     for x0 in range(n):
-        if len(under[x0]) == most:
-            rest = [y for y in range(n) if m[x0][y] != x0]
-            for head in itertools.permutations(under[x0]):
+        if m[x0].count(x0) == most:
+            head = label_zero_class(m[x0], x0)
+            rest = [y for y in range(n) if y not in head]
+            for mid in itertools.permutations(head[1:]):
                 for tail in itertools.permutations(rest):
-                    yield (x0, *head, *tail)
+                    yield (x0, *mid, *tail)
 
 
 def canonical_labeling(pair: CayleyPair):

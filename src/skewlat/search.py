@@ -24,7 +24,11 @@ follow in `mcells` order, through the same check as the meet cells.
 Isomorphism rejection keeps exactly the lex-least representative of each
 class (`core.canonical_labeling`). Since that representative's meet table
 is the least of its relabelings, a node is cut as soon as some relabeling
-makes the decided prefix of the meet table strictly smaller. By a leaf,
+makes the decided prefix of the meet table strictly smaller. The
+relabelings that fix 0 are compared cell by cell; those that give x != 0
+label 0 wait for meet row x, where one count, of the x in that row against
+the 0 in row 0, cuts the node, drops them all, or lets in only those the
+label-0 rule of the least table allows (`core.label_zero_class`). By a leaf,
 every other relabeling reads larger somewhere in the meet table, except
 the automorphisms of the meet table, which the lex-leader keeps; the leaf
 is then checked with `is_canonical(pair, meet_automorphisms)`, which
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 import tempfile
 import time
@@ -46,15 +51,15 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from . import terms, varieties, ybe
-from .core import CayleyPair, SkewLattice, canonical_labeling, validate
+from .core import CayleyPair, SkewLattice, canonical_labeling, label_zero_class, validate
 from .core import axiom_violations  # noqa: F401  bench/spans.py traces it through this module
 
 
 # The largest order a search accepts. Before its first node a search keeps
-# (n! - 1)·n² bytes of relabelings and one chain entry for each: at n = 9 a
-# process peaks near 106 MB after 5 s (2 shared CPUs, Python 3.11), and
-# each step up multiplies that by about n; a cell index stops fitting a
-# byte at n = 17. n = 8 exhausts in one process: 1,971 classes in 362 s.
+# n!·n² bytes of relabelings and one chain entry for each that fixes 0: at
+# n = 9 a process peaks near 77 MB after 5 s (2 shared CPUs, Python 3.11),
+# and each step up multiplies that by about n; a cell index stops fitting a
+# byte at n = 17. n = 8 exhausts in one process: 1,971 classes in 52 s.
 MAX_N = 9
 
 
@@ -189,24 +194,45 @@ class _BudgetExhausted(Exception):
 
 
 def _relabelings(n, cells):
-    """Every non-identity permutation of range(n), in two flat byte strings.
+    """Every permutation of range(n), numbered by its inverse in
+    itertools.permutations order, in two flat byte strings. The q-th
+    permutation p (q = 0 the identity) gives label 0 to element
+    q // (n-1)!, so those that give x label 0 are one block of numbers.
 
-    For the q-th permutation p, values[q*n + v] is p[v], and
-    sources[q*m + k] (m = len(cells)) is the position in `cells` of the cell
-    that p carries onto cells[k]: the relabeled table reads p[t[c]] at
-    cells[k], where c is that source cell."""
+    values[q*n + v] is p[v], and sources[q*m + k] (m = len(cells)) is the
+    position in `cells` of the cell that p carries onto cells[k]: the
+    relabeled table reads p[t[c]] at cells[k], where c is that source cell."""
     index = {c: k for k, c in enumerate(cells)}
     values = bytearray()
     sources = bytearray()
-    for perm in itertools.permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
-        pinv = [0] * n
-        for i, v in enumerate(perm):
-            pinv[v] = i
+    for pinv in itertools.permutations(range(n)):
+        perm = [0] * n
+        for label, x in enumerate(pinv):
+            perm[x] = label
         values.extend(perm)
         sources.extend(index[(pinv[a], pinv[b])] for a, b in cells)
     return bytes(values), bytes(sources)
+
+
+def _first_numbers(n, head):
+    """The numbers `_relabelings` gives the permutations whose inverse
+    starts with head[0], then head[1:] in some order: for each order, in
+    itertools.permutations order of head[1:] (sorted), the number of the
+    first such permutation; the (n - len(head))! numbers from it on share
+    that start.
+
+    A number is the sum over positions k of (n-1-k)! times a digit: how
+    many elements not placed before k are below the inverse's entry at k.
+    For an entry u of head[1:], those are the elements outside `head` below
+    u, and the entries of head[1:] still left below u (its index among
+    them)."""
+    x, under = head[0], head[1:]
+    below = {u: sum(w < u and w not in head for w in range(n)) for u in under}
+    level = [(x * math.factorial(n - 1), under)]
+    for k in range(1, len(head)):
+        weight = math.factorial(n - 1 - k)
+        level = [(q + (below[u] + i) * weight, left[:i] + left[i + 1 :]) for q, left in level for i, u in enumerate(left)]
+    return [q for q, _ in level]
 
 
 def _has_join(t, n, x, y):
@@ -248,6 +274,9 @@ class _Enumerator:
             for i, j in self.mcells
         }
         self.perm_values, self.perm_sources = _relabelings(n, self.mcells)
+        # `_first_numbers` by its head, for the heads this search releases;
+        # at most n·2^(n-1) of them
+        self.firsts = {}
         self.path = []
         # the decision cells: the meet cells, then, once the meet table is
         # complete, that table's open join cells and their candidates
@@ -267,10 +296,12 @@ class _Enumerator:
     # -- the search
 
     def run(self):
-        # every relabeling starts tied with the empty prefix, compared at 0;
-        # the last slot collects the automorphisms of the meet table
+        # every relabeling that fixes 0 but the identity starts tied with
+        # the empty prefix, compared at 0; the others wait for their rows
+        # (see `_lex_leader`); the last slot collects the automorphisms of
+        # the meet table
         chain = None
-        for q in range(len(self.perm_values) // self.n):
+        for q in range(1, math.factorial(self.n - 1)):
             chain = (q, 0, chain)
         wake = [chain] + [None] * len(self.mcells)
         try:
@@ -366,12 +397,39 @@ class _Enumerator:
         meet table (an automorphism of the meet band) waits in wake[m], which
         the join stage passes through unchanged; at the leaf, `_emit` hands
         those to `is_canonical`, which compares the join table under them
-        alone. Join cells are not compared during the join search."""
+        alone. Join cells are not compared during the join search.
+
+        Only the relabelings that fix 0 start in the chains. Once row 0 is
+        decided its c0 = meet[0].count(0) zeros come first (a transposition
+        that fixes 0 cuts any other row 0), and the relabelings that give
+        x != 0 label 0 wait, unread, for meet row x, under the label-0 rule
+        (`core.label_zero_class`). With c the number of x in row x: c > c0
+        cuts the node at once, since some such relabeling reads 0 at cell
+        (0, c0), where row 0 does not; at the end of the row, c < c0 drops
+        them all, since each reads larger within row 0, and c = c0 puts in
+        the chains only those that give the y with x ^ y = x the labels
+        0..c0-1: tied up to cell (0, c0), they are compared from there."""
         vals = self.path
         values, sources = self.perm_values, self.perm_sources
         n, m = self.n, len(self.mcells)
-        later = wake.copy()
         chain = wake[depth]
+        x, j = self.mcells[depth]
+        end = j == (n - 2 if x == n - 1 else n - 1)
+        if x and (vals[depth] == x or end):
+            row, c0 = self.meet[x], self.meet[0].count(0)
+            c = row.count(x)
+            if c > c0:
+                return None
+            if end and c == c0:
+                head = label_zero_class(row, x)
+                firsts = self.firsts.get(head)
+                if firsts is None:
+                    firsts = self.firsts[head] = _first_numbers(n, head)
+                span = math.factorial(n - c0)
+                for first in firsts:
+                    for q in range(first, first + span):
+                        chain = (q, c0 - 1, chain)
+        later = wake.copy()
         while chain is not None:
             q, f, chain = chain
             base_v, base_s = q * n, q * m

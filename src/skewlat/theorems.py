@@ -364,8 +364,9 @@ class BatteryResult:
 
 
 # The largest order the battery runs to: it needs an unbudgeted census of
-# every order up to it. Order 7 (531 algebras) takes about 6 s; order 8
-# (1,971) runs to the end in 362 s, but prints nothing until then.
+# every order up to it. To order 7 (531 algebras) it takes about 5 s, 2 s
+# of them the census; the order-8 census (1,971) runs to the end in 52 s,
+# but prints nothing until then.
 MAX_N = 7
 
 

@@ -121,7 +121,7 @@ class TestConstructAndSearch:
             capsys, "search", "--max-n", "3", "--satisfy", "lattice", "--falsify", "distributive"
         )
         assert (code, out) == (1, "no witness up to n=3 (exhausted, 51 nodes)\n")
-        # sizes 1..4 take 866 nodes; one budget covers them all and runs out at n=5
+        # sizes 1..4 take 870 nodes; one budget covers them all and runs out at n=5
         code, out, _ = run(
             capsys, "search", "--max-n", "6", "--falsify", "x ^ y = x ^ y", "--max-nodes", "5000"
         )
@@ -176,7 +176,7 @@ class TestConstructAndSearch:
         # leave the uninterrupted run's 53 files, names and bytes
         whole, parts, ck = tmp_path / "whole", tmp_path / "parts", tmp_path / "ck.txt"
         assert run(capsys, "enumerate", "5", "--out-dir", str(whole))[0] == 0
-        argv = ["enumerate", "5", "--max-nodes", "2000", "--checkpoint", str(ck), "--out-dir", str(parts)]
+        argv = ["enumerate", "5", "--max-nodes", "2500", "--checkpoint", str(ck), "--out-dir", str(parts)]
         runs = 0
         while True:
             code, out, _ = run(capsys, *argv, *(["--resume", str(ck)] if runs else []))

@@ -6,9 +6,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewlat import green, search, terms, theorems, varieties, ybe
+from skewlat import core, green, search, terms, theorems, varieties, ybe
 from skewlat.constructions import RingSpec, chain, direct_product, fixed, rectangular, ring_band, subalgebras
-from skewlat.core import CayleyPair, MalformedTableError, canonical_labeling, is_skew_lattice, validate
+from skewlat.core import (
+    CayleyPair,
+    MalformedTableError,
+    canonical_labeling,
+    is_skew_lattice,
+    label_zero_class,
+    validate,
+)
 from skewlat.search import (
     SearchSpec,
     canonical_form,
@@ -167,7 +174,7 @@ def test_search_counters_are_pinned():
     # nodes and witnesses are deterministic; a speed-up must leave the
     # witnesses alone, and a new cut moves nodes only with its pin
     runs = [enumerate_skew_lattices(SearchSpec(n=n)) for n in range(1, 7)]
-    assert [r.nodes for r in runs] == [0, 6, 84, 776, 5980, 47108]
+    assert [r.nodes for r in runs] == [0, 6, 84, 780, 6015, 47306]
     assert [_flats_digest(r.witnesses) for r in runs[:5]] == [
         "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101",
         "3f2b573094643a3f14acbfb9dccfdd7bca0374cd4f4d49b3115bdb6a3742e174",
@@ -222,6 +229,47 @@ def test_forced_joins_match_every_census_member():
             for i, j in e.cells[m:]:
                 e.join[i][j] = S.pair.join[i][j]
             assert e._join_passes(), S.pair
+
+
+def test_label_zero_rule_holds_on_every_census_member():
+    # the search reads row 0 of a surviving meet prefix as c0 zeros first,
+    # and cuts one whose row x holds more x than row 0 holds 0
+    for n in range(1, 7):
+        for S in census(n):
+            m = S.pair.meet
+            c0 = m[0].count(0)
+            assert m[0][:c0] == (0,) * c0 and 0 not in m[0][c0:], m
+            assert all(c0 >= m[x].count(x) for x in range(n)), m
+
+
+def _released(n, head):
+    """The numbers of the relabelings the search releases for `head`."""
+    span = math.factorial(n - len(head))
+    return [q for first in search._first_numbers(n, head) for q in range(first, first + span)]
+
+
+def test_released_relabelings_are_those_of_the_label_zero_rule(census5):
+    # for each head, the numbers `_first_numbers` gives, each with the
+    # (n - len(head))! after it, are exactly the relabelings whose inverse
+    # starts with head[0], then head[1:] in some order
+    inverses = list(itertools.permutations(range(5)))
+    for x in range(5):
+        for k in range(5):
+            for under in itertools.combinations([y for y in range(5) if y != x], k):
+                want = [q for q, pinv in enumerate(inverses) if pinv[0] == x and set(pinv[1 : k + 1]) == set(under)]
+                assert _released(5, (x, *under)) == want, (x, under)
+    # on each census member, for each x whose row holds as many x as row 0
+    # holds 0, they are the relabelings that give x label 0 among those
+    # `canonical_labeling` compares
+    for n in range(1, 6):
+        values = search._Enumerator(SearchSpec(n=n)).perm_values
+        for S in census5[n]:
+            m = S.pair.meet
+            for x in range(1, n):
+                if m[x].count(x) == m[0].count(0):
+                    got = {values[q * n : q * n + n] for q in _released(n, label_zero_class(m[x], x))}
+                    want = {bytes(pinv.index(y) for y in range(n)) for pinv in core._inverses(S.pair) if pinv[0] == x}
+                    assert got == want, (m, x)
 
 
 def test_orbit_stabilizer_counts_the_labeled_algebras(census5):
@@ -419,7 +467,7 @@ class TestBudgetsAndCheckpoints:
                 self._assert_resumes_split(SearchSpec(n=4, satisfy=satisfy, max_nodes=budget), full)
 
     def test_resume_inside_the_join_stage(self, monkeypatch):
-        # at n=5, 40 of the 5,980 nodes decide an open join cell; a budget
+        # at n=5, 40 of the 6,015 nodes decide an open join cell; a budget
         # that stops the first run at each of them leaves a checkpoint path
         # past the 20 meet cells, which the resume reads against the open
         # cells of the meet table the path gives
@@ -434,10 +482,30 @@ class TestBudgetsAndCheckpoints:
             mp.setattr(search._Enumerator, "_tick", spy)
             full = enumerate_skew_lattices(SearchSpec(n=5))
         budgets = [k for k, depth in enumerate(depths) if depth >= 20]
-        assert (len(depths), full.nodes, len(budgets)) == (5980, 5980, 40)
+        assert (len(depths), full.nodes, len(budgets)) == (6015, 6015, 40)
         for budget in budgets:
             runs = self._assert_resumes_split(SearchSpec(n=5, max_nodes=budget), full)
             assert len(runs[0].checkpoint) > 20
+
+    @pytest.mark.parametrize(
+        "path, found",
+        [
+            # stopped at 3,000 nodes, in the meet stage
+            ((0, 0, 0, 4, 0, 1, 1, 4, 0, 1, 2, 1), 39),
+            # stopped at 3,032 nodes, on an open join cell
+            ((0, 0, 0, 4, 0, 1, 1, 4, 0, 1, 2, 4, 0, 1, 2, 4, 0, 0, 4, 4, 2), 39),
+        ],
+        ids=["meet-stage", "join-stage"],
+    )
+    def test_resume_from_a_path_of_the_cell_by_cell_lex_leader(self, path, found):
+        # paths that a budgeted n=5 run wrote when every relabeling was
+        # compared cell by cell: that search cut each node this one cuts, at
+        # it or above it, so its nodes are nodes here and the path resumes to
+        # the same witnesses
+        full = enumerate_skew_lattices(SearchSpec(n=5))
+        res = enumerate_skew_lattices(SearchSpec(n=5), resume=path)
+        assert res.exhausted
+        assert [S.pair for S in res.witnesses] == [S.pair for S in full.witnesses[found:]]
 
     def test_checkpoint_file_round_trip(self, tmp_path):
         spec = SearchSpec(n=4, satisfy=("lattice",))
@@ -523,7 +591,7 @@ class TestCounterexample:
         assert res.exhausted
 
     def test_node_budget_covers_all_sizes(self):
-        # sizes 1..4 take 866 nodes, so the budget runs out inside order 5
+        # sizes 1..4 take 870 nodes, so the budget runs out inside order 5
         res = find_counterexample(SearchSpec(n=6, falsify=("x ^ y = x ^ y",), max_nodes=5000))
         assert (res.witness, res.nodes, res.found_n, res.exhausted) == (None, 5000, 5, False)
 
