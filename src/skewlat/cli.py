@@ -7,6 +7,7 @@ I/O error. Reports go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -297,36 +298,37 @@ def _cmd_theorems(args) -> int:
 # --- wiring ------------------------------------------------------------------
 
 
+# built once per process: a parse keeps no state in the parser (each makes a
+# fresh Namespace, an `append` action copies its default list before it
+# appends, and usage and help look up sys.stdout and sys.stderr when printed).
+# The parser names the verb only; `run` looks up its `_cmd_*` handler at call
+# time, so the cached parser holds no handler
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="skewlat", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("validate", help="check skew lattice axioms on algebra files")
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("structure", help="Green's relations and D-class order")
     p.add_argument("file")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
-    p.set_defaults(func=_cmd_structure)
 
     p = sub.add_parser("props", help="variety membership flags with witnesses")
     p.add_argument("file")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
-    p.set_defaults(func=_cmd_props)
 
     p = sub.add_parser("ybe", help="Yang-Baxter solution reports")
     p.add_argument("file")
     p.add_argument("--map", choices=ybe.MAP_KINDS, help="single map kind (default: all)")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
-    p.set_defaults(func=_cmd_ybe)
 
     p = sub.add_parser("construct", help="generate algebras (skewlat v1 output)")
     p.add_argument("what", choices=("chain", "rect", "fixed", "ring"))
     p.add_argument("arg", help="chain: sizes 'a,b,...'; rect: 'l,r'; fixed: 3R0|3R1|NC5R|NC5L; ring: 'dim,mod'")
     p.add_argument("-o", "--output", help="output file (ring: output directory)")
     p.add_argument("--ring-kind", choices=("full", "ut"), default="ut")
-    p.set_defaults(func=_cmd_construct)
 
     def search_flags(p):
         p.add_argument("--satisfy", action="append", default=[], metavar="PRED")
@@ -342,31 +344,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="write a resume checkpoint on budget exhaustion")
     p.add_argument("--resume", help="resume from a checkpoint file")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
-    p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("search", help="find a counterexample over sizes 1..N (exit 1 if none)")
     p.add_argument("--max-n", type=int, required=True)
     search_flags(p)
     p.add_argument("-o", "--output", help="write the witness as a skewlat v1 file")
-    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("theorems", help="run the theorem battery over all algebras up to a size")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--only", help="comma-separated theorem names (default: all)")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
-    p.set_defaults(func=_cmd_theorems)
 
     return top
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    """Run one skewlat command line (sys.argv[1:] when argv is None) and
+    return its exit code; see the module docstring. It may be called any
+    number of times in one process: every call shares one parser."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.verb}"](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

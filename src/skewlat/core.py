@@ -179,22 +179,27 @@ def axiom_violations(pair: CayleyPair) -> list:
             out.append(Violation("idempotency of meet", (x,)))
         if j[x][x] != x:
             out.append(Violation("idempotency of join", (x,)))
+    # rows hoisted out of the inner loop: mxy is the row of x ^ y, and
+    # mxy[z] != mx[my[z]] reads (x ^ y) ^ z != x ^ (y ^ z)
     for x in rng:
+        mx, jx = m[x], j[x]
         for y in rng:
+            my, jy, mxy, jxy = m[y], j[y], m[mx[y]], j[jx[y]]
             for z in rng:
-                if m[m[x][y]][z] != m[x][m[y][z]]:
+                if mxy[z] != mx[my[z]]:
                     out.append(Violation("associativity of meet", (x, y, z)))
-                if j[j[x][y]][z] != j[x][j[y][z]]:
+                if jxy[z] != jx[jy[z]]:
                     out.append(Violation("associativity of join", (x, y, z)))
     for x in rng:
+        mx, jx = m[x], j[x]
         for y in rng:
-            if m[x][j[x][y]] != x:
+            if mx[jx[y]] != x:
                 out.append(Violation("absorption x^(xvy)=x", (x, y)))
-            if j[x][m[x][y]] != x:
+            if jx[mx[y]] != x:
                 out.append(Violation("absorption xv(x^y)=x", (x, y)))
-            if j[m[x][y]][y] != y:
+            if j[mx[y]][y] != y:
                 out.append(Violation("absorption (x^y)vy=y", (x, y)))
-            if m[j[x][y]][y] != y:
+            if m[jx[y]][y] != y:
                 out.append(Violation("absorption (xvy)^y=y", (x, y)))
     return out
 

@@ -98,15 +98,22 @@ def is_right_handed(S: SkewLattice) -> bool:
 
 def is_congruence(S: SkewLattice, P: Partition):
     """Return None if P is a congruence for both operations, else a witness."""
-    cls = P.class_of
-    for x in range(S.n):
-        for y in range(S.n):
+    cls, m, j, rng = P.class_of, S.pair.meet, S.pair.join, range(S.n)
+    for x in rng:
+        mx, jx = m[x], j[x]
+        for y in rng:
             if cls[x] != cls[y]:
                 continue
-            for c in range(S.n):
-                for t in (S.pair.meet, S.pair.join):
-                    if cls[t[x][c]] != cls[t[y][c]] or cls[t[c][x]] != cls[t[c][y]]:
-                        return (x, y, c)
+            my, jy = m[y], j[y]
+            for c in rng:
+                mc, jc = m[c], j[c]
+                if (
+                    cls[mx[c]] != cls[my[c]]
+                    or cls[mc[x]] != cls[mc[y]]
+                    or cls[jx[c]] != cls[jy[c]]
+                    or cls[jc[x]] != cls[jc[y]]
+                ):
+                    return (x, y, c)
     return None
 
 

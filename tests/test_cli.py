@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -232,6 +233,51 @@ class TestConstructAndSearch:
         ck.write_text(search.spec_hash(search.SearchSpec(n=4)) + "\n0 1\n")
         code, out, err = run(capsys, "enumerate", "4", "--resume", str(ck))
         assert code == 2 and "not a checkpoint file" in err and out == ""
+
+
+class TestOneParserManyCalls:
+    # every `run` in a process parses with one parser, and a parse leaves
+    # nothing in it for the next
+
+    def test_every_call_parses_with_the_same_parser(self, capsys, monkeypatch, one_file):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        for argv in (("validate", one_file), ("frobnicate",), ("props", one_file), ("--help",)):
+            run(capsys, *argv)
+        assert len(parsers) == 4 and all(p is parsers[0] for p in parsers)
+
+    def test_appended_predicates_do_not_reach_the_next_call(self, capsys):
+        first = run(capsys, "search", "--max-n", "3", "--satisfy", "lattice", "--falsify", "distributive")
+        second = run(capsys, "search", "--max-n", "3", "--falsify", "distributive")
+        assert first == (1, "no witness up to n=3 (exhausted, 51 nodes)\n", "")
+        assert second == (1, "no witness up to n=3 (exhausted, 90 nodes)\n", "")
+
+    def test_usage_error_then_a_valid_call(self, capsys, one_file):
+        code, out, err = run(capsys, "validate")
+        assert (code, out) == (2, "") and err.startswith("usage: skewlat validate")
+        assert run(capsys, "validate", one_file) == (0, f"{one_file}: valid skew lattice (n=1)\n", "")
+
+    def test_help_then_a_valid_call(self, capsys, one_file):
+        code, out, err = run(capsys, "--help")
+        assert (code, err) == (0, "") and out.startswith("usage: skewlat")
+        assert run(capsys, "validate", one_file) == (0, f"{one_file}: valid skew lattice (n=1)\n", "")
+
+    def test_handlers_are_looked_up_at_call_time(self, capsys, monkeypatch, one_file):
+        # a handler patched after the parser was built is the one that runs,
+        # and the original runs again once the patch is undone
+        assert run(capsys, "validate", one_file)[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_validate", lambda args: seen.append(args.files) or 5)
+        assert run(capsys, "validate", one_file) == (5, "", "")
+        assert seen == [[one_file]]
+        monkeypatch.undo()
+        assert run(capsys, "validate", one_file) == (0, f"{one_file}: valid skew lattice (n=1)\n", "")
 
 
 def test_python_dash_m_runs_the_cli():

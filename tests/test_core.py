@@ -1,14 +1,17 @@
+import functools
 import itertools
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skewlat import core
+from skewlat import core, search
 from skewlat.core import (
     AxiomError,
     CayleyPair,
     MalformedTableError,
+    Violation,
     axiom_violations,
     canonical_labeling,
     from_text,
@@ -93,6 +96,61 @@ class TestValidate:
             assert is_skew_lattice(pair) == brute_force_is_skew_lattice(pair)
             agree += 1
         assert agree == 3000
+
+
+def literal_axiom_violations(pair: CayleyPair) -> list:
+    """`axiom_violations` written formula by formula, in its order:
+    idempotency, then associativity, then the absorption laws."""
+    n, m, j = pair.n, pair.meet, pair.join
+    out = []
+    for x in range(n):
+        if m[x][x] != x:
+            out.append(Violation("idempotency of meet", (x,)))
+        if j[x][x] != x:
+            out.append(Violation("idempotency of join", (x,)))
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if m[m[x][y]][z] != m[x][m[y][z]]:
+            out.append(Violation("associativity of meet", (x, y, z)))
+        if j[j[x][y]][z] != j[x][j[y][z]]:
+            out.append(Violation("associativity of join", (x, y, z)))
+    for x, y in itertools.product(range(n), repeat=2):
+        if m[x][j[x][y]] != x:
+            out.append(Violation("absorption x^(xvy)=x", (x, y)))
+        if j[x][m[x][y]] != x:
+            out.append(Violation("absorption xv(x^y)=x", (x, y)))
+        if j[m[x][y]][y] != y:
+            out.append(Violation("absorption (x^y)vy=y", (x, y)))
+        if m[j[x][y]][y] != y:
+            out.append(Violation("absorption (xvy)^y=y", (x, y)))
+    return out
+
+
+@functools.cache
+def _small_census():
+    return [S.pair for n in range(1, 5) for S in search.census(n)]
+
+
+@st.composite
+def table_pairs(draw):
+    """Pairs of order <= 4 with entries in range, mostly not skew lattices:
+    two arbitrary tables, or a census member with up to three cells
+    rewritten, which fails few laws or none."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        table = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+        return CayleyPair.from_tables(draw(table), draw(table))
+    pair = draw(st.sampled_from(_small_census()))
+    n, tables = pair.n, [[list(row) for row in pair.meet], [list(row) for row in pair.join]]
+    cell = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        tables[draw(st.integers(0, 1))][draw(cell)][draw(cell)] = draw(cell)
+    return CayleyPair.from_tables(*tables)
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_pairs())
+def test_axiom_violations_match_the_formulas(pair):
+    assert axiom_violations(pair) == literal_axiom_violations(pair)
 
 
 class TestElementOps:

@@ -1,6 +1,10 @@
-import pytest
+import functools
+import itertools
 
-from skewlat import constructions, green
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skewlat import constructions, green, search
 from skewlat.core import CayleyPair, validate
 from skewlat.green import (
     NotACongruenceError,
@@ -86,6 +90,53 @@ class TestQuotients:
                 l_parts = {L.class_of[x] for x in cls}
                 total += len(r_parts) * len(l_parts)
             assert total == S.n
+
+
+def literal_congruence_witness(S, P):
+    """`is_congruence` written as the definition: the first (x, y, c), in
+    lexicographic order, with x and y in one class and some product with c,
+    meet or join, on either side, taking them to different classes."""
+    cls, n = P.class_of, S.n
+    for x, y, c in itertools.product(range(n), repeat=3):
+        if cls[x] == cls[y]:
+            for t in (S.pair.meet, S.pair.join):
+                if cls[t[x][c]] != cls[t[y][c]] or cls[t[c][x]] != cls[t[c][y]]:
+                    return (x, y, c)
+    return None
+
+
+@functools.cache
+def _algebras():
+    return [S for n in range(1, 6) for S in search.census(n)] + [
+        constructions.rectangular(2, 3),
+        constructions.rectangular(3, 3),
+        constructions.chain((3, 3, 3)),
+        constructions.chain((2, 1, 3)),
+        constructions.direct_product(constructions.fixed("3R0"), constructions.fixed("3R1")),
+    ]
+
+
+@st.composite
+def partitioned_algebras(draw):
+    """A census member of order <= 5 or a construction, and a random
+    partition of its elements into at most three classes."""
+    S = draw(st.sampled_from(_algebras()))
+    labels = draw(st.lists(st.integers(0, 2), min_size=S.n, max_size=S.n))
+    return S, Partition.from_pairs(S.n, lambda x, y: labels[x] == labels[y])
+
+
+@settings(max_examples=400, deadline=None)
+@given(partitioned_algebras())
+def test_congruence_witness_matches_the_definition(case):
+    S, P = case
+    assert is_congruence(S, P) == literal_congruence_witness(S, P)
+
+
+def test_green_congruence_witnesses_match_the_definition():
+    # Green's L, R and D are congruences of a skew lattice: no witness
+    for S in _algebras():
+        for P in green_relations(S):
+            assert is_congruence(S, P) == literal_congruence_witness(S, P), (S.pair, P)
 
 
 class TestCosets:
