@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from . import green, terms
 from .constructions import fixed
-from .core import CayleyPair, SkewLattice, canonical_labeling
+from .core import CayleyPair, SkewLattice, canonical_labeling, orders
 
 # Each variety flag, in report order, with the bundled formulas whose
 # conjunction defines it. quasi_distributive names none on S: it is decided
@@ -135,7 +135,12 @@ def nc5_free(S: SkewLattice):
     The forbidden list is NC5R, NC5L plus the non-distributive lattices M3
     and N5: a skew lattice is simply cancellative exactly when none of the
     four embeds; the theorem battery checks the verdict against the
-    simple-cancellation quasi-identity. Each closed 5-subset, in
+    simple-cancellation quasi-identity. Each of the four has a zero and a
+    one, and the natural order x <= y (x ^ y = x = y ^ x) reads the same in
+    a subalgebra as in S, so every copy lies in an interval [b, t] of S
+    with b its zero and t its one. Only these 5-subsets are candidates:
+    b < t and three elements strictly between them; a subset has at most
+    one least element, so each is generated once. Each closed candidate, in
     combinations order, whose `_fingerprint` is one of the forbidden
     algebras' is canonicalized once and looked up among their canonical
     tables; two labelings with the same canonical table differ by the
@@ -145,8 +150,16 @@ def nc5_free(S: SkewLattice):
     labeling.
     """
     m, j = S.pair.meet, S.pair.join
+    leq, rng = orders(S).leq, range(S.n)
+    candidates = sorted(
+        tuple(sorted((b, t, *mid)))
+        for b in rng
+        for t in rng
+        if b != t and leq[b][t]
+        for mid in itertools.combinations([x for x in rng if leq[b][x] and leq[x][t] and x not in (b, t)], 3)
+    )
     first = {}  # name -> its first copy
-    for subset in itertools.combinations(range(S.n), 5):
+    for subset in candidates:
         index = {x: k for k, x in enumerate(subset)}
         try:
             sub = CayleyPair(

@@ -147,6 +147,9 @@ class TestConstructAndSearch:
             ("enumerate", "40", "--max-nodes", "5"),
             ("search", "--max-n", "40", "--max-nodes", "5"),
             ("theorems", "--max-n", "40"),
+            # orders beyond constructions.MAX_ORDER, rejected before any table is built
+            ("construct", "chain", "1000000"),
+            ("construct", "rect", "1000,1000"),
             # formulas nested too deeply for the term walkers
             pytest.param(("enumerate", "2", "--satisfy", "(" * 3000 + "x" + ")" * 3000 + " = x"), id="deep-parens"),
             pytest.param(("enumerate", "2", "--satisfy", " ^ ".join(["x"] * 5000) + " = x"), id="long-chain"),

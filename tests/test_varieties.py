@@ -1,6 +1,9 @@
-import pytest
+import itertools
 
-from skewlat import constructions, terms, varieties
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skewlat import constructions, search, terms, varieties
 from skewlat.core import CayleyPair, validate
 from skewlat.varieties import FLAG_NAMES, classify, nc5_free
 
@@ -80,3 +83,112 @@ class TestNc5Free:
         )
         res = nc5_free(S)
         assert res is not True and res[0] == "NC5R"
+
+
+def test_every_forbidden_algebra_has_a_zero_and_a_one():
+    # nc5_free looks for copies only inside the [zero, one] intervals of the
+    # natural order, so a forbidden algebra without both would go unseen
+    assert len(varieties._forbidden()) == 4
+    for flat in varieties._forbidden():
+        m = [flat[k : k + 5] for k in range(0, 25, 5)]
+        zeros = [z for z in range(5) if all(m[z][x] == z == m[x][z] for x in range(5))]
+        ones = [o for o in range(5) if all(m[o][x] == x == m[x][o] for x in range(5))]
+        assert len(zeros) == 1 and len(ones) == 1, flat
+
+
+# --- a brute-force oracle for nc5_free ----------------------------------------
+
+
+def _lattice(down):
+    """The lattice on 0..4 whose element x has the lower set down[x]."""
+    rng = range(5)
+
+    def bound(sets, x, y):  # the element whose set is the largest of those in both
+        return max((z for z in rng if z in sets[x] and z in sets[y]), key=lambda z: len(sets[z]))
+
+    up = [{y for y in rng if x in down[y]} for x in rng]
+    return CayleyPair.from_tables(
+        [[bound(down, x, y) for y in rng] for x in rng], [[bound(up, x, y) for y in rng] for x in rng]
+    )
+
+
+# in list order: the first of these that embeds is the one reported
+_ORACLE_TABLES = {
+    "NC5R": constructions.fixed("NC5R").pair,
+    "NC5L": constructions.fixed("NC5L").pair,
+    "M3": _lattice([{0}, {0, 1}, {0, 2}, {0, 3}, {0, 1, 2, 3, 4}]),
+    "N5": _lattice([{0}, {0, 1}, {0, 2}, {0, 2, 3}, {0, 1, 2, 3, 4}]),
+}
+
+
+def _is_isomorphism(S, img, T):
+    """True iff img maps its keys one-to-one onto 0..4 and carries the
+    tables of S on them to those of T."""
+    m, j = S.pair.meet, S.pair.join
+    return all(
+        img.get(m[x][y]) == T.meet[img[x]][img[y]] and img.get(j[x][y]) == T.join[img[x]][img[y]]
+        for x in img
+        for y in img
+    ) and sorted(img.values()) == list(range(5))
+
+
+def _brute_force_nc5(S):
+    """nc5_free's answer from every closed 5-subset in combinations order
+    and every bijection onto each forbidden table."""
+    m, j = S.pair.meet, S.pair.join
+    first = {}
+    for subset in itertools.combinations(range(S.n), 5):
+        if not all(m[x][y] in subset and j[x][y] in subset for x in subset for y in subset):
+            continue
+        for name, T in _ORACLE_TABLES.items():
+            if name in first:
+                continue
+            for image in itertools.permutations(range(5)):
+                img = dict(zip(subset, image))
+                if _is_isomorphism(S, img, T):
+                    first[name] = name, subset, img
+                    break
+    return next((first[name] for name in _ORACLE_TABLES if name in first), True)
+
+
+def _relabel(S, perm):
+    """S with each element x renamed perm[x]."""
+    pinv = [perm.index(x) for x in range(S.n)]
+    m, j = S.pair.meet, S.pair.join
+    return validate(
+        CayleyPair.from_tables(
+            [[perm[m[a][b]] for b in pinv] for a in pinv], [[perm[j[a][b]] for b in pinv] for a in pinv]
+        )
+    )
+
+
+def _assert_matches_oracle(S):
+    got, want = nc5_free(S), _brute_force_nc5(S)
+    if want is True:
+        assert got is True
+    else:
+        assert got[:2] == want[:2]
+        assert _is_isomorphism(S, got[2], _ORACLE_TABLES[got[0]])
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.data())
+def test_nc5_free_matches_the_brute_force_oracle_on_the_census(data):
+    # a labeling drawn for each member: the subset and the name reported
+    # both depend on it
+    for n in range(1, 7):
+        for S in search.census(n):
+            _assert_matches_oracle(_relabel(S, data.draw(st.permutations(range(n)))))
+
+
+# the order-6 census member holding copies of NC5L and N5
+_NC5L_AND_N5 = ((0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 1), (0, 0, 2, 2, 0, 2),
+                (0, 0, 2, 3, 0, 3), (0, 4, 0, 0, 4, 4), (0, 1, 2, 3, 4, 5))
+
+
+def test_nc5_free_matches_the_brute_force_oracle_on_products():
+    order6 = next(S for S in search.census(6) if S.pair.meet == _NC5L_AND_N5)
+    for left, sizes in ((constructions.fixed("NC5R"), (1, 1)), (constructions.fixed("NC5L"), (2,)), (order6, (1, 1))):
+        S = constructions.direct_product(left, constructions.chain(sizes))
+        assert _brute_force_nc5(S) is not True
+        _assert_matches_oracle(S)
