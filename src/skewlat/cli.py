@@ -214,16 +214,7 @@ def _make_spec(args, n, limit=0) -> search.SearchSpec:
         raise _UsageError(str(exc))
 
 
-def _check_predicates(args) -> None:
-    for name in list(args.satisfy or ()) + list(args.falsify or ()):
-        try:
-            search.resolve_predicate(name)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
-
-
 def _cmd_enumerate(args) -> int:
-    _check_predicates(args)
     spec = _make_spec(args, args.n, limit=args.limit)
     # witnesses found before the resume point, so a resumed run numbers its
     # files on from where the runs before it stopped
@@ -262,7 +253,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    _check_predicates(args)
     spec = _make_spec(args, args.max_n)
     result = search.find_counterexample(spec)
     if result.witness is not None:

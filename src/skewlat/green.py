@@ -1,4 +1,4 @@
-"""Green's relations, quotients, factor decompositions, cosets and diamonds.
+"""Green's relations, quotients, factor decompositions and cosets.
 
 All functions are pure over immutable SkewLattice values. Class ids are
 assigned by smallest contained element so reports and tests are
@@ -63,14 +63,6 @@ class Coset:
     lower_class: int
     direction: str  # "of-upper-in-lower" | "of-lower-in-upper"
     elements: frozenset
-
-
-@dataclass(frozen=True)
-class SkewDiamond:
-    J: int
-    A: int
-    B: int
-    M: int
 
 
 def green_relations(S: SkewLattice):
@@ -199,26 +191,6 @@ def coset_bijection(S: SkewLattice, coset_upper: Coset, coset_lower: Coset) -> d
     leq = orders(S).leq
     lower = sorted(coset_lower.elements)
     return {x: next(y for y in lower if leq[y][x]) for x in sorted(coset_upper.elements)}
-
-
-def skew_diamonds(S: SkewLattice) -> list:
-    """All class quadruples {J > A,B > M} with M = A^B and J = AvB."""
-    _, _, D = green_relations(S)
-    reps = [min(c) for c in D.classes]
-    k = D.size
-    m, j = S.pair.meet, S.pair.join
-    ord_ = class_order(S, D)
-    out = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            M = D.class_of[m[reps[a]][reps[b]]]
-            J = D.class_of[j[reps[a]][reps[b]]]
-            if len({a, b, M, J}) != 4:
-                continue
-            if ord_[M][a] and ord_[M][b] and ord_[a][J] and ord_[b][J]:
-                out.append(SkewDiamond(J=J, A=a, B=b, M=M))
-    out.sort(key=lambda d: (d.J, d.A, d.B, d.M))
-    return out
 
 
 def structure_report(S: SkewLattice) -> str:

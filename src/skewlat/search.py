@@ -35,8 +35,7 @@ is then checked with `is_canonical(pair, meet_automorphisms)`, which
 compares only the join table and only under those. A meet table with no
 open join cell has one join, which its automorphisms must fix, so its leaf
 is handed none and is canonical. The full scan of
-`canonical_labeling` serves `canonical_form`, `varieties.nc5_free` and the
-tests.
+`canonical_labeling` serves `canonical_form` and the tests.
 """
 
 from __future__ import annotations
@@ -73,6 +72,8 @@ class SearchSpec:
     max_seconds: float = 0.0  # wall-clock cap; 0 = unbounded
 
     def __post_init__(self):
+        for name in (*self.satisfy, *self.falsify):
+            resolve_predicate(name)  # an unknown name raises ValueError
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must be in 1..{MAX_N}")
         for name in ("limit", "max_nodes", "max_seconds"):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from . import green, terms
 from .constructions import fixed
-from .core import CayleyPair, SkewLattice, canonical_labeling, orders
+from .core import CayleyPair, SkewLattice, orders
 
 # Each variety flag, in report order, with the bundled formulas whose
 # conjunction defines it. quasi_distributive names none on S: it is decided
@@ -96,36 +96,32 @@ _N5 = (
 
 
 @functools.cache
-def _forbidden() -> dict:
-    """Canonical flat table -> (name, inverse of its canonical permutation)
-    for each of the four forbidden algebras."""
-    pairs = (
+def _patterns() -> dict:
+    """Middle-product pattern -> (name, order) for each forbidden algebra, in
+    report order, and each order of its middle elements 1, 2, 3.
+
+    Each algebra has its zero at 0 and its one at 4. With a candidate's least
+    element labeled 0, its middles 1..3 and its greatest 4, its pattern is
+    the labels of the meet and join of each ordered pair of distinct middles;
+    order[k] is the algebra's element for the candidate's label k. Orders
+    that differ by an automorphism give one pattern; the first is kept.
+    """
+    tables = (
         ("NC5R", fixed("NC5R").pair),
         ("NC5L", fixed("NC5L").pair),
         ("M3", CayleyPair.from_tables(*_M3)),
         ("N5", CayleyPair.from_tables(*_N5)),
     )
     out = {}
-    for name, pair in pairs:
-        flat, perm = canonical_labeling(pair)
-        out[flat] = (name, tuple(perm.index(c) for c in range(5)))
+    for name, T in tables:
+        for middles in itertools.permutations((1, 2, 3)):
+            order = (0, *middles, 4)
+            label = {x: k for k, x in enumerate(order)}
+            pattern = tuple(
+                label[op[order[x]][order[y]]] for x, y in itertools.permutations((1, 2, 3), 2) for op in (T.meet, T.join)
+            )
+            out.setdefault(pattern, (name, order))
     return out
-
-
-def _fingerprint(meet, join) -> tuple:
-    """A labeling-invariant summary of a pair: for each x, the number of y
-    with x ^ y = x and the number with x v y = x, sorted."""
-    return tuple(sorted((mr.count(x), jr.count(x)) for x, (mr, jr) in enumerate(zip(meet, join))))
-
-
-@functools.cache
-def _forbidden_fingerprints() -> frozenset:
-    """The fingerprints of the four forbidden algebras."""
-    out = set()
-    for flat in _forbidden():
-        rows = [flat[k : k + 5] for k in range(0, 50, 5)]
-        out.add(_fingerprint(rows[:5], rows[5:]))
-    return frozenset(out)
 
 
 def nc5_free(S: SkewLattice):
@@ -137,45 +133,42 @@ def nc5_free(S: SkewLattice):
     four embeds; the theorem battery checks the verdict against the
     simple-cancellation quasi-identity. Each of the four has a zero and a
     one, and the natural order x <= y (x ^ y = x = y ^ x) reads the same in
-    a subalgebra as in S, so every copy lies in an interval [b, t] of S
-    with b its zero and t its one. Only these 5-subsets are candidates:
-    b < t and three elements strictly between them; a subset has at most
-    one least element, so each is generated once. Each closed candidate, in
-    combinations order, whose `_fingerprint` is one of the forbidden
-    algebras' is canonicalized once and looked up among their canonical
-    tables; two labelings with the same canonical table differ by the
-    composite of their canonical permutations.
+    a subalgebra as in S, so every copy is some b < t of S with three
+    "middle" elements strictly between them; in each of the four, some
+    middle is incomparable to the other two. Only these 5-subsets are
+    candidates, so a chain has none. A subset has at most one least and one
+    greatest element, so each is generated once. Every product with b or t
+    follows from the order and x ^ x = x = x v x, so a candidate is a copy
+    exactly when the meets and joins of its distinct middles, read as labels
+    (b 0, the middles 1..3, t 4, None outside the subset), form one of the
+    algebras' patterns (`_patterns`), whose order gives the element map.
     The copy reported is of the first algebra in that list that embeds, on
-    the first subset holding one, so its name does not depend on the
-    labeling.
+    the first subset in combinations order holding one, so its name does
+    not depend on the labeling.
     """
     m, j = S.pair.meet, S.pair.join
     leq, rng = orders(S).leq, range(S.n)
+    below = [{y for y in rng if y != x and leq[y][x]} for x in rng]
+    above = [{y for y in rng if y != x and leq[x][y]} for x in rng]
+    middle = [x for x in rng if below[x] and above[x]]
+    triples = {
+        tuple(sorted((a, x, y)))
+        for a in middle
+        for x, y in itertools.combinations([z for z in middle if not (leq[a][z] or leq[z][a])], 2)
+    }
     candidates = sorted(
-        tuple(sorted((b, t, *mid)))
-        for b in rng
-        for t in rng
-        if b != t and leq[b][t]
-        for mid in itertools.combinations([x for x in rng if leq[b][x] and leq[x][t] and x not in (b, t)], 3)
+        (tuple(sorted((b, *mid, t))), b, mid, t)
+        for mid in triples
+        for b in below[mid[0]] & below[mid[1]] & below[mid[2]]
+        for t in above[mid[0]] & above[mid[1]] & above[mid[2]]
     )
-    first = {}  # name -> its first copy
-    for subset in candidates:
-        index = {x: k for k, x in enumerate(subset)}
-        try:
-            sub = CayleyPair(
-                5,
-                tuple(tuple(index[m[x][y]] for y in subset) for x in subset),
-                tuple(tuple(index[j[x][y]] for y in subset) for x in subset),
-            )
-        except KeyError:  # not closed
-            continue
-        if _fingerprint(sub.meet, sub.join) not in _forbidden_fingerprints():
-            continue
-        flat, perm = canonical_labeling(sub)
-        hit = _forbidden().get(flat)
+    patterns, first = _patterns(), {}  # name -> its first copy
+    for subset, b, mid, t in candidates:
+        label = {b: 0, mid[0]: 1, mid[1]: 2, mid[2]: 3, t: 4}
+        hit = patterns.get(tuple(label.get(op[x][y]) for x, y in itertools.permutations(mid, 2) for op in (m, j)))
         if hit is not None and hit[0] not in first:
-            name, pinv = hit
-            first[name] = name, subset, {x: pinv[perm[k]] for k, x in enumerate(subset)}
+            name, order = hit
+            first[name] = name, subset, {x: order[label[x]] for x in subset}
             if name == "NC5R":  # first in the list: nothing can come before it
                 break
-    return next((first[name] for name, _ in _forbidden().values() if name in first), True)
+    return next((first[name] for name, _ in patterns.values() if name in first), True)

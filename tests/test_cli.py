@@ -130,7 +130,7 @@ class TestConstructAndSearch:
 
     def test_bad_predicate_exits_two(self, capsys):
         code, _, err = run(capsys, "enumerate", "3", "--satisfy", "nonsense")
-        assert code == 2
+        assert code == 2 and "unknown predicate 'nonsense'" in err
 
     @pytest.mark.parametrize(
         "argv",

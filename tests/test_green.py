@@ -20,7 +20,6 @@ from skewlat.green import (
     is_right_handed,
     maximal_lattice_image,
     quotient,
-    skew_diamonds,
     structure_report,
 )
 
@@ -178,21 +177,6 @@ class TestCosets:
         bij = coset_bijection(S, ups[0], downs[0])
         assert sorted(bij) == sorted(ups[0].elements)
         assert sorted(bij.values()) == sorted(downs[0].elements)
-
-
-class TestDiamonds:
-    def test_product_of_chains_has_diamond(self):
-        S = constructions.direct_product(
-            constructions.chain((1, 1)), constructions.chain((1, 1))
-        )
-        ds = skew_diamonds(S)
-        assert len(ds) == 1
-        d = ds[0]
-        assert len({d.J, d.A, d.B, d.M}) == 4
-
-    def test_chain_has_no_diamond(self):
-        S = constructions.chain((2, 2, 2))
-        assert skew_diamonds(S) == []
 
 
 class TestReport:

@@ -436,6 +436,12 @@ class TestPredicates:
         with pytest.raises(ValueError):
             resolve_predicate("definitely-not-a-thing")
 
+    def test_unknown_predicate_rejected_when_the_spec_is_built(self):
+        with pytest.raises(ValueError, match="unknown predicate 'definitely-not-a-thing'"):
+            SearchSpec(n=3, satisfy=("definitely-not-a-thing",))
+        with pytest.raises(ValueError, match="unknown predicate 'not-a-flag'"):
+            SearchSpec(n=3, satisfy=("lattice",), falsify=("not-a-flag",))
+
 
 class TestBudgetsAndCheckpoints:
     def test_node_budget_yields_checkpoint(self):

@@ -85,17 +85,6 @@ class TestNc5Free:
         assert res is not True and res[0] == "NC5R"
 
 
-def test_every_forbidden_algebra_has_a_zero_and_a_one():
-    # nc5_free looks for copies only inside the [zero, one] intervals of the
-    # natural order, so a forbidden algebra without both would go unseen
-    assert len(varieties._forbidden()) == 4
-    for flat in varieties._forbidden():
-        m = [flat[k : k + 5] for k in range(0, 25, 5)]
-        zeros = [z for z in range(5) if all(m[z][x] == z == m[x][z] for x in range(5))]
-        ones = [o for o in range(5) if all(m[o][x] == x == m[x][o] for x in range(5))]
-        assert len(zeros) == 1 and len(ones) == 1, flat
-
-
 # --- a brute-force oracle for nc5_free ----------------------------------------
 
 
@@ -130,6 +119,33 @@ def _is_isomorphism(S, img, T):
         for x in img
         for y in img
     ) and sorted(img.values()) == list(range(5))
+
+
+def test_every_forbidden_algebra_has_a_zero_and_a_one():
+    # nc5_free looks for copies only among some b < t of the natural order
+    # and three middles between them, one of which is incomparable to the
+    # other two, and reads b as 0 and t as 4: a forbidden algebra not of this
+    # shape would go unseen
+    patterns = varieties._patterns()
+    assert list(dict.fromkeys(name for name, _ in patterns.values())) == list(_ORACLE_TABLES)
+    for name, T in _ORACLE_TABLES.items():
+        leq = [[T.meet[x][y] == x == T.meet[y][x] for y in range(5)] for x in range(5)]
+        assert all(leq[0][x] and leq[x][4] for x in range(5)), name
+        assert any(all(not (leq[a][x] or leq[x][a]) for x in (1, 2, 3) if x != a) for a in (1, 2, 3)), name
+        # each order of its middles, read as nc5_free reads a candidate, is
+        # recognized, and its element map is an automorphism of T
+        for middles in itertools.permutations((1, 2, 3)):
+            label = {0: 0, middles[0]: 1, middles[1]: 2, middles[2]: 3, 4: 4}
+            pattern = tuple(label[t[x][y]] for x, y in itertools.permutations(middles, 2) for t in (T.meet, T.join))
+            found, order = patterns[pattern]
+            assert found == name
+            assert _is_isomorphism(validate(T), {x: order[label[x]] for x in range(5)}, T), (name, middles)
+
+
+def test_a_chain_holds_no_forbidden_algebra():
+    # C(256, 5), about 8.8e9 subsets, lie in [zero, one] intervals of this
+    # chain, but no middle is incomparable to another
+    assert nc5_free(constructions.chain((1,) * 256)) is True
 
 
 def _brute_force_nc5(S):
