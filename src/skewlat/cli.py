@@ -177,10 +177,7 @@ def _cmd_construct(args) -> int:
         if len(sizes) != 2:
             raise _UsageError("ring takes 'DIM,MOD', e.g. 'ring 2,2'")
         spec = _construct(constructions.RingSpec, kind=args.ring_kind, dim=sizes[0], mod=sizes[1])
-        try:
-            result = constructions.ring_band(spec)
-        except constructions.BudgetExceededError as exc:
-            raise _UsageError(str(exc))
+        result = constructions.ring_band(spec)
         outdir = args.output or "."
         os.makedirs(outdir, exist_ok=True)
         for idx, (S, kind, _band) in enumerate(result.emitted):

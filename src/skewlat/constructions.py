@@ -124,10 +124,6 @@ def subalgebras(S: SkewLattice, max_size: int) -> list:
 # --- bands of idempotent matrices over Z_p ----------------------------------
 
 
-class BudgetExceededError(RuntimeError):
-    pass
-
-
 MAX_MATRICES = 65536  # the most matrices ring_band will enumerate
 # the largest order chain and rectangular will build: validating the n^3
 # axiom instances takes about 1.2 s at 256 (2 shared CPUs, Python 3.11),
@@ -149,10 +145,22 @@ class RingSpec:
     def __post_init__(self):
         if self.kind not in ("full", "ut"):
             raise ValueError(f"ring kind must be 'full' or 'ut', not {self.kind!r}")
-        if self.mod < 2 or any(self.mod % k == 0 for k in range(2, self.mod)):
-            raise ValueError(f"modulus {self.mod} is not prime")
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
+        if self.mod < 2:
+            raise ValueError(f"modulus {self.mod} is not prime")
+        # mod ** cells matrices, multiplied out only until past the budget:
+        # at most 17 factors of mod >= 2, before the trial division below
+        cells = self.dim * self.dim if self.kind == "full" else self.dim * (self.dim + 1) // 2
+        count = 1
+        for _ in range(cells):
+            count *= self.mod
+            if count > MAX_MATRICES:
+                raise ValueError(
+                    f"the {self.kind} matrices of this dimension and modulus exceed the budget of {MAX_MATRICES}"
+                )
+        if any(self.mod % k == 0 for k in range(2, self.mod)):
+            raise ValueError(f"modulus {self.mod} is not prime")
 
 
 @dataclass
@@ -187,9 +195,6 @@ def _all_matrices(spec: RingSpec):
         cells = [(i, j) for i in range(d) for j in range(d)]
     else:
         cells = [(i, j) for i in range(d) for j in range(d) if i <= j]
-    count = p ** len(cells)
-    if count > MAX_MATRICES:
-        raise BudgetExceededError(f"{count} matrices exceed the budget {MAX_MATRICES}")
     for values in itertools.product(range(p), repeat=len(cells)):
         m = [[0] * d for _ in range(d)]
         for (i, j), v in zip(cells, values):

@@ -137,6 +137,30 @@ def canonical_labeling(pair: CayleyPair):
     return best, best_perm
 
 
+def is_canonical(pair: CayleyPair, meet_automorphisms=None) -> bool:
+    """True iff the pair is the lex-least labeling of its isomorphism class.
+
+    `meet_automorphisms`, when given, are permutations p (p[x] the new label
+    of x) that fix the meet table, and the caller knows that every other
+    relabeling makes the meet table larger, as at a leaf of the search.
+    Only the join table can then undercut the pair, and only under them.
+    Without it, every relabeling is compared (`canonical_labeling`)."""
+    if meet_automorphisms is None:
+        return canonical_labeling(pair)[0] == pair.flat()
+    n = pair.n
+    join = tuple(itertools.chain.from_iterable(pair.join))
+    return all(
+        _compare((pair.join,), n, p, sorted(range(n), key=p.__getitem__), join) >= 0 for p in meet_automorphisms
+    )
+
+
+def canonical_form(pair: CayleyPair) -> CayleyPair:
+    """The lex-least labeling of the pair's isomorphism class."""
+    flat, n = canonical_labeling(pair)[0], pair.n
+    rows = tuple(flat[k : k + n] for k in range(0, 2 * n * n, n))
+    return CayleyPair(n, rows[:n], rows[n:])
+
+
 @dataclass(frozen=True)
 class SkewLattice:
     """A CayleyPair that passed validate(); immutable and safe to share."""

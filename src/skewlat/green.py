@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import terms
-from .core import CayleyPair, SkewLattice, validate
+from .core import CayleyPair, SkewLattice, orders, validate
 
 
 class NotACongruenceError(ValueError):
@@ -48,21 +48,6 @@ class Partition:
     @property
     def size(self) -> int:
         return len(self.classes)
-
-
-@dataclass(frozen=True)
-class QuotientAlgebra:
-    base: SkewLattice
-    partition: Partition
-    algebra: SkewLattice  # operation tables on class ids
-
-
-@dataclass(frozen=True)
-class Coset:
-    upper_class: int
-    lower_class: int
-    direction: str  # "of-upper-in-lower" | "of-lower-in-upper"
-    elements: frozenset
 
 
 def green_relations(S: SkewLattice):
@@ -109,7 +94,9 @@ def is_congruence(S: SkewLattice, P: Partition):
     return None
 
 
-def quotient(S: SkewLattice, P: Partition) -> QuotientAlgebra:
+def quotient(S: SkewLattice, P: Partition) -> SkewLattice:
+    """S/P, with operation tables on the class ids of P; raises
+    NotACongruenceError when P is not a congruence."""
     witness = is_congruence(S, P)
     if witness is not None:
         raise NotACongruenceError(witness)
@@ -117,15 +104,14 @@ def quotient(S: SkewLattice, P: Partition) -> QuotientAlgebra:
     k = len(reps)
     meet = [[P.class_of[S.meet(reps[a], reps[b])] for b in range(k)] for a in range(k)]
     join = [[P.class_of[S.join(reps[a], reps[b])] for b in range(k)] for a in range(k)]
-    q = validate(CayleyPair.from_tables(meet, join))
-    return QuotientAlgebra(S, P, q)
+    return validate(CayleyPair.from_tables(meet, join))
 
 
 def is_lattice(S: SkewLattice) -> bool:
     return terms.holds_all(S, ("commute-meet", "commute-join")) is True
 
 
-def maximal_lattice_image(S: SkewLattice) -> QuotientAlgebra:
+def maximal_lattice_image(S: SkewLattice) -> SkewLattice:
     """S/D, the maximal lattice image (the theorem battery checks that it
     is a lattice)."""
     _, _, D = green_relations(S)
@@ -156,7 +142,8 @@ def class_order(S: SkewLattice, D: Partition):
 
 
 def cosets(S: SkewLattice, A: int, B: int, direction: str, D: Partition) -> list:
-    """Cosets between comparable D-classes A > B.
+    """The cosets between comparable D-classes A > B, as frozensets of elements
+    sorted by their least member.
 
     direction "of-upper-in-lower": subsets a ^ b ^ a' of B for b in B;
     direction "of-lower-in-upper": subsets b v a v b' of A for a in A.
@@ -176,21 +163,16 @@ def cosets(S: SkewLattice, A: int, B: int, direction: str, D: Partition) -> list
         t, source, target = S.pair.join, lower, upper
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    out = {}
-    for x in target:
-        cs = frozenset(t[t[s][x]][s2] for s in source for s2 in source)
-        out.setdefault(cs, Coset(A, B, direction, cs))
-    return sorted(out.values(), key=lambda c: min(c.elements))
+    out = {frozenset(t[t[s][x]][s2] for s in source for s2 in source) for x in target}
+    return sorted(out, key=min)
 
 
-def coset_bijection(S: SkewLattice, coset_upper: Coset, coset_lower: Coset) -> dict:
+def coset_bijection(S: SkewLattice, coset_upper: frozenset, coset_lower: frozenset) -> dict:
     """The order bijection: x in the upper coset maps to the unique y <= x
     in the lower coset (the theorem battery checks that it is one)."""
-    from .core import orders
-
     leq = orders(S).leq
-    lower = sorted(coset_lower.elements)
-    return {x: next(y for y in lower if leq[y][x]) for x in sorted(coset_upper.elements)}
+    lower = sorted(coset_lower)
+    return {x: next(y for y in lower if leq[y][x]) for x in sorted(coset_upper)}
 
 
 def structure_report(S: SkewLattice) -> str:

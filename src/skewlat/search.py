@@ -34,8 +34,9 @@ the automorphisms of the meet table, which the lex-leader keeps; the leaf
 is then checked with `is_canonical(pair, meet_automorphisms)`, which
 compares only the join table and only under those. A meet table with no
 open join cell has one join, which its automorphisms must fix, so its leaf
-is handed none and is canonical. The full scan of
-`canonical_labeling` serves `canonical_form` and the tests.
+is handed none and is canonical. `is_canonical` and `canonical_form` live
+in `core` beside `canonical_labeling`, and all three compare relabeled
+tables through one routine; this module imports `is_canonical` by name.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from . import terms, varieties, ybe
-from .core import CayleyPair, SkewLattice, canonical_labeling, label_zero_class, validate
+from .core import CayleyPair, SkewLattice, is_canonical, label_zero_class, validate
 from .core import axiom_violations  # noqa: F401  bench/spans.py traces it through this module
 
 
@@ -101,40 +102,6 @@ class CounterexampleResult:
 def spec_hash(spec: SearchSpec) -> str:
     text = f"{spec.n}|{list(spec.satisfy)}|{list(spec.falsify)}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-# --- canonical forms ---------------------------------------------------------
-
-
-def is_canonical(pair: CayleyPair, meet_automorphisms=None) -> bool:
-    """True iff the pair is the lex-least labeling of its isomorphism class.
-
-    `meet_automorphisms`, when given, are permutations p (p[x] the new label
-    of x) that fix the meet table, and the caller knows that every other
-    relabeling makes the meet table larger, as at a leaf of the search.
-    Only the join table can then undercut the pair, and only under them.
-    Without it, every relabeling is compared (`canonical_labeling`)."""
-    if meet_automorphisms is None:
-        return canonical_labeling(pair)[0] == pair.flat()
-    n, join = pair.n, pair.join
-    for p in meet_automorphisms:
-        pinv = sorted(range(n), key=p.__getitem__)
-        # row a of the relabeled join table, compared row by row
-        for a in range(n):
-            row = join[pinv[a]]
-            image = tuple(p[row[x]] for x in pinv)
-            if image != join[a]:
-                if image < join[a]:
-                    return False
-                break
-    return True
-
-
-def canonical_form(pair: CayleyPair) -> CayleyPair:
-    """The lex-least labeling of the pair's isomorphism class."""
-    flat, n = canonical_labeling(pair)[0], pair.n
-    rows = tuple(flat[k : k + n] for k in range(0, 2 * n * n, n))
-    return CayleyPair(n, rows[:n], rows[n:])
 
 
 # --- named predicates --------------------------------------------------------

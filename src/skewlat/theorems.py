@@ -209,11 +209,11 @@ def _coset_membership_criterion(S: SkewLattice):
             ups = green.cosets(S, A, B, "of-lower-in-upper", D)
             downs = green.cosets(S, A, B, "of-upper-in-lower", D)
             for cs, cls in ((ups, A), (downs, B)):
-                if sorted(x for c in cs for x in c.elements) != sorted(D.classes[cls]):
+                if sorted(x for c in cs for x in c) != sorted(D.classes[cls]):
                     return f"cosets do not partition class {cls} ({A} > {B})"
             coset_of = {}
             for c in ups:
-                for a in c.elements:
+                for a in c:
                     coset_of[a] = c
             for a in sorted(D.classes[A]):
                 for a2 in sorted(D.classes[A]):
@@ -224,12 +224,12 @@ def _coset_membership_criterion(S: SkewLattice):
                         return f"coset membership criterion fails for {a},{a2} in class {A} over {B}"
             for X in ups:
                 for Y in downs:
-                    below = {x: [y for y in Y.elements if leq[y][x]] for x in X.elements}
+                    below = {x: [y for y in Y if leq[y][x]] for x in X}
                     bijection = {x: ys[0] for x, ys in below.items() if len(ys) == 1}
-                    if len(bijection) != len(X.elements) or sorted(bijection.values()) != sorted(Y.elements):
-                        return f"<= is no bijection from coset {sorted(X.elements)} onto {sorted(Y.elements)}"
+                    if len(bijection) != len(X) or sorted(bijection.values()) != sorted(Y):
+                        return f"<= is no bijection from coset {sorted(X)} onto {sorted(Y)}"
                     if green.coset_bijection(S, X, Y) != bijection:
-                        return f"coset_bijection is not <= from coset {sorted(X.elements)} onto {sorted(Y.elements)}"
+                        return f"coset_bijection is not <= from coset {sorted(X)} onto {sorted(Y)}"
     return True
 
 
@@ -260,12 +260,12 @@ def _decomposition_invariants(S: SkewLattice):
     bad = green.is_congruence(S, D)
     if bad is not None:
         return f"D is not a congruence: {bad}"
-    if not green.is_lattice(green.maximal_lattice_image(S).algebra):
+    if not green.is_lattice(green.maximal_lattice_image(S)):
         return "S/D is not a lattice"
     left, right = green.factors(S)
-    if not green.is_left_handed(left.algebra):
+    if not green.is_left_handed(left):
         return "S/R is not left-handed"
-    if not green.is_right_handed(right.algebra):
+    if not green.is_right_handed(right):
         return "S/L is not right-handed"
     # S is the fiber product S/R x_{S/D} S/L
     image = {(R.class_of[x], L.class_of[x]) for x in S.elements()}
@@ -283,10 +283,7 @@ def _decomposition_invariants(S: SkewLattice):
         in_s = terms.holds(S, f) is True
         if not in_s and name in ("reg1", "reg2"):
             return f"regularity identity {name} fails"
-        in_factors = (
-            terms.holds(left.algebra, f) is True
-            and terms.holds(right.algebra, f) is True
-        )
+        in_factors = terms.holds(left, f) is True and terms.holds(right, f) is True
         if in_s != in_factors:
             return f"identity {name} transfer mismatch (S: {in_s}, factors: {in_factors})"
     return True

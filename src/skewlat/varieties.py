@@ -63,7 +63,7 @@ def check(S: SkewLattice, flag: str):
     """
     names = FLAGS[flag]
     if flag == "quasi_distributive":
-        S, names = green.maximal_lattice_image(S).algebra, ("D1", "D2")
+        S, names = green.maximal_lattice_image(S), ("D1", "D2")
     found = terms.holds_all(S, names)
     return True if found is True else found[1]
 

@@ -41,9 +41,6 @@ class PairMap:
     n: int
     table: tuple
 
-    def __call__(self, x: int, y: int):
-        return self.table[x][y]
-
 
 @dataclass(frozen=True)
 class BraidWitness:

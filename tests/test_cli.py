@@ -150,6 +150,9 @@ class TestConstructAndSearch:
             # orders beyond constructions.MAX_ORDER, rejected before any table is built
             ("construct", "chain", "1000000"),
             ("construct", "rect", "1000,1000"),
+            # ring specs past the matrix budget, refused before the primality test
+            ("construct", "ring", "300,2"),
+            ("construct", "ring", "1,1000000007"),
             # formulas nested too deeply for the term walkers
             pytest.param(("enumerate", "2", "--satisfy", "(" * 3000 + "x" + ")" * 3000 + " = x"), id="deep-parens"),
             pytest.param(("enumerate", "2", "--satisfy", " ^ ".join(["x"] * 5000) + " = x"), id="long-chain"),

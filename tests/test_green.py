@@ -61,8 +61,7 @@ class TestQuotients:
     def test_d_quotient_is_lattice(self, census5):
         for n in (3, 4):
             for S in census5[n]:
-                q = maximal_lattice_image(S)
-                assert is_lattice(q.algebra)
+                assert is_lattice(maximal_lattice_image(S))
 
     def test_non_congruence_rejected(self, threes):
         S, _ = threes
@@ -73,14 +72,13 @@ class TestQuotients:
 
     def test_identity_partition_quotient_is_isomorphic(self, threes):
         S, _ = threes
-        q = quotient(S, Partition.identity(3))
-        assert q.algebra.pair == S.pair
+        assert quotient(S, Partition.identity(3)).pair == S.pair
 
     def test_factors_fiber_product(self, census5):
         for S in census5[5][:20]:
             left, right = factors(S)
-            assert is_left_handed(left.algebra)
-            assert is_right_handed(right.algebra)
+            assert is_left_handed(left)
+            assert is_right_handed(right)
             # the pullback size equals n: per D-class, (R-classes) x (L-classes)
             L, R, D = green_relations(S)
             total = 0
@@ -148,8 +146,8 @@ class TestCosets:
         up = cosets(S, upper, lower, "of-lower-in-upper", D)
         # B = {0} is a singleton, so 0 ^ a ^ 0 gives one coset {0} downward
         # and 0 v a v 0 splits the upper class into singleton cosets
-        assert [sorted(c.elements) for c in down] == [[0]]
-        assert [sorted(c.elements) for c in up] == [[1], [2]]
+        assert [sorted(c) for c in down] == [[0]]
+        assert [sorted(c) for c in up] == [[1], [2]]
 
     def test_incomparable_classes_rejected(self):
         S = constructions.direct_product(
@@ -175,8 +173,8 @@ class TestCosets:
         ups = cosets(S, hi, lo, "of-lower-in-upper", D)
         downs = cosets(S, hi, lo, "of-upper-in-lower", D)
         bij = coset_bijection(S, ups[0], downs[0])
-        assert sorted(bij) == sorted(ups[0].elements)
-        assert sorted(bij.values()) == sorted(downs[0].elements)
+        assert sorted(bij) == sorted(ups[0])
+        assert sorted(bij.values()) == sorted(downs[0])
 
 
 class TestReport:

@@ -11,18 +11,18 @@ from skewlat.constructions import RingSpec, chain, direct_product, fixed, rectan
 from skewlat.core import (
     CayleyPair,
     MalformedTableError,
+    canonical_form,
     canonical_labeling,
+    is_canonical,
     is_skew_lattice,
     label_zero_class,
     validate,
 )
 from skewlat.search import (
     SearchSpec,
-    canonical_form,
     census,
     enumerate_skew_lattices,
     find_counterexample,
-    is_canonical,
     load_checkpoint,
     resolve_predicate,
     save_checkpoint,

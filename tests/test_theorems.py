@@ -69,7 +69,7 @@ FAULTS = [
     ("decomposition-invariants", green, "factors", lambda real: lambda S: real(S)[::-1], "3R0", 3),
     ("coset-membership-criterion", green, "cosets", lambda real: lambda *a: real(*a)[:-1], "3R0", 2),
     ("coset-membership-criterion", green, "coset_bijection",
-     lambda real: lambda S, X, Y: {x: x for x in X.elements}, "3R0", 2),
+     lambda real: lambda S, X, Y: {x: x for x in X}, "3R0", 2),
     ("lower-update-composition-law", ybe, "build_map", _identity_map_for("lower_update"), "3R0", 3),
     ("lower-update-composition-law", ybe, "build_map", _identity_map_for("upper_update"), "3R0", 3),
     ("handed-update-coincidences", ybe, "build_map", _identity_map_for("lower_update"), "3R0", 3),
