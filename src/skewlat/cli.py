@@ -11,7 +11,7 @@ import functools
 import os
 import sys
 
-from . import constructions, core, green, search, terms, theorems, varieties, ybe
+from . import constructions, core, green, search, theorems, varieties, ybe
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -42,6 +42,19 @@ def _tsv(rows) -> str:
     return "".join("\t".join(str(c) for c in row) + "\n" for row in rows)
 
 
+def _bool(flag) -> str:
+    return str(flag).lower()
+
+
+def _braces(elements) -> str:
+    """The elements in increasing order, in braces: {0, 4, 21}."""
+    return "{" + ", ".join(str(x) for x in sorted(elements)) + "}"
+
+
+def _assignment(witness: dict, sep: str) -> str:
+    return sep.join(f"{k}={v}" for k, v in sorted(witness.items()))
+
+
 # --- verbs -------------------------------------------------------------------
 
 
@@ -62,15 +75,28 @@ def _cmd_validate(args) -> int:
 
 def _cmd_structure(args) -> int:
     S = _load_algebra(args.file)
+    L, R, D = green.green_relations(S)
     if args.format == "tsv":
-        L, R, D = green.green_relations(S)
         rows = [("class", "kind", "elements")]
         for kind, P in (("L", L), ("R", R), ("D", D)):
             for cid, cls in enumerate(P.classes):
                 rows.append((cid, kind, " ".join(str(x) for x in sorted(cls))))
         sys.stdout.write(_tsv(rows))
-    else:
-        sys.stdout.write(green.structure_report(S))
+        return EXIT_OK
+    lines = [
+        f"n: {S.n}",
+        f"left-handed: {varieties.check(S, 'left_handed') is True}",
+        f"right-handed: {varieties.check(S, 'right_handed') is True}",
+    ]
+    for cid, cls in enumerate(D.classes):
+        lines.append(f"D-class {cid}: {_braces(cls)}")
+    leq, k = green.class_order(S, D), D.size
+    for a in range(k):
+        for b in range(k):
+            # Hasse edge: no class strictly between
+            if a != b and leq[a][b] and not any(c not in (a, b) and leq[a][c] and leq[c][b] for c in range(k)):
+                lines.append(f"S/D edge: {a} < {b}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -81,62 +107,51 @@ def _cmd_props(args) -> int:
     if args.format == "tsv":
         rows = [("property", "value", "witness")]
         for name in varieties.FLAG_NAMES:
-            w = report.witnesses.get(name)
-            wtext = "" if w is None else " ".join(f"{k}={v}" for k, v in sorted(w.items()))
-            rows.append((name, str(report.flags[name]).lower(), wtext))
-        rows.append(
-            (
-                "nc5_free",
-                str(free is True).lower(),
-                "" if free is True else f"{free[0]} on {free[1]}",
-            )
-        )
+            rows.append((name, _bool(report.flags[name]), _assignment(report.witnesses.get(name, {}), " ")))
+        rows.append(("nc5_free", _bool(free is True), "" if free is True else f"{free[0]} on {free[1]}"))
         sys.stdout.write(_tsv(rows))
+        return EXIT_OK
+    lines = []
+    for name in varieties.FLAG_NAMES:
+        lines.append(f"{name}: {_bool(report.flags[name])}")
+        if name in report.witnesses:
+            lines.append(f"  counterexample: {_assignment(report.witnesses[name], ', ')}")
+    if free is True:
+        lines.append("nc5_free: true")
     else:
-        sys.stdout.write(report.to_text())
-        if free is True:
-            print("nc5_free: true")
-        else:
-            name, subset, _ = free
-            print(f"nc5_free: false (contains {name} on elements {set(subset)})")
+        lines.append(f"nc5_free: false (contains {free[0]} on elements {_braces(free[1])})")
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def _cmd_ybe(args) -> int:
     S = _load_algebra(args.file)
-    kinds = [args.map] if args.map else list(ybe.MAP_KINDS)
-    reports = [ybe.solution_report(S, k) for k in kinds]
+    results = []  # (kind, braid witness or None, power flags by name, left and right nondegenerate)
+    for kind in [args.map] if args.map else ybe.MAP_KINDS:
+        m = ybe.build_map(S, kind)
+        p = ybe.power_class(m)
+        powers = {"involutive": p.involutive, "idempotent": p.idempotent, "cubic": p.cubic}
+        results.append((kind, ybe.braid_check(m), powers, *ybe.degeneracy(m)))
     if args.format == "tsv":
-        rows = [
-            (
-                "map",
-                "braid",
-                "witness",
-                "involutive",
-                "idempotent",
-                "cubic",
-                "left_nondegenerate",
-                "right_nondegenerate",
-            )
-        ]
-        for r in reports:
-            rows.append(
-                (
-                    r.map_name,
-                    "pass" if r.braid is None else "fail",
-                    "" if r.braid is None else str(r.braid.triple),
-                    str(r.power.involutive).lower(),
-                    str(r.power.idempotent).lower(),
-                    str(r.power.cubic).lower(),
-                    str(r.left_nondegenerate).lower(),
-                    str(r.right_nondegenerate).lower(),
-                )
-            )
+        rows = [("map", "braid", "witness", "involutive", "idempotent", "cubic", "left_nondegenerate", "right_nondegenerate")]
+        for kind, braid, powers, left, right in results:
+            verdict, witness = ("pass", "") if braid is None else ("fail", braid.triple)
+            rows.append((kind, verdict, witness, *map(_bool, powers.values()), _bool(left), _bool(right)))
         sys.stdout.write(_tsv(rows))
     else:
-        for r in reports:
-            sys.stdout.write(r.to_text())
-    return EXIT_OK if all(r.braid is None for r in reports) else EXIT_FAIL
+        lines = []
+        for kind, braid, powers, left, right in results:
+            lines += [
+                f"map: {kind}",
+                "braid: pass" if braid is None else f"braid: fail ({braid})",
+                # the class is the first power flag that holds, in this order
+                f"power-class: {next((name for name, flag in powers.items() if flag), 'none')}",
+                "power-flags: " + " ".join(f"{name}={_bool(flag)}" for name, flag in powers.items()),
+                f"left-nondegenerate: {_bool(left)}",
+                f"right-nondegenerate: {_bool(right)}",
+            ]
+        print("\n".join(lines))
+    return EXIT_OK if all(braid is None for _, braid, *_ in results) else EXIT_FAIL
 
 
 def _write_algebra(pair: core.CayleyPair, out, label: str) -> None:
@@ -240,12 +255,12 @@ def _cmd_enumerate(args) -> int:
     if args.format == "tsv":
         rows = [
             ("n", "count_up_to_iso", "nodes", "exhausted"),
-            (args.n, result.count_up_to_iso, result.nodes, str(result.exhausted).lower()),
+            (args.n, result.count_up_to_iso, result.nodes, _bool(result.exhausted)),
         ]
         sys.stdout.write(_tsv(rows))
     else:
         print(f"n={args.n}: {result.count_up_to_iso} algebras up to isomorphism "
-              f"({result.nodes} nodes, exhausted={str(result.exhausted).lower()})")
+              f"({result.nodes} nodes, exhausted={_bool(result.exhausted)})")
     return EXIT_OK
 
 
@@ -277,8 +292,17 @@ def _cmd_theorems(args) -> int:
         for name in result.passes:
             rows.append((name, result.passes[name] + len(result.failures[name]), len(result.failures[name])))
         sys.stdout.write(_tsv(rows))
-    else:
-        print(result.to_text())
+        return EXIT_OK if result.ok else EXIT_FAIL
+    width = max(len(name) for name in theorems.THEOREMS)
+    lines = [f"theorem battery over {result.algebra_count} algebras (n <= {result.max_n})"]
+    for name, passed in result.passes.items():
+        fails = result.failures[name]
+        verdict = "pass" if not fails else f"FAIL ({len(fails)})"
+        lines.append(f"  {name:<{width}}  {passed:>5} checked  {verdict}")
+        for witness, alg in fails[:3]:
+            lines.append(f"    witness: {witness}")
+            lines.extend("    " + ln for ln in alg.splitlines())
+    print("\n".join(lines))
     return EXIT_OK if result.ok else EXIT_FAIL
 
 

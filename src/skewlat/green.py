@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import terms
 from .core import CayleyPair, SkewLattice, orders, validate
 
 
@@ -63,16 +62,6 @@ def green_relations(S: SkewLattice):
     return L, R, D
 
 
-def is_left_handed(S: SkewLattice) -> bool:
-    """x^y^x = x^y everywhere (equivalently L = D)."""
-    return terms.holds_all(S, ("left-handed",)) is True
-
-
-def is_right_handed(S: SkewLattice) -> bool:
-    """x^y^x = y^x everywhere (equivalently R = D)."""
-    return terms.holds_all(S, ("right-handed",)) is True
-
-
 def is_congruence(S: SkewLattice, P: Partition):
     """Return None if P is a congruence for both operations, else a witness."""
     cls, m, j, rng = P.class_of, S.pair.meet, S.pair.join, range(S.n)
@@ -105,10 +94,6 @@ def quotient(S: SkewLattice, P: Partition) -> SkewLattice:
     meet = [[P.class_of[S.meet(reps[a], reps[b])] for b in range(k)] for a in range(k)]
     join = [[P.class_of[S.join(reps[a], reps[b])] for b in range(k)] for a in range(k)]
     return validate(CayleyPair.from_tables(meet, join))
-
-
-def is_lattice(S: SkewLattice) -> bool:
-    return terms.holds_all(S, ("commute-meet", "commute-join")) is True
 
 
 def maximal_lattice_image(S: SkewLattice) -> SkewLattice:
@@ -174,25 +159,3 @@ def coset_bijection(S: SkewLattice, coset_upper: frozenset, coset_lower: frozens
     lower = sorted(coset_lower)
     return {x: next(y for y in lower if leq[y][x]) for x in sorted(coset_upper)}
 
-
-def structure_report(S: SkewLattice) -> str:
-    """Plain-text structure report with stable ordering."""
-    L, R, D = green_relations(S)
-    ord_ = class_order(S, D)
-    lines = [f"n: {S.n}"]
-    lines.append(f"left-handed: {is_left_handed(S)}")
-    lines.append(f"right-handed: {is_right_handed(S)}")
-    for cid, cls in enumerate(D.classes):
-        lines.append(f"D-class {cid}: {{{', '.join(str(x) for x in sorted(cls))}}}")
-    edges = []
-    k = D.size
-    for a in range(k):
-        for b in range(k):
-            if a == b or not ord_[a][b]:
-                continue
-            # Hasse edge: no class strictly between
-            if not any(c not in (a, b) and ord_[a][c] and ord_[c][b] for c in range(k)):
-                edges.append((a, b))
-    for a, b in sorted(edges):
-        lines.append(f"S/D edge: {a} < {b}")
-    return "\n".join(lines) + "\n"

@@ -39,12 +39,12 @@ def _update_maps_are_solutions(S: SkewLattice):
 def _update_equals_lower_update(S: SkewLattice):
     # On right-handed algebras (x^y)vx is the lower update; dually, on
     # left-handed algebras (yvx)^y is the upper update.
-    if green.is_right_handed(S):
+    if varieties.check(S, "right_handed") is True:
         a = ybe.build_map(S, "update")
         b = ybe.build_map(S, "lower_update")
         if a.table != b.table:
             return "(x^y)vx differs from the lower update on a right-handed algebra"
-    if green.is_left_handed(S):
+    if varieties.check(S, "left_handed") is True:
         c = ybe.build_map(S, "co_update")
         d = ybe.build_map(S, "upper_update")
         if c.table != d.table:
@@ -173,7 +173,7 @@ def _lower_update_composition(S: SkewLattice):
     uu = [[upper[y][x][1] for y in S.elements()] for x in S.elements()]
     m, j = S.pair.meet, S.pair.join
     _, _, D = green.green_relations(S)
-    left_handed = green.is_left_handed(S)
+    left_handed = varieties.check(S, "left_handed") is True
     for x in S.elements():
         for y in S.elements():
             u = lu[x][y]
@@ -235,9 +235,9 @@ def _coset_membership_criterion(S: SkewLattice):
 
 def _handed_weak_collapse(S: SkewLattice):
     weak = ybe.build_map(S, "weak")
-    if green.is_left_handed(S) and weak.table != ybe.build_map(S, "left").table:
+    if varieties.check(S, "left_handed") is True and weak.table != ybe.build_map(S, "left").table:
         return "left-handed algebra where the weak map differs from the left map"
-    if green.is_right_handed(S) and weak.table != ybe.build_map(S, "right").table:
+    if varieties.check(S, "right_handed") is True and weak.table != ybe.build_map(S, "right").table:
         return "right-handed algebra where the weak map differs from the right map"
     return True
 
@@ -253,19 +253,19 @@ def _decomposition_invariants(S: SkewLattice):
                 return f"R of meet and L of join differ at ({x},{y})"
             if (L.class_of[x] == L.class_of[y]) != (j[x][y] == y and j[y][x] == x):
                 return f"L of meet and R of join differ at ({x},{y})"
-    if green.is_left_handed(S) != (L.class_of == D.class_of):
+    if (varieties.check(S, "left_handed") is True) != (L.class_of == D.class_of):
         return "left-handed identity disagrees with L = D"
-    if green.is_right_handed(S) != (R.class_of == D.class_of):
+    if (varieties.check(S, "right_handed") is True) != (R.class_of == D.class_of):
         return "right-handed identity disagrees with R = D"
     bad = green.is_congruence(S, D)
     if bad is not None:
         return f"D is not a congruence: {bad}"
-    if not green.is_lattice(green.maximal_lattice_image(S)):
+    if varieties.check(green.maximal_lattice_image(S), "lattice") is not True:
         return "S/D is not a lattice"
     left, right = green.factors(S)
-    if not green.is_left_handed(left):
+    if varieties.check(left, "left_handed") is not True:
         return "S/R is not left-handed"
-    if not green.is_right_handed(right):
+    if varieties.check(right, "right_handed") is not True:
         return "S/L is not right-handed"
     # S is the fiber product S/R x_{S/D} S/L
     image = {(R.class_of[x], L.class_of[x]) for x in S.elements()}
@@ -346,18 +346,6 @@ class BatteryResult:
     @property
     def ok(self) -> bool:
         return not any(self.failures.values())
-
-    def to_text(self) -> str:
-        lines = [f"theorem battery over {self.algebra_count} algebras (n <= {self.max_n})"]
-        width = max(len(k) for k in THEOREMS)
-        for name in self.passes:
-            fails = self.failures[name]
-            verdict = "pass" if not fails else f"FAIL ({len(fails)})"
-            lines.append(f"  {name:<{width}}  {self.passes[name]:>5} checked  {verdict}")
-            for witness, alg in fails[:3]:
-                lines.append(f"    witness: {witness}")
-                lines.extend("    " + ln for ln in alg.splitlines())
-        return "\n".join(lines)
 
 
 # The largest order the battery runs to: it needs an unbudgeted census of

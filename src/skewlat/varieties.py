@@ -44,16 +44,6 @@ class VarietyReport:
     def __getitem__(self, name: str) -> bool:
         return self.flags[name]
 
-    def to_text(self) -> str:
-        lines = []
-        for name in FLAG_NAMES:
-            lines.append(f"{name}: {str(self.flags[name]).lower()}")
-            if name in self.witnesses:
-                w = self.witnesses[name]
-                assign = ", ".join(f"{k}={v}" for k, v in sorted(w.items()))
-                lines.append(f"  counterexample: {assign}")
-        return "\n".join(lines) + "\n"
-
 
 def check(S: SkewLattice, flag: str):
     """True, or the first failing assignment of the flag's formulas.

@@ -58,35 +58,6 @@ class PowerClass:
     idempotent: bool
     cubic: bool
 
-    @property
-    def name(self) -> str:
-        for flag, label in ((self.involutive, "involutive"), (self.idempotent, "idempotent"), (self.cubic, "cubic")):
-            if flag:
-                return label
-        return "none"
-
-
-@dataclass(frozen=True)
-class SolutionReport:
-    map_name: str
-    braid: object  # None = pass, else BraidWitness
-    power: PowerClass
-    left_nondegenerate: bool
-    right_nondegenerate: bool
-
-    def to_text(self) -> str:
-        lines = [f"map: {self.map_name}"]
-        lines.append("braid: pass" if self.braid is None else f"braid: fail ({self.braid})")
-        lines.append(f"power-class: {self.power.name}")
-        lines.append(
-            "power-flags: involutive={} idempotent={} cubic={}".format(
-                *(str(b).lower() for b in (self.power.involutive, self.power.idempotent, self.power.cubic))
-            )
-        )
-        lines.append(f"left-nondegenerate: {str(self.left_nondegenerate).lower()}")
-        lines.append(f"right-nondegenerate: {str(self.right_nondegenerate).lower()}")
-        return "\n".join(lines) + "\n"
-
 
 @functools.cache
 def _compiled_maps() -> dict:
@@ -173,14 +144,3 @@ def solution_identity_check(S: SkewLattice, family: str):
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(FAMILY_IDENTITIES)}")
     return terms.holds_all(S, FAMILY_IDENTITIES[family])
 
-
-def solution_report(S: SkewLattice, kind: str) -> SolutionReport:
-    m = build_map(S, kind)
-    left, right = degeneracy(m)
-    return SolutionReport(
-        map_name=kind,
-        braid=braid_check(m),
-        power=power_class(m),
-        left_nondegenerate=left,
-        right_nondegenerate=right,
-    )

@@ -1,5 +1,6 @@
 import argparse
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,23 @@ class TestReports:
         _, out1, _ = run(capsys, "props", r0_file)
         _, out2, _ = run(capsys, "props", r0_file)
         assert out1 == out2
+
+    def test_props_lists_the_nc5_copy_in_order(self, capsys, tmp_path):
+        # NC5R x a 7-element chain, with x relabeled p[x]: its first NC5R copy
+        # is on {0, 4, 21, 25, 33}, which a Python set iterates out of order
+        S = constructions.direct_product(constructions.chain((1,) * 7), constructions.fixed("NC5R"))
+        p = list(range(S.n))
+        random.Random(5).shuffle(p)
+        meet, join = ([[0] * S.n for _ in p] for _ in range(2))
+        for x in S.elements():
+            for y in S.elements():
+                meet[p[x]][p[y]], join[p[x]][p[y]] = p[S.meet(x, y)], p[S.join(x, y)]
+        path = tmp_path / "relabeled.skl"
+        core.save(core.CayleyPair.from_tables(meet, join), path)
+        _, text, _ = run(capsys, "props", str(path))
+        _, tsv, _ = run(capsys, "props", str(path), "--format", "tsv")
+        assert text.splitlines()[-1] == "nc5_free: false (contains NC5R on elements {0, 4, 21, 25, 33})"
+        assert tsv.splitlines()[-1].split("\t")[2].startswith("NC5R on (0, 4, 21, 25, 33)")
 
 
 class TestConstructAndSearch:

@@ -30,8 +30,9 @@ class TestFixed:
         r = fixed("NC5R")
         l = fixed("NC5L")
         assert r.n == l.n == 5
-        assert green.is_right_handed(r) and not green.is_left_handed(r)
-        assert green.is_left_handed(l) and not green.is_right_handed(l)
+        flags_r, flags_l = varieties.classify(r), varieties.classify(l)
+        assert flags_r["right_handed"] and not flags_r["left_handed"]
+        assert flags_l["left_handed"] and not flags_l["right_handed"]
         # NC5L is the opposite algebra of NC5R
         transpose = lambda t: tuple(tuple(t[j][i] for j in range(5)) for i in range(5))
         assert l.pair.meet == transpose(r.pair.meet)

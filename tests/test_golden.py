@@ -1,6 +1,6 @@
 """Pinned report bytes: the sha256 of stdout and the exit code of each report
-verb, in text and in tsv, run through `cli.run` on a few built algebras, and
-of the theorem battery up to order 4.
+verb, in text and in tsv, run through `cli.run` on a few built algebras, of
+the theorem battery up to order 4, and of a failing battery up to order 3.
 
 A change to any report's text shows here first. Update a digest only when
 the new text is meant."""
@@ -9,7 +9,7 @@ import hashlib
 
 import pytest
 
-from skewlat import cli, constructions, core
+from skewlat import cli, constructions, core, ybe
 
 ALGEBRAS = {
     "3R0": lambda: constructions.fixed("3R0"),
@@ -59,6 +59,14 @@ BATTERY = {
     "tsv": (0, "17e9a89351c686d1a2e1cdf65c8087e666bf4485708bf09441431a643525f358"),
 }
 
+# format -> (exit code, sha256 of stdout) of `theorems --max-n 3` with a
+# power_class that calls every map idempotent and not cubic: two entries fail,
+# and the text lists up to three witnesses of each with their tables
+FAILING_BATTERY = {
+    "text": (1, "e73a9186f423ab3edb1fef4d8053162a054dedcf07d3c504e429fb825fad62cf"),
+    "tsv": (1, "f3c67108db23a8a3aa7e9965ff915dc83e020be41596e522e2c8beb8f93cc96f"),
+}
+
 
 def _digest(capsys, argv):
     code = cli.run(argv)
@@ -75,3 +83,9 @@ def test_report_bytes(capsys, tmp_path, verb, name, fmt):
 @pytest.mark.parametrize("fmt", sorted(BATTERY))
 def test_battery_bytes(capsys, fmt):
     assert _digest(capsys, ["theorems", "--max-n", "4", "--format", fmt]) == BATTERY[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(FAILING_BATTERY))
+def test_failing_battery_bytes(monkeypatch, capsys, fmt):
+    monkeypatch.setattr(ybe, "power_class", lambda m: ybe.PowerClass(involutive=False, idempotent=True, cubic=False))
+    assert _digest(capsys, ["theorems", "--max-n", "3", "--format", fmt]) == FAILING_BATTERY[fmt]

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewlat import constructions, green, search
+from skewlat import cli, constructions, core, search, varieties
 from skewlat.core import CayleyPair, validate
 from skewlat.green import (
     NotACongruenceError,
@@ -15,12 +15,8 @@ from skewlat.green import (
     factors,
     green_relations,
     is_congruence,
-    is_lattice,
-    is_left_handed,
-    is_right_handed,
     maximal_lattice_image,
     quotient,
-    structure_report,
 )
 
 
@@ -53,15 +49,15 @@ class TestGreenRelations:
             m = S.pair.meet
             lh = all(m[m[x][y]][x] == m[x][y] for x in S.elements() for y in S.elements())
             rh = all(m[m[x][y]][x] == m[y][x] for x in S.elements() for y in S.elements())
-            assert is_left_handed(S) == lh
-            assert is_right_handed(S) == rh
+            assert (varieties.check(S, "left_handed") is True) == lh
+            assert (varieties.check(S, "right_handed") is True) == rh
 
 
 class TestQuotients:
     def test_d_quotient_is_lattice(self, census5):
         for n in (3, 4):
             for S in census5[n]:
-                assert is_lattice(maximal_lattice_image(S))
+                assert varieties.check(maximal_lattice_image(S), "lattice") is True
 
     def test_non_congruence_rejected(self, threes):
         S, _ = threes
@@ -77,8 +73,8 @@ class TestQuotients:
     def test_factors_fiber_product(self, census5):
         for S in census5[5][:20]:
             left, right = factors(S)
-            assert is_left_handed(left)
-            assert is_right_handed(right)
+            assert varieties.check(left, "left_handed") is True
+            assert varieties.check(right, "right_handed") is True
             # the pullback size equals n: per D-class, (R-classes) x (L-classes)
             L, R, D = green_relations(S)
             total = 0
@@ -178,11 +174,20 @@ class TestCosets:
 
 
 class TestReport:
-    def test_structure_report_mentions_classes(self, threes):
-        S, _ = threes
-        text = structure_report(S)
-        assert "D-class 0" in text and "right-handed: True" in text
+    @pytest.fixture()
+    def r0_file(self, tmp_path, threes):
+        path = tmp_path / "3R0.skl"
+        core.save(threes[0].pair, path)
+        return str(path)
 
-    def test_report_is_deterministic(self, threes):
-        S, _ = threes
-        assert structure_report(S) == structure_report(S)
+    def test_structure_report_mentions_classes(self, capsys, r0_file):
+        assert cli.run(["structure", r0_file]) == 0
+        text = capsys.readouterr().out
+        assert "D-class 0: {0}" in text and "right-handed: True" in text and "S/D edge: 0 < 1" in text
+
+    def test_report_is_deterministic(self, capsys, r0_file):
+        outputs = []
+        for _ in range(2):
+            cli.run(["structure", r0_file])
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]

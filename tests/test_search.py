@@ -326,9 +326,9 @@ def test_relabeling_changes_nothing(data):
     T = validate(pair)
     assert varieties.classify(T).flags == varieties.classify(S).flags
     for kind in ybe.MAP_KINDS:
-        a, b = ybe.solution_report(S, kind), ybe.solution_report(T, kind)
-        assert (a.braid is None, a.power, a.left_nondegenerate, a.right_nondegenerate) == (
-            b.braid is None, b.power, b.left_nondegenerate, b.right_nondegenerate
+        a, b = ybe.build_map(S, kind), ybe.build_map(T, kind)
+        assert (ybe.braid_check(a) is None, ybe.power_class(a), ybe.degeneracy(a)) == (
+            ybe.braid_check(b) is None, ybe.power_class(b), ybe.degeneracy(b)
         ), kind
     sizes = [sorted(len(c) for c in green.green_relations(A)[2].classes) for A in (S, T)]
     assert sizes[0] == sizes[1]
@@ -424,13 +424,6 @@ class TestPredicates:
     def test_raw_formula_resolves(self, threes):
         pred = resolve_predicate("x ^ y = y ^ x")
         assert pred(threes[0]) is False
-
-    def test_handedness_flags_agree_with_green(self, census5):
-        left, right = resolve_predicate("left_handed"), resolve_predicate("right_handed")
-        for n in range(1, 6):
-            for S in census5[n]:
-                assert left(S) == green.is_left_handed(S)
-                assert right(S) == green.is_right_handed(S)
 
     def test_unknown_predicate_rejected(self):
         with pytest.raises(ValueError):

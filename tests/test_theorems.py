@@ -44,6 +44,22 @@ def _flip_binormal(real):
     return fake
 
 
+def _flip_check(flag):
+    """A varieties.check fault: `flag` reads the opposite verdict."""
+
+    def fault(real):
+        def fake(S, f):
+            found = real(S, f)
+            if f != flag:
+                return found
+            return {"x": 0} if found is True else True
+
+        return fake
+
+    fault.kind = flag
+    return fault
+
+
 def _identity_map_for(kind):
     """A build_map fault: the map (x, y) -> (x, y) in place of `kind`."""
 
@@ -63,7 +79,7 @@ def _identity_map_for(kind):
 FAULTS = [
     ("orders-cohere-with-green", core, "orders", _flip_one_leq_cell, "3R0", 2),
     ("decomposition-invariants", green, "green_relations", _merge_two_d_classes, "3R0", 2),
-    ("decomposition-invariants", green, "is_left_handed", lambda real: lambda S: not real(S), "3R0", 1),
+    ("decomposition-invariants", varieties, "check", _flip_check("left_handed"), "3R0", 1),
     ("decomposition-invariants", green, "maximal_lattice_image",
      lambda real: lambda S: green.quotient(S, Partition.identity(S.n)), "3R0", 3),
     ("decomposition-invariants", green, "factors", lambda real: lambda S: real(S)[::-1], "3R0", 3),
@@ -84,7 +100,7 @@ FAULTS = [
 @pytest.mark.parametrize(
     "entry, module, name, fault, algebra, max_n",
     FAULTS,
-    # a build_map fault is named by the kind it replaces
+    # a build_map or check fault is named by the map kind or flag it replaces
     ids=[f"{entry}:{getattr(fault, 'kind', name)}" for entry, _, name, fault, *_ in FAULTS],
 )
 def test_owner_entry_catches_a_wrong_answer(monkeypatch, capsys, entry, module, name, fault, algebra, max_n):
@@ -96,7 +112,6 @@ def test_owner_entry_catches_a_wrong_answer(monkeypatch, capsys, entry, module, 
     assert isinstance(witness, str) and witness
     result = theorems.run_battery(max_n, names=[entry])
     assert not result.ok and result.failures[entry]
-    assert "FAIL" in result.to_text()
     assert cli.run(["theorems", "--max-n", str(max_n), "--only", entry]) == 1
     assert "FAIL" in capsys.readouterr().out
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewlat import constructions, search, terms, varieties
+from skewlat import cli, constructions, core, search, terms, varieties
 from skewlat.core import CayleyPair, validate
 from skewlat.varieties import FLAG_NAMES, classify, nc5_free
 
@@ -49,8 +49,14 @@ class TestClassify:
         r = classify(constructions.chain((2, 1, 3)))
         assert r["distributive"] and r["cancellative"]
 
-    def test_to_text_stable(self, threes):
-        assert classify(threes[0]).to_text() == classify(threes[0]).to_text()
+    def test_to_text_stable(self, capsys, tmp_path, threes):
+        path = tmp_path / "3R0.skl"
+        core.save(threes[0].pair, path)
+        outputs = []
+        for _ in range(2):
+            cli.run(["props", str(path)])
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestNc5Free:

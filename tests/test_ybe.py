@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from skewlat import constructions, theorems, ybe
+from skewlat import cli, constructions, core, theorems, ybe
 from skewlat.core import CayleyPair, validate
 from skewlat.ybe import (
     MAP_KINDS,
@@ -12,7 +12,6 @@ from skewlat.ybe import (
     degeneracy,
     power_class,
     solution_identity_check,
-    solution_report,
     twist_map,
 )
 
@@ -132,9 +131,17 @@ class TestUpdates:
 
 
 class TestClassification:
-    def test_power_class_name_priority(self):
-        m = twist_map(3)
-        assert power_class(m).name == "involutive"
+    def test_power_class_name_priority(self, capsys, tmp_path):
+        # on one element every map is the identity: involutive, idempotent and
+        # cubic at once, and the report names the first
+        path = tmp_path / "one.skl"
+        core.save(CayleyPair.from_tables([[0]], [[0]]), path)
+        assert cli.run(["ybe", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("power-")] == [
+            "power-class: involutive",
+            "power-flags: involutive=true idempotent=true cubic=true",
+        ] * len(MAP_KINDS)
 
     def test_degeneracy_of_twist(self):
         left, right = degeneracy(twist_map(3))
@@ -152,7 +159,9 @@ class TestClassification:
                 braid_ok = braid_check(build_map(S, family)) is None
                 assert (res is True) == braid_ok
 
-    def test_solution_report_text(self, threes):
-        rep = solution_report(threes[0], "strong")
-        text = rep.to_text()
+    def test_solution_report_text(self, capsys, tmp_path, threes):
+        path = tmp_path / "3R0.skl"
+        core.save(threes[0].pair, path)
+        assert cli.run(["ybe", str(path), "--map", "strong"]) == 1
+        text = capsys.readouterr().out
         assert "braid: fail" in text and "power-class: cubic" in text
