@@ -98,6 +98,24 @@ def label_zero_class(row, x0):
     return (x0, *(y for y, v in enumerate(row) if v == x0 != y))
 
 
+def relabelings(n, head):
+    """The inverses (label -> element) of the relabelings of range(n) that
+    give head[0] label 0 and the elements of head[1:] the labels
+    1..len(head)-1, in some order; in itertools.permutations order."""
+    rest = [y for y in range(n) if y not in head]
+    for mid in itertools.permutations(sorted(head[1:])):
+        for tail in itertools.permutations(rest):
+            yield (head[0], *mid, *tail)
+
+
+def inverse(p):
+    """The inverse of a permutation p of range(len(p)), as a list."""
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return inv
+
+
 def _inverses(pair: CayleyPair):
     """The inverses (label -> element) of the relabelings that can give the
     least table: those `label_zero_class` allows, the rest in every order,
@@ -109,11 +127,7 @@ def _inverses(pair: CayleyPair):
     most = max(m[x].count(x) for x in range(n))
     for x0 in range(n):
         if m[x0].count(x0) == most:
-            head = label_zero_class(m[x0], x0)
-            rest = [y for y in range(n) if y not in head]
-            for mid in itertools.permutations(head[1:]):
-                for tail in itertools.permutations(rest):
-                    yield (x0, *mid, *tail)
+            yield from relabelings(n, label_zero_class(m[x0], x0))
 
 
 def canonical_labeling(pair: CayleyPair):
@@ -126,10 +140,7 @@ def canonical_labeling(pair: CayleyPair):
     n, tables = pair.n, (pair.meet, pair.join)
     best = best_perm = None
     for pinv in _inverses(pair):
-        perm = [0] * n
-        for label, x in enumerate(pinv):
-            perm[x] = label
-        perm = tuple(perm)
+        perm = tuple(inverse(pinv))
         c = -1 if best is None else _compare(tables, n, perm, pinv, best)
         if c < 0 or (c == 0 and perm < best_perm):
             best = tuple(perm[t[pinv[a]][pinv[b]]] for t in tables for a in range(n) for b in range(n))
@@ -150,7 +161,7 @@ def is_canonical(pair: CayleyPair, meet_automorphisms=None) -> bool:
     n = pair.n
     join = tuple(itertools.chain.from_iterable(pair.join))
     return all(
-        _compare((pair.join,), n, p, sorted(range(n), key=p.__getitem__), join) >= 0 for p in meet_automorphisms
+        _compare((pair.join,), n, p, inverse(p), join) >= 0 for p in meet_automorphisms
     )
 
 

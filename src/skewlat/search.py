@@ -28,7 +28,10 @@ makes the decided prefix of the meet table strictly smaller. The
 relabelings that fix 0 are compared cell by cell; those that give x != 0
 label 0 wait for meet row x, where one count, of the x in that row against
 the 0 in row 0, cuts the node, drops them all, or lets in only those the
-label-0 rule of the least table allows (`core.label_zero_class`). By a leaf,
+label-0 rule of the least table allows (`core.label_zero_class`). Those
+that give x label 0 come from `core.relabelings`, the enumeration that
+`canonical_labeling` runs too; a search builds them once, when it first
+needs them, so before its first node only those that fix 0. By a leaf,
 every other relabeling reads larger somewhere in the meet table, except
 the automorphisms of the meet table, which the lex-leader keeps; the leaf
 is then checked with `is_canonical(pair, meet_automorphisms)`, which
@@ -42,8 +45,6 @@ tables through one routine; this module imports `is_canonical` by name.
 from __future__ import annotations
 
 import hashlib
-import itertools
-import math
 import os
 import tempfile
 import time
@@ -51,15 +52,17 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from . import terms, varieties, ybe
-from .core import CayleyPair, SkewLattice, is_canonical, label_zero_class, validate
+from .core import CayleyPair, SkewLattice, inverse, is_canonical, label_zero_class, relabelings, validate
 from .core import axiom_violations  # noqa: F401  bench/spans.py traces it through this module
 
 
-# The largest order a search accepts. Before its first node a search keeps
-# n!·n² bytes of relabelings and one chain entry for each that fixes 0: at
-# n = 9 a process peaks near 77 MB after 5 s (2 shared CPUs, Python 3.11),
-# and each step up multiplies that by about n; a cell index stops fitting a
-# byte at n = 17. n = 8 exhausts in one process: 1,971 classes in 52 s.
+# The largest order a search accepts. A search builds each relabeling when it
+# first needs it, as n² bytes: before its first node only the (n−1)! that fix
+# 0, which take 0.6 s at n = 9. Peaks measured on 2 shared CPUs, Python 3.11:
+# n = 8 exhausts in one process, 1,971 classes in 40–50 s at 45 MB; an n = 9
+# search reaches 61 MB after 5 s, and a process that holds all 9!
+# relabelings and nothing else 67 MB. A cell index stops fitting a byte at
+# n = 17.
 MAX_N = 9
 
 
@@ -161,48 +164,6 @@ class _BudgetExhausted(Exception):
         self.path = path
 
 
-def _relabelings(n, cells):
-    """Every permutation of range(n), numbered by its inverse in
-    itertools.permutations order, in two flat byte strings. The q-th
-    permutation p (q = 0 the identity) gives label 0 to element
-    q // (n-1)!, so those that give x label 0 are one block of numbers.
-
-    values[q*n + v] is p[v], and sources[q*m + k] (m = len(cells)) is the
-    position in `cells` of the cell that p carries onto cells[k]: the
-    relabeled table reads p[t[c]] at cells[k], where c is that source cell."""
-    index = {c: k for k, c in enumerate(cells)}
-    values = bytearray()
-    sources = bytearray()
-    for pinv in itertools.permutations(range(n)):
-        perm = [0] * n
-        for label, x in enumerate(pinv):
-            perm[x] = label
-        values.extend(perm)
-        sources.extend(index[(pinv[a], pinv[b])] for a, b in cells)
-    return bytes(values), bytes(sources)
-
-
-def _first_numbers(n, head):
-    """The numbers `_relabelings` gives the permutations whose inverse
-    starts with head[0], then head[1:] in some order: for each order, in
-    itertools.permutations order of head[1:] (sorted), the number of the
-    first such permutation; the (n - len(head))! numbers from it on share
-    that start.
-
-    A number is the sum over positions k of (n-1-k)! times a digit: how
-    many elements not placed before k are below the inverse's entry at k.
-    For an entry u of head[1:], those are the elements outside `head` below
-    u, and the entries of head[1:] still left below u (its index among
-    them)."""
-    x, under = head[0], head[1:]
-    below = {u: sum(w < u and w not in head for w in range(n)) for u in under}
-    level = [(x * math.factorial(n - 1), under)]
-    for k in range(1, len(head)):
-        weight = math.factorial(n - 1 - k)
-        level = [(q + (below[u] + i) * weight, left[:i] + left[i + 1 :]) for q, left in level for i, u in enumerate(left)]
-    return [q for q, _ in level]
-
-
 def _has_join(t, n, x, y):
     """Some u with t[x][u] in {x, -1} and t[u][y] in {y, -1}: a possible x v y."""
     tx = t[x]
@@ -241,10 +202,11 @@ class _Enumerator:
             (i, j): [(x, y) for x in range(n) for y in range(n) if {x, y} & {i, j}]
             for i, j in self.mcells
         }
-        self.perm_values, self.perm_sources = _relabelings(n, self.mcells)
-        # `_first_numbers` by its head, for the heads this search releases;
-        # at most n·2^(n-1) of them
-        self.firsts = {}
+        # by x, the relabelings that give x label 0 (`_block`); by head, the
+        # ones of them the search releases (`_release`), at most n·2^(n-1)
+        # lists of references into the blocks
+        self.blocks = {}
+        self.released = {}
         self.path = []
         # the decision cells: the meet cells, then, once the meet table is
         # complete, that table's open join cells and their candidates
@@ -269,8 +231,8 @@ class _Enumerator:
         # (see `_lex_leader`); the last slot collects the automorphisms of
         # the meet table
         chain = None
-        for q in range(1, math.factorial(self.n - 1)):
-            chain = (q, 0, chain)
+        for rel in self._block(0)[1:]:
+            chain = (rel, 0, chain)
         wake = [chain] + [None] * len(self.mcells)
         try:
             self._dfs(0, bool(self.resume), wake)
@@ -278,6 +240,31 @@ class _Enumerator:
             self.result.exhausted = False
             self.result.checkpoint = stop.path
         return self.result
+
+    def _block(self, x):
+        """The relabelings that give x label 0, in `core.relabelings` order,
+        built at the first call for x. A relabeling p is one bytes object:
+        for each meet cell, in `mcells` order, the position of its source
+        cell, the one p carries onto it (the relabeled table reads p[t[c]]
+        there, c that source cell), then p[v] for each element v. Cell
+        (i, j) is at position i·(n−1) + j − (j > i)."""
+        block = self.blocks.get(x)
+        if block is None:
+            n, cells = self.n, self.mcells
+            block = self.blocks[x] = []
+            for pinv in relabelings(n, (x,)):
+                sources = bytes(pinv[a] * (n - 1) + pinv[b] - (pinv[b] > pinv[a]) for a, b in cells)
+                block.append(sources + bytes(inverse(pinv)))
+        return block
+
+    def _release(self, head):
+        """The relabelings of head[0]'s block that label every element of
+        `head` below len(head), kept for the search."""
+        released = self.released.get(head)
+        if released is None:
+            k, m = len(head), len(self.mcells)
+            released = self.released[head] = [rel for rel in self._block(head[0]) if all(rel[m + y] < k for y in head)]
+        return released
 
     def _check_assign(self, t, occ, prunes, i, j):
         """Associativity and the current stage's satisfy prunes after
@@ -359,9 +346,10 @@ class _Enumerator:
         During the meet stage the decision path is the meet prefix in
         `mcells` order. A relabeling tied with the prefix before position f
         is next compared at f, which needs both f and its source position
-        decided, so it waits in wake[max(f, source)]: a chain of (q, f, rest)
-        tuples that sibling nodes share. One that reads larger can never give
-        a smaller table and is dropped for the subtree. One tied on the whole
+        decided, so it waits in wake[max(f, source)]: a chain of
+        (rel, f, rest) tuples that sibling nodes share, rel the relabeling's
+        bytes from `_block`. One that reads larger can never give a smaller
+        table and is dropped for the subtree. One tied on the whole
         meet table (an automorphism of the meet band) waits in wake[m], which
         the join stage passes through unchanged; at the leaf, `_emit` hands
         those to `is_canonical`, which compares the join table under them
@@ -378,7 +366,6 @@ class _Enumerator:
         the chains only those that give the y with x ^ y = x the labels
         0..c0-1: tied up to cell (0, c0), they are compared from there."""
         vals = self.path
-        values, sources = self.perm_values, self.perm_sources
         n, m = self.n, len(self.mcells)
         chain = wake[depth]
         x, j = self.mcells[depth]
@@ -389,32 +376,25 @@ class _Enumerator:
             if c > c0:
                 return None
             if end and c == c0:
-                head = label_zero_class(row, x)
-                firsts = self.firsts.get(head)
-                if firsts is None:
-                    firsts = self.firsts[head] = _first_numbers(n, head)
-                span = math.factorial(n - c0)
-                for first in firsts:
-                    for q in range(first, first + span):
-                        chain = (q, c0 - 1, chain)
+                for rel in self._release(label_zero_class(row, x)):
+                    chain = (rel, c0 - 1, chain)
         later = wake.copy()
         while chain is not None:
-            q, f, chain = chain
-            base_v, base_s = q * n, q * m
+            rel, f, chain = chain
             while f < m:
-                s = sources[base_s + f]
+                s = rel[f]
                 d = s if s > f else f
                 if d > depth:
-                    later[d] = (q, f, later[d])
+                    later[d] = (rel, f, later[d])
                     break
-                diff = values[base_v + vals[s]] - vals[f]
+                diff = rel[m + vals[s]] - vals[f]
                 if diff:
                     if diff < 0:
                         return None
                     break
                 f += 1
             else:
-                later[m] = (q, m, later[m])
+                later[m] = (rel, m, later[m])
         return later
 
     def _dfs(self, depth, on_path, wake):
@@ -545,8 +525,8 @@ class _Enumerator:
         pair = CayleyPair.from_tables([r[:n] for r in self.meet[:n]], [r[:n] for r in self.join[:n]])
         perms = []
         while automorphisms is not None:
-            q, _, automorphisms = automorphisms
-            perms.append(self.perm_values[q * n : q * n + n])
+            rel, _, automorphisms = automorphisms
+            perms.append(rel[-n:])
         if not is_canonical(pair, perms):
             return
         S = validate(pair)

@@ -242,34 +242,32 @@ def test_label_zero_rule_holds_on_every_census_member():
             assert all(c0 >= m[x].count(x) for x in range(n)), m
 
 
-def _released(n, head):
-    """The numbers of the relabelings the search releases for `head`."""
-    span = math.factorial(n - len(head))
-    return [q for first in search._first_numbers(n, head) for q in range(first, first + span)]
-
-
 def test_released_relabelings_are_those_of_the_label_zero_rule(census5):
-    # for each head, the numbers `_first_numbers` gives, each with the
-    # (n - len(head))! after it, are exactly the relabelings whose inverse
-    # starts with head[0], then head[1:] in some order
+    # for each head, `core.relabelings` yields, in itertools.permutations
+    # order, exactly the inverses that start with head[0], then head[1:] in
+    # some order
     inverses = list(itertools.permutations(range(5)))
     for x in range(5):
         for k in range(5):
             for under in itertools.combinations([y for y in range(5) if y != x], k):
-                want = [q for q, pinv in enumerate(inverses) if pinv[0] == x and set(pinv[1 : k + 1]) == set(under)]
-                assert _released(5, (x, *under)) == want, (x, under)
+                want = [pinv for pinv in inverses if pinv[0] == x and set(pinv[1 : k + 1]) == set(under)]
+                assert list(core.relabelings(5, (x, *under))) == want, (x, under)
     # on each census member, for each x whose row holds as many x as row 0
-    # holds 0, they are the relabelings that give x label 0 among those
-    # `canonical_labeling` compares
+    # holds 0, the search releases, from the relabelings that give x label 0,
+    # exactly those that `canonical_labeling` compares
     for n in range(1, 6):
-        values = search._Enumerator(SearchSpec(n=n)).perm_values
         for S in census5[n]:
             m = S.pair.meet
             for x in range(1, n):
                 if m[x].count(x) == m[0].count(0):
-                    got = {values[q * n : q * n + n] for q in _released(n, label_zero_class(m[x], x))}
+                    e = search._Enumerator(SearchSpec(n=n))
+                    got = e._release(label_zero_class(m[x], x))
                     want = {bytes(pinv.index(y) for y in range(n)) for pinv in core._inverses(S.pair) if pinv[0] == x}
-                    assert got == want, (m, x)
+                    assert {rel[-n:] for rel in got} == want, (m, x)
+                    # each starts with the position in `mcells` of its source cells
+                    for rel in got:
+                        pinv = sorted(range(n), key=rel[-n:].__getitem__)
+                        assert rel[:-n] == bytes(e.mcells.index((pinv[a], pinv[b])) for a, b in e.mcells)
 
 
 def test_orbit_stabilizer_counts_the_labeled_algebras(census5):
