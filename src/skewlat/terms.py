@@ -15,8 +15,10 @@ from types import MappingProxyType
 
 from .core import SkewLattice
 
-# holds runs one nested loop per variable; Python allows 20 nested blocks,
-# and n**8 assignments at n=6 are about 1.7M
+# the compiled check nests one `for` loop per variable, and in the deepest
+# the `if` of a formula's test with the `if` of its early return; Python
+# allows 20 nested loops (an `if` is not counted), and n**8 assignments at
+# n=6 are about 1.7M
 MAX_VARIABLES = 8
 # the walkers over a term (term_variables, the compiler, format_term) recurse
 # once per level, so a term at most this deep, in operators or in
@@ -224,59 +226,110 @@ def format_equation(lhs, rhs) -> str:
 
 # --- evaluation --------------------------------------------------------------
 #
-# The one term compiler turns a tuple of terms over the given variables into
-# generated Python. Its source names only m, j (the tables), r (range(n)),
-# v0, v1, ... (the values, in the variables' order) and a temporary t0,
-# t1, ... per distinct subterm, one per line; no user text enters it. The
-# walker gives each temporary a depth: the position of the last variable it
-# reads. From that one walk it emits either of two bodies:
+# The one term compiler turns terms into generated Python. Its source names
+# only m, j (the tables), r (range(n)), v0, v1, ... (the variables' values,
+# by position), a temporary t0, t1, ... per distinct subterm, one per line,
+# and the table rows that subterms index (m_t0, j_v1, ...); no user text
+# enters it. The walker gives each temporary a depth: the position of the
+# last variable it reads. From that one walk it emits either of two bodies:
 #
 # - flat: a function of (m, j, *values) returning each term's value. On
 #   tables padded with a last row and column of -1 (the search's partial
 #   tables) an unknown cell reads -1, and so does every term over it.
-# - nested, for the universal check of a formula whose first 2*p terms are
-#   p premises' sides and whose last two are the conclusion's: a function
-#   of (m, j, r) running one `for` loop per variable, outermost first, as
-#   itertools.product does. Each temporary is computed in the loop of its
-#   depth; a premise that is false there `continue`s that loop, since every
-#   assignment below has the same false premise. The innermost loop returns
-#   the first assignment whose conclusion fails as a tuple, else None.
+# - nested, the universal check of a tuple of formulas in one pass: a
+#   function of (m, j, r) running one `for` loop per variable, outermost
+#   first as itertools.product does, up to the most variables any formula
+#   has. Each formula's sorted variables are read as v0, v1, ..., so equal
+#   subterms of different formulas are one temporary. Each temporary is
+#   computed in the loop of its depth; a row it indexes from a deeper loop
+#   is bound once, in the loop of the row's own depth (m_t3 = m[t3]). Each
+#   formula is tested in the loop of its last variable, which keeps its
+#   first failing assignment in a list w; the function returns w, each
+#   formula's failing values or None, once every formula has failed or the
+#   loops end. (Returning one list keeps the early return a short line:
+#   locals w0, w1, ... would repeat all of them in every test, and more
+#   than double the memory compile() takes.) A single formula keeps the
+#   premise skip: a premise that is false `continue`s the loop where both
+#   its sides are known, since every assignment below has the same false
+#   premise, and the first failing conclusion returns at once.
+
+
+def _positional(term, index: dict):
+    """term with each variable replaced by its position in `index`."""
+    if term[0] == "var":
+        return ("var", index[term[1]])
+    return (term[0], _positional(term[1], index), _positional(term[2], index))
 
 
 @lru_cache(maxsize=1024)
-def _compile(terms_: tuple, variables: tuple, premises=None):
-    names = {("var", name): (f"v{k}", k) for k, name in enumerate(variables)}
+def _compile(items: tuple, variables=None):
+    """The flat function of the terms `items` over `variables`, or, with
+    variables None, the nested check of the formulas `items`."""
+    names = {}  # positional term or row -> (name, depth)
     lines = []  # (depth, line) in the order made, so operands come first
+    nested = variables is None
 
     def bind(term):
         if term not in names:
+            if term[0] == "var":
+                names[term] = (f"v{term[1]}", term[1])
+                return names[term]
             (left, dl), (right, dr) = bind(term[1]), bind(term[2])
             table = "m" if term[0] == "meet" else "j"
+            row = f"{table}_{left}"
+            if nested and (row in names or dl < dr):  # a row read from a deeper loop
+                if row not in names:
+                    names[row] = (row, dl)
+                    lines.append((dl, f"{row} = {table}[{left}]"))
+                value = f"{row}[{right}]"
+            else:
+                value = f"{table}[{left}][{right}]"
             names[term] = (f"t{len(lines)}", max(dl, dr))
-            lines.append((max(dl, dr), f"{names[term][0]} = {table}[{left}][{right}]"))
+            lines.append((max(dl, dr), f"{names[term][0]} = {value}"))
         return names[term]
 
-    if premises is None:
-        results = ", ".join(bind(t)[0] for t in terms_)
+    if not nested:
+        index = {name: k for k, name in enumerate(variables)}
+        results = ", ".join(bind(_positional(t, index))[0] for t in items)
         params = ", ".join(["m", "j"] + [f"v{k}" for k in range(len(variables))])
         body = "".join(f"    {line}\n" for _, line in lines)
-        source = f"def evaluate({params}):\n{body}    return ({results},)\n"
-    else:
-        # a premise is tested as soon as both its sides are known, the
-        # conclusion last, in the innermost loop
-        for k in range(premises + 1):
-            (left, dl), (right, dr) = bind(terms_[2 * k]), bind(terms_[2 * k + 1])
-            lines.append((max(dl, dr), f"if {left} != {right}: continue"))
-        values = ", ".join(f"v{k}" for k in range(len(variables)))
-        lines[-1] = (len(variables) - 1, f"if {left} != {right}: return ({values},)")
-        source = "def check(m, j, r):\n"
-        for depth in range(len(variables)):
-            source += f"{'    ' * (depth + 1)}for v{depth} in r:\n"
-            source += "".join(f"{'    ' * (depth + 2)}{line}\n" for d, line in lines if d == depth)
-        source += "    return None\n"
+        return _define(f"def evaluate({params}):\n{body}    return ({results},)\n", "evaluate")
+    width = max(len(f.variables) for f in items)
+    if width > MAX_VARIABLES:
+        raise VariableLimitError(f"{width} variables exceed the limit {MAX_VARIABLES}")
+    single = len(items) == 1
+    for i, f in enumerate(items):
+        index = {name: k for k, name in enumerate(f.variables)}
+        tests = []
+        for k, (lhs, rhs) in enumerate(f.premises + (f.conclusion,)):
+            (left, dl), (right, dr) = bind(_positional(lhs, index)), bind(_positional(rhs, index))
+            if single and k < len(f.premises):
+                # a premise is tested as soon as both its sides are known
+                lines.append((max(dl, dr), f"if {left} != {right}: continue"))
+            tests.append(f"{left} == {right}")
+        tests[-1] = f"{left} != {right}"
+        last = len(f.variables) - 1
+        values = "".join(f"v{k}, " for k in range(last + 1))
+        if single:
+            lines.append((last, f"if {tests[-1]}: return (({values}),)"))
+        else:
+            lines.append((last, f"if {' and '.join(tests)} and w[{i}] is None:\n    w[{i}] = ({values})\n"
+                                f"    pending -= 1\n    if not pending: return w"))
+    source = "def check(m, j, r):\n"
+    if not single:
+        source += f"    w = [None] * {len(items)}\n    pending = {len(items)}\n"
+    for depth in range(width):
+        indent = "    " * (depth + 2)
+        source += f"{indent[4:]}for v{depth} in r:\n"
+        source += "".join(f"{indent}{part}\n" for d, line in lines if d == depth for part in line.split("\n"))
+    return _define(source + f"    return {'(None,)' if single else 'w'}\n", "check")
+
+
+def _define(source: str, name: str):
+    """The function `name` that `source` defines, run with no builtins."""
     namespace = {"__builtins__": {}}
     exec(compile(source, "<terms>", "exec"), namespace)
-    return namespace["evaluate" if premises is None else "check"]
+    return namespace[name]
 
 
 def compile_terms(terms_: tuple, variables: tuple):
@@ -296,29 +349,36 @@ def evaluate(S: SkewLattice, term, env: dict) -> int:
     return fn(S.pair.meet, S.pair.join, *(env[v] for v in variables))[0]
 
 
-def holds(S: SkewLattice, f: Formula):
-    """True, or the lexicographically first failing assignment (a dict).
+def holds_each(S: SkewLattice, formulas: tuple) -> tuple:
+    """Each formula's verdict, from one exhaustive pass over S: True, or
+    its lexicographically first failing assignment (a dict).
 
-    Evaluation is the exhaustive universal check over all n**k assignments
-    in lexicographic order of the sorted variable names.
+    A formula's assignments are taken in lexicographic order of its sorted
+    variable names.
     """
-    vars_ = f.variables
-    if len(vars_) > MAX_VARIABLES:
-        raise VariableLimitError(f"{len(vars_)} variables exceed the limit {MAX_VARIABLES}")
-    check = _compile(f.sides, vars_, len(f.premises))
-    found = check(S.pair.meet, S.pair.join, range(S.n))
-    return True if found is None else dict(zip(vars_, found))
+    found = _compile(tuple(formulas))(S.pair.meet, S.pair.join, range(S.n))
+    return tuple(True if w is None else dict(zip(f.variables, w)) for f, w in zip(formulas, found))
+
+
+def holds(S: SkewLattice, f: Formula):
+    """True, or the lexicographically first failing assignment (a dict):
+    holds_each of f alone, without its per-call tuple."""
+    (found,) = _compile((f,))(S.pair.meet, S.pair.join, range(S.n))
+    return True if found is None else dict(zip(f.variables, found))
+
+
+def holds_named(S: SkewLattice, names: tuple) -> dict:
+    """Each named bundled formula's verdict, as holds_each gives it, from
+    one pass over S."""
+    lib = library()
+    return dict(zip(names, holds_each(S, tuple(lib[name] for name in names))))
 
 
 def holds_all(S: SkewLattice, names: tuple):
     """True, or the first of the named bundled formulas that fails with its
     first failing assignment, as (name, assignment)."""
-    lib = library()
-    for name in names:
-        found = holds(S, lib[name])
-        if found is not True:
-            return name, found
-    return True
+    found = holds_named(S, names)
+    return next(((name, w) for name, w in found.items() if w is not True), True)
 
 
 def holds_at(S: SkewLattice, f: Formula, env: dict):

@@ -276,14 +276,15 @@ def _decomposition_invariants(S: SkewLattice):
     pullback = {(a, b) for a in range(R.size) for b in range(L.size) if d_of_r[a] == d_of_l[b]}
     if image != pullback:
         return "x -> ([x]_R, [x]_L) does not reach the pullback over S/D"
-    lib = terms.library()
-    for name, f in sorted(lib.items()):
-        if not f.is_identity:
-            continue
-        in_s = terms.holds(S, f) is True
+    # every bundled identity holds in S exactly when it holds in both factors:
+    # one pass over all of them on each of S, S/R and S/L
+    names = tuple(name for name, f in sorted(terms.library().items()) if f.is_identity)
+    on_s, on_left, on_right = (terms.holds_named(T, names) for T in (S, left, right))
+    for name in names:
+        in_s = on_s[name] is True
         if not in_s and name in ("reg1", "reg2"):
             return f"regularity identity {name} fails"
-        in_factors = terms.holds(left, f) is True and terms.holds(right, f) is True
+        in_factors = on_left[name] is True and on_right[name] is True
         if in_s != in_factors:
             return f"identity {name} transfer mismatch (S: {in_s}, factors: {in_factors})"
     return True

@@ -109,20 +109,13 @@ def braid_check(m: PairMap):
     return None
 
 
-def _compose(a: PairMap, b: PairMap) -> PairMap:
-    table = tuple(tuple(b.table[x2][y2] for (x2, y2) in row) for row in a.table)
-    return PairMap(a.n, table)
-
-
 def power_class(m: PairMap) -> PowerClass:
-    ident = tuple(tuple((x, y) for y in range(m.n)) for x in range(m.n))
-    r2 = _compose(m, m)
-    r3 = _compose(r2, m)
-    return PowerClass(
-        involutive=r2.table == ident,
-        idempotent=r2.table == m.table,
-        cubic=r3.table == m.table,
-    )
+    """r^2 and r^3 against the identity and r, over the pair codes x*n + y."""
+    n = m.n
+    r = [a * n + b for row in m.table for a, b in row]
+    r2 = [r[c] for c in r]
+    r3 = [r[c] for c in r2]
+    return PowerClass(involutive=r2 == list(range(n * n)), idempotent=r2 == r, cubic=r3 == r)
 
 
 def degeneracy(m: PairMap):

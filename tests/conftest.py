@@ -1,6 +1,6 @@
 import pytest
 
-from skewlat import constructions, search
+from skewlat import constructions, search, terms
 
 
 @pytest.fixture(scope="session")
@@ -12,3 +12,22 @@ def census5():
 @pytest.fixture(scope="session")
 def threes():
     return constructions.fixed("3R0"), constructions.fixed("3R1")
+
+
+@pytest.fixture
+def compiled_passes(monkeypatch):
+    """Each compiled pass made while the test runs, as (order, names of the
+    bundled formulas checked); terms.holds must not be called."""
+    name_of = {f: name for name, f in terms.library().items()}
+    passes, real = [], terms.holds_each
+
+    def spy(S, formulas):
+        passes.append((S.n, tuple(name_of[f] for f in formulas)))
+        return real(S, formulas)
+
+    def forbidden(S, f):
+        raise AssertionError("terms.holds was called")
+
+    monkeypatch.setattr(terms, "holds_each", spy)
+    monkeypatch.setattr(terms, "holds", forbidden)
+    return passes

@@ -113,6 +113,18 @@ def oracle_evaluate(S, term, env):
     return S.meet(a, b) if term[0] == "meet" else S.join(a, b)
 
 
+def oracle_holds(S, f):
+    """True, or the first failing assignment, by trying every assignment in
+    lexicographic order with the plain evaluator."""
+    lhs, rhs = f.conclusion
+    for env_vals in itertools.product(S.elements(), repeat=len(f.variables)):
+        env = dict(zip(f.variables, env_vals))
+        premises_hold = all(oracle_evaluate(S, l, env) == oracle_evaluate(S, r, env) for l, r in f.premises)
+        if premises_hold and oracle_evaluate(S, lhs, env) != oracle_evaluate(S, rhs, env):
+            return env
+    return True
+
+
 class TestEvaluation:
     def test_evaluate_on_three_r0(self):
         t = parse("x ^ y v x = x").conclusion[0]
@@ -165,21 +177,59 @@ class TestEvaluation:
         failures = 0
         for S in [*census5[4][:6], *raw]:
             for f in formulas:
-                lhs, rhs = f.conclusion
-                expected = True
-                for env_vals in itertools.product(S.elements(), repeat=len(f.variables)):
-                    env = dict(zip(f.variables, env_vals))
-                    premises_hold = all(
-                        oracle_evaluate(S, l, env) == oracle_evaluate(S, r, env) for l, r in f.premises
-                    )
-                    if premises_hold and oracle_evaluate(S, lhs, env) != oracle_evaluate(S, rhs, env):
-                        expected = env
-                        break
+                expected = oracle_holds(S, f)
                 assert holds(S, f) == expected, (f, S)
                 failures += expected is not True
+                lhs = f.conclusion[0]
                 env = dict(zip(f.variables, itertools.repeat(S.n - 1)))
                 assert evaluate(S, lhs, env) == oracle_evaluate(S, lhs, env)
         assert failures > 100
+
+    def test_one_pass_over_many_formulas_against_the_oracle(self, census5):
+        # groups that mix one to four variables, identities and
+        # quasi-identities; the formulas over one variable set draw their
+        # terms from one pool, so they share subterms. Each formula's
+        # verdict is its own, as if checked alone
+        rng = random.Random(29)
+        letters = "awxz"  # sorted positions need not follow the alphabet's gaps
+
+        def formula(pool):
+            def term():
+                return rng.choice(pool) if rng.random() < 0.5 else (
+                    rng.choice(("meet", "join")), rng.choice(pool), rng.choice(pool)
+                )
+
+            premises = tuple((term(), term()) for _ in range(rng.choice((0, 0, 1, 2))))
+            return Formula(premises, (term(), term()))
+
+        groups = []
+        for _ in range(40):
+            sets = ["".join(sorted(rng.sample(letters, rng.randint(1, 4)))) for _ in range(2)]
+            pools = {v: [random_term(rng, v, 2) for _ in range(4)] for v in sets}
+            groups.append(tuple(formula(pools[rng.choice(sets)]) for _ in range(rng.randint(2, 6))))
+        for _ in range(10):
+            # t = w with w not in t fails wherever n > 1, so these passes end
+            # as soon as the last of their formulas fails
+            group = []
+            for k in (2, 2, 3, 4):
+                *inner, w = rng.sample(letters, k)
+                group.append(Formula((), (random_term(rng, inner, 2), ("var", w))))
+            groups.append(tuple(group))
+        raw = [
+            SkewLattice(CayleyPair.from_tables(*(
+                [[rng.randrange(3) for _ in range(3)] for _ in range(3)] for _ in range(2)
+            )))
+            for _ in range(4)
+        ]
+        verdicts, all_failed = 0, 0
+        for S in [*census5[3], *census5[4][::4], *raw]:
+            for group in groups:
+                found = terms.holds_each(S, group)
+                expected = tuple(oracle_holds(S, f) for f in group)
+                assert found == expected, (group, S)
+                verdicts += len(group)
+                all_failed += S.n > 1 and True not in expected
+        assert verdicts > 3000 and all_failed > 150
 
     def test_deep_terms_evaluate(self):
         # bound one subterm per line, so depth is no limit of the compiler

@@ -4,7 +4,7 @@ gives a wrong answer."""
 
 import pytest
 
-from skewlat import cli, constructions, core, green, theorems, varieties, ybe
+from skewlat import cli, constructions, core, green, terms, theorems, varieties, ybe
 from skewlat.core import CayleyPair, ElementPairOrder, SkewLattice
 from skewlat.green import Partition
 
@@ -122,3 +122,29 @@ def test_dualities_are_checked_on_the_tables():
     not_a_skew_lattice = SkewLattice(CayleyPair.from_tables(meet, meet))
     witness = theorems.THEOREMS["orders-cohere-with-green"](not_a_skew_lattice)
     assert witness == "duality x^y=x iff xvy=y fails at (0,1)"
+
+
+def test_decomposition_invariants_checks_the_identities_in_three_passes(compiled_passes, census5):
+    # one pass over all 22 bundled identities on each of S, S/R and S/L; the
+    # other compiled passes are its five one-flag varieties.check calls, and
+    # terms.holds is never called
+    lib = terms.library()
+    identities = tuple(name for name, f in sorted(lib.items()) if f.is_identity)
+    assert len(identities) == 22
+    for S in [*census5[4], constructions.fixed("NC5L")]:
+        compiled_passes.clear()
+        assert theorems.THEOREMS["decomposition-invariants"](S) is True
+        _, _, D = green.green_relations(S)
+        left, right = green.factors(S)
+        assert [p for p in compiled_passes if p[1] == identities] == [
+            (S.n, identities),
+            (left.n, identities),
+            (right.n, identities),
+        ]
+        assert [p for p in compiled_passes if p[1] != identities] == [
+            (S.n, ("left-handed",)),
+            (S.n, ("right-handed",)),
+            (D.size, ("commute-meet", "commute-join")),
+            (left.n, ("left-handed",)),
+            (right.n, ("right-handed",)),
+        ]

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewlat import cli, constructions, core, search, terms, varieties
+from skewlat import cli, constructions, core, green, search, terms, varieties
 from skewlat.core import CayleyPair, validate
 from skewlat.varieties import FLAG_NAMES, classify, nc5_free
 
@@ -57,6 +57,32 @@ class TestClassify:
             cli.run(["props", str(path)])
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+def test_classify_makes_one_pass_on_s_and_one_on_s_over_d(census5, request):
+    # each flag and witness as the flag's formulas give it one at a time:
+    # the first that fails, with its first failing assignment
+    lib = terms.library()
+
+    def first_failure(S, names):
+        return next((w for w in (terms.holds(S, lib[name]) for name in names) if w is not True), True)
+
+    algebras = [*census5[4], constructions.fixed("NC5R")]
+    expected = []
+    for S in algebras:
+        found = {flag: first_failure(S, varieties.FLAGS[flag]) for flag in FLAG_NAMES}
+        found["quasi_distributive"] = first_failure(green.maximal_lattice_image(S), ("D1", "D2"))
+        expected.append(found)
+    passes = request.getfixturevalue("compiled_passes")  # spies from here on
+    on_s = tuple(dict.fromkeys(name for flag in FLAG_NAMES for name in varieties.FLAGS[flag]))
+    assert len(on_s) == 19
+    for S, found in zip(algebras, expected):
+        passes.clear()
+        report = classify(S)
+        assert report.flags == {flag: w is True for flag, w in found.items()}
+        assert report.witnesses == {flag: w for flag, w in found.items() if w is not True}
+        quotient = green.maximal_lattice_image(S)
+        assert passes == [(S.n, on_s), (quotient.n, ("D1", "D2"))]
 
 
 class TestNc5Free:

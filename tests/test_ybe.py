@@ -130,6 +130,49 @@ class TestUpdates:
                 assert build_map(S, "lower_update").table[x][y][0] == S.join(S.meet(x, y), x)
 
 
+def random_pair_map(rng, n, shape):
+    """A PairMap on n elements: arbitrary, an involution (pairs of a random
+    image swapped), a retraction onto that image (idempotent), or the swap
+    after the retraction (cubic)."""
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    image = rng.sample(pairs, rng.randint(1, len(pairs)))
+    swap = dict(zip(image, image))
+    shuffled = rng.sample(image, len(image))
+    for a, b in zip(shuffled[::2], shuffled[1::2]):
+        swap[a], swap[b] = b, a
+    if shape == "arbitrary":
+        r = {p: rng.choice(pairs) for p in pairs}
+    elif shape == "involution":
+        r = {p: swap.get(p, p) for p in pairs}
+    else:
+        retract = {p: p if p in swap else rng.choice(image) for p in pairs}
+        r = retract if shape == "idempotent" else {p: swap[retract[p]] for p in pairs}
+    return ybe.PairMap(n, tuple(tuple(r[(x, y)] for y in range(n)) for x in range(n)))
+
+
+def test_power_class_matches_composition():
+    # on random pair maps, solutions or not, against r^2 and r^3 composed
+    # pair by pair
+    rng = random.Random(31)
+    seen = set()
+    for n in range(1, 7):
+        for shape in ("arbitrary", "involution", "idempotent", "cubic") * 15:
+            m = random_pair_map(rng, n, shape)
+
+            def r(p):
+                return m.table[p[0]][p[1]]
+
+            pairs = [(x, y) for x in range(n) for y in range(n)]
+            expected = ybe.PowerClass(
+                involutive=all(r(r(p)) == p for p in pairs),
+                idempotent=all(r(r(p)) == r(p) for p in pairs),
+                cubic=all(r(r(r(p))) == r(p) for p in pairs),
+            )
+            assert power_class(m) == expected, m
+            seen.update((k, v) for k, v in vars(expected).items())
+    assert len(seen) == 6  # each flag read both true and false
+
+
 class TestClassification:
     def test_power_class_name_priority(self, capsys, tmp_path):
         # on one element every map is the identity: involutive, idempotent and
