@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CayleyPair, SkewLattice, orders, validate
+from .core import CayleyPair, SkewLattice, validate
 
 
 class NotACongruenceError(ValueError):
@@ -135,15 +135,16 @@ def cosets(S: SkewLattice, A: int, B: int, direction: str, D: Partition) -> list
     The returned cosets partition the target class (checked by the theorem
     battery).
     """
-    ord_ = class_order(S, D)
-    if not (ord_[B][A] and A != B):
-        raise ValueError(f"classes {A} > {B} are not strictly comparable")
+    m = S.pair.meet
     upper = sorted(D.classes[A])
     lower = sorted(D.classes[B])
+    b, a = lower[0], upper[0]  # B <= A, read as class_order reads it
+    if not (A != B and m[m[b][a]][b] == b):
+        raise ValueError(f"classes {A} > {B} are not strictly comparable")
     # each x of the target class gives the coset {(s x) s' : s, s' in the
     # source class}, multiplied by the direction's operation t
     if direction == "of-upper-in-lower":
-        t, source, target = S.pair.meet, upper, lower
+        t, source, target = m, upper, lower
     elif direction == "of-lower-in-upper":
         t, source, target = S.pair.join, lower, upper
     else:
@@ -155,7 +156,7 @@ def cosets(S: SkewLattice, A: int, B: int, direction: str, D: Partition) -> list
 def coset_bijection(S: SkewLattice, coset_upper: frozenset, coset_lower: frozenset) -> dict:
     """The order bijection: x in the upper coset maps to the unique y <= x
     in the lower coset (the theorem battery checks that it is one)."""
-    leq = orders(S).leq
+    m = S.pair.meet
     lower = sorted(coset_lower)
-    return {x: next(y for y in lower if leq[y][x]) for x in sorted(coset_upper)}
+    return {x: next(y for y in lower if m[y][x] == y == m[x][y]) for x in sorted(coset_upper)}
 

@@ -45,6 +45,15 @@ class Formula:
     premises: tuple  # of (Term, Term)
     conclusion: tuple  # (Term, Term)
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the nested term tuples, computed once: every compiled
+        check is looked up by its formulas."""
+        return hash((self.premises, self.conclusion))
+
     @property
     def is_identity(self) -> bool:
         return not self.premises
@@ -231,7 +240,7 @@ def format_equation(lhs, rhs) -> str:
 # by position), a temporary t0, t1, ... per distinct subterm, one per line,
 # and the table rows that subterms index (m_t0, j_v1, ...); no user text
 # enters it. The walker gives each temporary a depth: the position of the
-# last variable it reads. From that one walk it emits either of two bodies:
+# last variable it reads. From that one walk it emits one of three bodies:
 #
 # - flat: a function of (m, j, *values) returning each term's value. On
 #   tables padded with a last row and column of -1 (the search's partial
@@ -252,6 +261,11 @@ def format_equation(lhs, rhs) -> str:
 #   premise skip: a premise that is false `continue`s the loop where both
 #   its sides are known, since every assignment below has the same false
 #   premise, and the first failing conclusion returns at once.
+# - table, the values of a tuple of terms at every assignment: the nested
+#   loops and placement over the terms' variables. The deepest loop appends
+#   the tuple of the terms' values to its row, and each loop's finished row
+#   goes into the row of the loop around it, so with two variables
+#   table[x][y] holds the values at (x, y).
 
 
 def _positional(term, index: dict):
@@ -262,12 +276,13 @@ def _positional(term, index: dict):
 
 
 @lru_cache(maxsize=1024)
-def _compile(items: tuple, variables=None):
-    """The flat function of the terms `items` over `variables`, or, with
-    variables None, the nested check of the formulas `items`."""
+def _compile(items: tuple, variables=None, table=False):
+    """The flat function of the terms `items` over `variables`, or with
+    `table` their table over every assignment; with variables None, the
+    nested check of the formulas `items`."""
     names = {}  # positional term or row -> (name, depth)
     lines = []  # (depth, line) in the order made, so operands come first
-    nested = variables is None
+    nested = variables is None or table
 
     def bind(term):
         if term not in names:
@@ -275,71 +290,84 @@ def _compile(items: tuple, variables=None):
                 names[term] = (f"v{term[1]}", term[1])
                 return names[term]
             (left, dl), (right, dr) = bind(term[1]), bind(term[2])
-            table = "m" if term[0] == "meet" else "j"
-            row = f"{table}_{left}"
+            op = "m" if term[0] == "meet" else "j"
+            row = f"{op}_{left}"
             if nested and (row in names or dl < dr):  # a row read from a deeper loop
                 if row not in names:
                     names[row] = (row, dl)
-                    lines.append((dl, f"{row} = {table}[{left}]"))
+                    lines.append((dl, f"{row} = {op}[{left}]"))
                 value = f"{row}[{right}]"
             else:
-                value = f"{table}[{left}][{right}]"
+                value = f"{op}[{left}][{right}]"
             names[term] = (f"t{len(lines)}", max(dl, dr))
             lines.append((max(dl, dr), f"{names[term][0]} = {value}"))
         return names[term]
 
-    if not nested:
+    if variables is not None:
         index = {name: k for k, name in enumerate(variables)}
         results = ", ".join(bind(_positional(t, index))[0] for t in items)
-        params = ", ".join(["m", "j"] + [f"v{k}" for k in range(len(variables))])
-        body = "".join(f"    {line}\n" for _, line in lines)
-        return _define(f"def evaluate({params}):\n{body}    return ({results},)\n", "evaluate")
-    width = max(len(f.variables) for f in items)
-    if width > MAX_VARIABLES:
-        raise VariableLimitError(f"{width} variables exceed the limit {MAX_VARIABLES}")
-    single = len(items) == 1
-    for i, f in enumerate(items):
-        index = {name: k for k, name in enumerate(f.variables)}
-        tests = []
-        for k, (lhs, rhs) in enumerate(f.premises + (f.conclusion,)):
-            (left, dl), (right, dr) = bind(_positional(lhs, index)), bind(_positional(rhs, index))
-            if single and k < len(f.premises):
-                # a premise is tested as soon as both its sides are known
-                lines.append((max(dl, dr), f"if {left} != {right}: continue"))
-            tests.append(f"{left} == {right}")
-        tests[-1] = f"{left} != {right}"
-        last = len(f.variables) - 1
-        values = "".join(f"v{k}, " for k in range(last + 1))
-        if single:
-            lines.append((last, f"if {tests[-1]}: return (({values}),)"))
-        else:
-            lines.append((last, f"if {' and '.join(tests)} and w[{i}] is None:\n    w[{i}] = ({values})\n"
-                                f"    pending -= 1\n    if not pending: return w"))
-    source = "def check(m, j, r):\n"
-    if not single:
-        source += f"    w = [None] * {len(items)}\n    pending = {len(items)}\n"
+        width = len(variables)
+        if not table:
+            params = ", ".join(["m", "j"] + [f"v{k}" for k in range(width)])
+            body = "".join(f"    {line}\n" for _, line in lines)
+            return _define(f"def evaluate({params}):\n{body}    return ({results},)\n", "evaluate")
+        lines.append((width - 1, f"w{width - 1}.append(({results},))"))
+        source, name = "def table(m, j, r):\n", "table"
+        tail = "".join(f"{'    ' * (d + 1)}w{d - 1}.append(tuple(w{d}))\n" for d in range(width - 1, 0, -1))
+        tail += "    return tuple(w0)\n"
+    else:
+        width = max(len(f.variables) for f in items)
+        if width > MAX_VARIABLES:
+            raise VariableLimitError(f"{width} variables exceed the limit {MAX_VARIABLES}")
+        single = len(items) == 1
+        for i, f in enumerate(items):
+            index = {name: k for k, name in enumerate(f.variables)}
+            tests = []
+            for k, (lhs, rhs) in enumerate(f.premises + (f.conclusion,)):
+                (left, dl), (right, dr) = bind(_positional(lhs, index)), bind(_positional(rhs, index))
+                if single and k < len(f.premises):
+                    # a premise is tested as soon as both its sides are known
+                    lines.append((max(dl, dr), f"if {left} != {right}: continue"))
+                tests.append(f"{left} == {right}")
+            tests[-1] = f"{left} != {right}"
+            last = len(f.variables) - 1
+            values = "".join(f"v{k}, " for k in range(last + 1))
+            if single:
+                lines.append((last, f"if {tests[-1]}: return (({values}),)"))
+            else:
+                lines.append((last, f"if {' and '.join(tests)} and w[{i}] is None:\n    w[{i}] = ({values})\n"
+                                    f"    pending -= 1\n    if not pending: return w"))
+        source, name = "def check(m, j, r):\n", "check"
+        if not single:
+            source += f"    w = [None] * {len(items)}\n    pending = {len(items)}\n"
+        tail = f"    return {'(None,)' if single else 'w'}\n"
     for depth in range(width):
         indent = "    " * (depth + 2)
+        if table:
+            source += f"{indent[4:]}w{depth} = []\n"
         source += f"{indent[4:]}for v{depth} in r:\n"
         source += "".join(f"{indent}{part}\n" for d, line in lines if d == depth for part in line.split("\n"))
-    return _define(source + f"    return {'(None,)' if single else 'w'}\n", "check")
+    return _define(source + tail, name)
 
 
 def _define(source: str, name: str):
-    """The function `name` that `source` defines, run with no builtins."""
-    namespace = {"__builtins__": {}}
+    """The function `name` that `source` defines, run with no builtins
+    but tuple."""
+    namespace = {"__builtins__": {}, "tuple": tuple}
     exec(compile(source, "<terms>", "exec"), namespace)
     return namespace[name]
 
 
-def compile_terms(terms_: tuple, variables: tuple):
-    """The terms as one function of (meet, join, *values) returning their
-    values, with the values in the order of `variables`."""
-    return _compile(terms_, variables)
+def compile_table(terms_: tuple, variables: tuple):
+    """The terms as one function of (meet, join, range(n)) returning their
+    table: one nesting level per variable, in the order of `variables`,
+    and in each cell the tuple of the terms' values there."""
+    return _compile(terms_, variables, True)
 
 
 def compile_formula(f: Formula):
-    """f's sides, premises first, as compile_terms over f.variables."""
+    """f's sides, premises first, as one function of (meet, join, *values)
+    returning their values, with the values in the order of f.variables."""
     return _compile(f.sides, f.variables)
 
 

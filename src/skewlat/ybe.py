@@ -62,9 +62,9 @@ class PowerClass:
 @functools.cache
 def _compiled_maps() -> dict:
     """Each kind's component terms, parsed and compiled once, as one
-    function of (meet, join, x, y) returning the pair."""
+    function of (meet, join, range(n)) returning the pair table."""
     return {
-        kind: terms.compile_terms(tuple(map(terms.parse_term, pair)), ("x", "y"))
+        kind: terms.compile_table(tuple(map(terms.parse_term, pair)), ("x", "y"))
         for kind, pair in MAPS.items()
     }
 
@@ -73,9 +73,7 @@ def build_map(S: SkewLattice, kind: str) -> PairMap:
     """Construct one of the solution maps as a full pair table."""
     if kind not in MAPS:
         raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
-    f = _compiled_maps()[kind]
-    m, j, r = S.pair.meet, S.pair.join, range(S.n)
-    return PairMap(S.n, tuple(tuple(f(m, j, x, y) for y in r) for x in r))
+    return PairMap(S.n, _compiled_maps()[kind](S.pair.meet, S.pair.join, range(S.n)))
 
 
 def twist_map(n: int) -> PairMap:

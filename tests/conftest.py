@@ -10,6 +10,19 @@ def census5():
 
 
 @pytest.fixture(scope="session")
+def constructed():
+    """The built algebras whose reports tests/test_golden.py pins, of order
+    3 to 12."""
+    return [
+        constructions.fixed("3R0"),
+        constructions.direct_product(constructions.fixed("NC5R"), constructions.chain((2,))),
+        constructions.chain((2, 2, 2)),
+        constructions.rectangular(2, 3),
+        constructions.direct_product(constructions.fixed("3R0"), constructions.rectangular(2, 2)),
+    ]
+
+
+@pytest.fixture(scope="session")
 def threes():
     return constructions.fixed("3R0"), constructions.fixed("3R1")
 

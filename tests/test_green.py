@@ -173,6 +173,32 @@ class TestCosets:
         assert sorted(bij.values()) == sorted(downs[0])
 
 
+def test_cosets_and_bijection_match_their_definitions(census5, constructed):
+    # on every class pair: a strictly comparable one (A > B, by class_order)
+    # has the cosets of the definition and the bijection x -> the one y <= x
+    # (by core.orders); any other is refused
+    for S in [S for n in census5 for S in census5[n]] + constructed:
+        _, _, D = green_relations(S)
+        ord_, leq = class_order(S, D), core.orders(S).leq
+        m, j = S.pair.meet, S.pair.join
+        for A, B in itertools.product(range(D.size), repeat=2):
+            if A == B or not ord_[B][A]:
+                for direction in ("of-upper-in-lower", "of-lower-in-upper"):
+                    with pytest.raises(ValueError, match="not strictly comparable"):
+                        cosets(S, A, B, direction, D)
+                continue
+            upper, lower = D.classes[A], D.classes[B]
+            downs = sorted({frozenset(m[m[a][b]][a2] for a in upper for a2 in upper) for b in lower}, key=min)
+            ups = sorted({frozenset(j[j[b][a]][b2] for b in lower for b2 in lower) for a in upper}, key=min)
+            assert cosets(S, A, B, "of-upper-in-lower", D) == downs
+            assert cosets(S, A, B, "of-lower-in-upper", D) == ups
+            for X in ups:
+                for Y in downs:
+                    below = {x: [y for y in Y if leq[y][x]] for x in X}
+                    assert all(len(ys) == 1 for ys in below.values())
+                    assert coset_bijection(S, X, Y) == {x: ys[0] for x, ys in below.items()}
+
+
 class TestReport:
     @pytest.fixture()
     def r0_file(self, tmp_path, threes):

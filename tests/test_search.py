@@ -410,6 +410,46 @@ def test_constructions_land_in_the_census():
         assert canonical_form(pair).flat() in members[pair.n], pair
 
 
+def _swap(pair):
+    return CayleyPair.from_tables(pair.join, pair.meet)
+
+
+def _opposite(pair):
+    return CayleyPair.from_tables(tuple(zip(*pair.meet)), tuple(zip(*pair.join)))
+
+
+@pytest.mark.parametrize(
+    "dual, fixed_counts",
+    # the classes each duality maps to themselves, for n = 1..6
+    [(_swap, (1, 1, 1, 5, 5, 15)), (_opposite, (1, 1, 1, 3, 7, 19))],
+    ids=["swap", "opposite"],
+)
+def test_census_is_closed_under_the_dualities(dual, fixed_counts):
+    # swapping meet and join, or transposing both tables, gives a skew
+    # lattice again, so every census member's dual has a class in the census;
+    # a prune that lost a class but kept its mirror would show here
+    counts = []
+    for n in range(1, 7):
+        members = [S.pair for S in census(n)]
+        images = [canonical_form(dual(pair)) for pair in members]
+        assert set(images) <= set(members), n
+        counts.append(sum(image == pair for image, pair in zip(images, members)))
+    assert tuple(counts) == fixed_counts
+
+
+def test_skew_chains_are_distinct_classes():
+    # the chains over the 2^(n-1) compositions of n: one class each, all in
+    # the census (test_constructions_land_in_the_census checks membership)
+    for n in range(1, 7):
+        compositions = []
+        for cuts in itertools.product((False, True), repeat=n - 1):
+            bounds = [0, *(k for k, cut in enumerate(cuts, start=1) if cut), n]
+            compositions.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+        classes = {canonical_form(chain(sizes).pair) for sizes in compositions}
+        assert len(classes) == len(compositions) == 2 ** (n - 1), n
+        assert classes <= {S.pair for S in census(n)}, n
+
+
 class TestPredicates:
     def test_flag_names_resolve(self):
         for name in ("left_handed", "distributive", "cancellative", "lattice"):

@@ -250,6 +250,17 @@ class TestEvaluation:
             with pytest.raises(ParseError, match="deeper than"):
                 parse(text + " = x")
 
+    def test_equal_formulas_share_one_hash_and_one_compiled_check(self):
+        # the hash of a formula is computed once, and a formula parsed again
+        # finds the check compiled for the first
+        a, b = parse("x ^ (y v z) ^ x = x ^ y ^ x"), parse("x ^ (y v z) ^ x = x ^ y ^ x")
+        assert a is not b and a == b and hash(a) == hash(b)
+        first = terms.holds_each(THREE_R0, (a, a))
+        before = terms._compile.cache_info()
+        assert terms.holds_each(THREE_R0, (b, b)) == first
+        after = terms._compile.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
     def test_unknown_cells_make_the_value_unknown(self):
         # tables padded with a row and column of -1, as in the search
         meet = [[0, 0, -1], [-1, 1, -1], [-1, -1, -1]]

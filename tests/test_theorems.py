@@ -116,6 +116,30 @@ def test_owner_entry_catches_a_wrong_answer(monkeypatch, capsys, entry, module, 
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_coset_membership_criterion_builds_each_order_once(monkeypatch, census5, constructed):
+    # the class order and the element order, once per algebra: cosets and
+    # coset_bijection read only the cells they need
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(core, "orders")
+    count(green, "class_order")
+    if hasattr(green, "orders"):
+        count(green, "orders")
+    for S in [*census5[5], *constructed]:
+        calls.clear()
+        assert theorems.THEOREMS["coset-membership-criterion"](S) is True
+        assert sorted(calls) == ["class_order", "orders"]
+
+
 def test_dualities_are_checked_on_the_tables():
     # both tables take the minimum, so x^y = x does not give xvy = y
     meet = [[0, 0], [0, 1]]
@@ -124,23 +148,27 @@ def test_dualities_are_checked_on_the_tables():
     assert witness == "duality x^y=x iff xvy=y fails at (0,1)"
 
 
-def test_decomposition_invariants_checks_the_identities_in_three_passes(compiled_passes, census5):
-    # one pass over all 22 bundled identities on each of S, S/R and S/L; the
-    # other compiled passes are its five one-flag varieties.check calls, and
+def test_decomposition_invariants_checks_the_identities_once_per_distinct_table(compiled_passes, census5):
+    # one pass over all 22 bundled identities on each distinct table among S,
+    # S/R and S/L (a factor is S itself when R or L is trivial); the other
+    # compiled passes are its five one-flag varieties.check calls, and
     # terms.holds is never called
     lib = terms.library()
     identities = tuple(name for name, f in sorted(lib.items()) if f.is_identity)
     assert len(identities) == 22
-    for S in [*census5[4], constructions.fixed("NC5L")]:
-        compiled_passes.clear()
-        assert theorems.THEOREMS["decomposition-invariants"](S) is True
+    left_handed = next(
+        S for S in census5[4] if varieties.check(S, "left_handed") is True and varieties.check(S, "lattice") is not True
+    )
+    rectangle = constructions.rectangular(2, 2)
+    passes_on = {}
+    for S in [*census5[4], constructions.fixed("NC5L"), rectangle]:
         _, _, D = green.green_relations(S)
         left, right = green.factors(S)
-        assert [p for p in compiled_passes if p[1] == identities] == [
-            (S.n, identities),
-            (left.n, identities),
-            (right.n, identities),
-        ]
+        compiled_passes.clear()
+        assert theorems.THEOREMS["decomposition-invariants"](S) is True
+        tables = list(dict.fromkeys(T.pair for T in (S, left, right)))
+        passes_on[S] = [p for p in compiled_passes if p[1] == identities]
+        assert passes_on[S] == [(pair.n, identities) for pair in tables]
         assert [p for p in compiled_passes if p[1] != identities] == [
             (S.n, ("left-handed",)),
             (S.n, ("right-handed",)),
@@ -148,3 +176,9 @@ def test_decomposition_invariants_checks_the_identities_in_three_passes(compiled
             (left.n, ("left-handed",)),
             (right.n, ("right-handed",)),
         ]
+    # S and S/L for a left-handed S that is not a lattice (S/R is S, and
+    # S/L its lattice image S/D); S, S/R and S/L when R and L are both
+    # nontrivial
+    lattice_size = green.green_relations(left_handed)[2].size
+    assert passes_on[left_handed] == [(4, identities), (lattice_size, identities)]
+    assert passes_on[rectangle] == [(4, identities), (2, identities), (2, identities)]

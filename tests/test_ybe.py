@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from skewlat import cli, constructions, core, theorems, ybe
+from skewlat import cli, constructions, core, terms, theorems, ybe
 from skewlat.core import CayleyPair, validate
 from skewlat.ybe import (
     MAP_KINDS,
@@ -74,6 +74,18 @@ class TestBuildMap:
                 for x in S.elements():
                     for y in S.elements():
                         assert got[x][y] == want[x][y], (kind, x, y, S.pair.flat())
+
+    def test_every_kind_is_its_terms_evaluated_cell_by_cell(self, census5, constructed):
+        # the whole table from one compiled call against sigma and tau
+        # evaluated one cell at a time
+        parsed = {kind: tuple(map(terms.parse_term, pair)) for kind, pair in ybe.MAPS.items()}
+        for S in [S for n in census5 for S in census5[n]] + constructed:
+            r = S.elements()
+            for kind, sides in parsed.items():
+                want = tuple(
+                    tuple(tuple(terms.evaluate(S, t, {"x": x, "y": y}) for t in sides) for y in r) for x in r
+                )
+                assert build_map(S, kind) == ybe.PairMap(S.n, want), (kind, S.pair.flat())
 
     def test_unknown_kind_rejected(self, threes):
         with pytest.raises(ValueError):
