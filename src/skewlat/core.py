@@ -252,10 +252,6 @@ def validate(pair: CayleyPair) -> SkewLattice:
     return SkewLattice(pair)
 
 
-def is_skew_lattice(pair: CayleyPair) -> bool:
-    return not axiom_violations(pair)
-
-
 def orders(S: SkewLattice) -> ElementPairOrder:
     """Natural preorder (x^y^x=x) and partial order (x^y=x=y^x) matrices.
 

@@ -40,10 +40,6 @@ class Partition:
                 class_of[y] = cid
         return cls(tuple(class_of), tuple(classes))
 
-    @classmethod
-    def identity(cls, n: int) -> "Partition":
-        return cls(tuple(range(n)), tuple(frozenset({x}) for x in range(n)))
-
     @property
     def size(self) -> int:
         return len(self.classes)

@@ -242,9 +242,10 @@ def format_equation(lhs, rhs) -> str:
 # enters it. The walker gives each temporary a depth: the position of the
 # last variable it reads. From that one walk it emits one of three bodies:
 #
-# - flat: a function of (m, j, *values) returning each term's value. On
-#   tables padded with a last row and column of -1 (the search's partial
-#   tables) an unknown cell reads -1, and so does every term over it.
+# - flat, for the search's prunes: a function of (m, j, *values) returning
+#   each term's value. On tables padded with a last row and column of -1
+#   (the search's partial tables) an unknown cell reads -1, and so does
+#   every term over it.
 # - nested, the universal check of a tuple of formulas in one pass: a
 #   function of (m, j, r) running one `for` loop per variable, outermost
 #   first as itertools.product does, up to the most variables any formula
@@ -310,7 +311,7 @@ def _compile(items: tuple, variables=None, table=False):
         if not table:
             params = ", ".join(["m", "j"] + [f"v{k}" for k in range(width)])
             body = "".join(f"    {line}\n" for _, line in lines)
-            return _define(f"def evaluate({params}):\n{body}    return ({results},)\n", "evaluate")
+            return _define(f"def sides({params}):\n{body}    return ({results},)\n", "sides")
         lines.append((width - 1, f"w{width - 1}.append(({results},))"))
         source, name = "def table(m, j, r):\n", "table"
         tail = "".join(f"{'    ' * (d + 1)}w{d - 1}.append(tuple(w{d}))\n" for d in range(width - 1, 0, -1))
@@ -371,12 +372,6 @@ def compile_formula(f: Formula):
     return _compile(f.sides, f.variables)
 
 
-def evaluate(S: SkewLattice, term, env: dict) -> int:
-    variables = tuple(sorted(term_variables(term)))
-    fn = _compile((term,), variables)
-    return fn(S.pair.meet, S.pair.join, *(env[v] for v in variables))[0]
-
-
 def holds_each(S: SkewLattice, formulas: tuple) -> tuple:
     """Each formula's verdict, from one exhaustive pass over S: True, or
     its lexicographically first failing assignment (a dict).
@@ -400,20 +395,6 @@ def holds_named(S: SkewLattice, names: tuple) -> dict:
     one pass over S."""
     lib = library()
     return dict(zip(names, holds_each(S, tuple(lib[name] for name in names))))
-
-
-def holds_all(S: SkewLattice, names: tuple):
-    """True, or the first of the named bundled formulas that fails with its
-    first failing assignment, as (name, assignment)."""
-    found = holds_named(S, names)
-    return next(((name, w) for name, w in found.items() if w is not True), True)
-
-
-def holds_at(S: SkewLattice, f: Formula, env: dict):
-    """Evaluate one assignment; returns (premises_ok, lhs, rhs)."""
-    k = 2 * len(f.premises)
-    s = compile_formula(f)(S.pair.meet, S.pair.join, *(env[v] for v in f.variables))
-    return s[:k:2] == s[1:k:2], s[k], s[k + 1]
 
 
 # --- the bundled library -----------------------------------------------------

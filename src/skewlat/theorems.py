@@ -101,19 +101,14 @@ def _failed_flag_implication(flags: dict):
 
 
 def _handed_solution_equivalences(S: SkewLattice):
-    rep = varieties.classify(S)
-    failed = _failed_flag_implication(rep.flags)
+    flags = varieties.classify(S).flags
+    failed = _failed_flag_implication(flags)
     if failed is not None:
         return f"variety implication fails: {failed}"
     cases = (
-        ("left", rep["distributive"] and rep["left_cancellative"]),
-        ("right", rep["distributive"] and rep["right_cancellative"]),
-        (
-            "weak",
-            rep["distributive"]
-            and rep["simply_cancellative"]
-            and rep["lower_symmetric"],
-        ),
+        ("left", flags["distributive"] and flags["left_cancellative"]),
+        ("right", flags["distributive"] and flags["right_cancellative"]),
+        ("weak", flags["distributive"] and flags["simply_cancellative"] and flags["lower_symmetric"]),
     )
     for family, expected in cases:
         actual = ybe.braid_check(ybe.build_map(S, family)) is None

@@ -45,9 +45,6 @@ class VarietyReport:
     flags: dict
     witnesses: dict = field(default_factory=dict)
 
-    def __getitem__(self, name: str) -> bool:
-        return self.flags[name]
-
 
 def _verdict(flag: str, found: dict):
     """True, or the first failing assignment of the flag's formulas, read

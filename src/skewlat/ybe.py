@@ -76,10 +76,6 @@ def build_map(S: SkewLattice, kind: str) -> PairMap:
     return PairMap(S.n, _compiled_maps()[kind](S.pair.meet, S.pair.join, range(S.n)))
 
 
-def twist_map(n: int) -> PairMap:
-    return PairMap(n, tuple(tuple((y, x) for y in range(n)) for x in range(n)))
-
-
 def braid_check(m: PairMap):
     """None if the braid relation holds, else the lexicographically first
     failing triple with both evaluated sides.
@@ -133,5 +129,6 @@ def solution_identity_check(S: SkewLattice, family: str):
     """
     if family not in FAMILY_IDENTITIES:
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(FAMILY_IDENTITIES)}")
-    return terms.holds_all(S, FAMILY_IDENTITIES[family])
+    found = terms.holds_named(S, FAMILY_IDENTITIES[family])
+    return next(((name, w) for name, w in found.items() if w is not True), True)
 

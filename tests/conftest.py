@@ -3,6 +3,21 @@ import pytest
 from skewlat import constructions, search, terms
 
 
+def _evaluate(S, term, env):
+    if term[0] == "var":
+        return env[term[1]]
+    a = _evaluate(S, term[1], env)
+    b = _evaluate(S, term[2], env)
+    return S.meet(a, b) if term[0] == "meet" else S.join(a, b)
+
+
+@pytest.fixture(scope="session")
+def oracle_evaluate():
+    """A plain recursive evaluator of a term at one assignment (a dict),
+    independent of the term compiler the library runs."""
+    return _evaluate
+
+
 @pytest.fixture(scope="session")
 def census5():
     """All skew lattices up to isomorphism for n = 1..5, computed once."""

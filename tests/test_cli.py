@@ -131,7 +131,7 @@ class TestConstructAndSearch:
         files = sorted(out_dir.glob("*.skl"))
         assert len(files) == 7
         for f in files:
-            assert core.is_skew_lattice(core.load(f))
+            assert not core.axiom_violations(core.load(f))
 
     def test_search_found_and_not_found(self, capsys):
         code, out, _ = run(capsys, "search", "--max-n", "3", "--falsify", "x ^ y = y ^ x")

@@ -68,7 +68,7 @@ class TestQuotients:
 
     def test_identity_partition_quotient_is_isomorphic(self, threes):
         S, _ = threes
-        assert quotient(S, Partition.identity(3)).pair == S.pair
+        assert quotient(S, Partition.from_pairs(3, int.__eq__)).pair == S.pair
 
     def test_factors_fiber_product(self, census5):
         for S in census5[5][:20]:

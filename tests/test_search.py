@@ -14,7 +14,6 @@ from skewlat.core import (
     canonical_form,
     canonical_labeling,
     is_canonical,
-    is_skew_lattice,
     label_zero_class,
     validate,
 )
@@ -65,7 +64,7 @@ def brute_force_count(n):
             for (i, j), v in zip(cells, jvals):
                 join[i][j] = v
             pair = CayleyPair.from_tables(meet, join)
-            if not is_skew_lattice(pair):
+            if core.axiom_violations(pair):
                 continue
             key = min(relabel(pair, p).flat() for p in perms)
             if key not in seen:

@@ -11,11 +11,9 @@ from skewlat.terms import (
     ParseError,
     VariableLimitError,
     compile_formula,
-    evaluate,
     format_equation,
     format_term,
     holds,
-    holds_at,
     library,
     parse,
     parse_library,
@@ -104,16 +102,7 @@ class TestFormatRoundTrip:
         assert format_term(t) == "x ^ y v z"
 
 
-def oracle_evaluate(S, term, env):
-    """A plain recursive evaluator, independent of the compiled one."""
-    if term[0] == "var":
-        return env[term[1]]
-    a = oracle_evaluate(S, term[1], env)
-    b = oracle_evaluate(S, term[2], env)
-    return S.meet(a, b) if term[0] == "meet" else S.join(a, b)
-
-
-def oracle_holds(S, f):
+def oracle_holds(S, f, oracle_evaluate):
     """True, or the first failing assignment, by trying every assignment in
     lexicographic order with the plain evaluator."""
     lhs, rhs = f.conclusion
@@ -125,11 +114,16 @@ def oracle_holds(S, f):
     return True
 
 
-class TestEvaluation:
-    def test_evaluate_on_three_r0(self):
-        t = parse("x ^ y v x = x").conclusion[0]
-        assert evaluate(THREE_R0, t, {"x": 1, "y": 2}) == THREE_R0.join(THREE_R0.meet(1, 2), 1)
+def compiled_sides(S, f, env):
+    """f's sides, premises first, from the flat compiled function."""
+    return compile_formula(f)(S.pair.meet, S.pair.join, *(env[v] for v in f.variables))
 
+
+def oracle_sides(S, f, env, oracle_evaluate):
+    return tuple(oracle_evaluate(S, t, env) for t in f.sides)
+
+
+class TestEvaluation:
     def test_holds_returns_lexicographically_first_counterexample(self):
         f = parse("x ^ y = y ^ x")
         res = holds(THREE_R0, f)
@@ -138,13 +132,6 @@ class TestEvaluation:
     def test_holds_true_on_identity(self):
         assert holds(THREE_R0, parse("x ^ x = x")) is True
 
-    def test_holds_at_single_assignment(self):
-        f = parse("x ^ y = y ^ x")
-        pre, lhs, rhs = holds_at(THREE_R0, f, {"x": 0, "y": 1})
-        assert pre and lhs == rhs
-        pre, lhs, rhs = holds_at(THREE_R0, f, {"x": 1, "y": 2})
-        assert pre and lhs != rhs
-
     def test_quasi_identity_premises_gate_conclusion(self):
         # rectangular 2-element: x ^ y = x, x v y = y; commuting pairs are
         # only the diagonal, so the symmetry quasi-identity holds
@@ -152,7 +139,7 @@ class TestEvaluation:
         assert holds(S, parse("x ^ y = y ^ x => x v y = y v x")) is True
         assert holds(S, parse("x v y = y v x => x = y")) is True
 
-    def test_against_nested_loop_oracle(self, census5):
+    def test_against_nested_loop_oracle(self, census5, oracle_evaluate):
         # identities, and quasi-identities whose premises read only the outer
         # variables, so that a false premise skips whole inner loops; raw
         # random tables beside the census make one-variable premises fail too
@@ -177,15 +164,16 @@ class TestEvaluation:
         failures = 0
         for S in [*census5[4][:6], *raw]:
             for f in formulas:
-                expected = oracle_holds(S, f)
+                expected = oracle_holds(S, f, oracle_evaluate)
                 assert holds(S, f) == expected, (f, S)
                 failures += expected is not True
-                lhs = f.conclusion[0]
-                env = dict(zip(f.variables, itertools.repeat(S.n - 1)))
-                assert evaluate(S, lhs, env) == oracle_evaluate(S, lhs, env)
+                # the flat body the search's prunes run, on every side
+                for values in itertools.product(S.elements(), repeat=len(f.variables)):
+                    env = dict(zip(f.variables, values))
+                    assert compiled_sides(S, f, env) == oracle_sides(S, f, env, oracle_evaluate), (f, S, env)
         assert failures > 100
 
-    def test_one_pass_over_many_formulas_against_the_oracle(self, census5):
+    def test_one_pass_over_many_formulas_against_the_oracle(self, census5, oracle_evaluate):
         # groups that mix one to four variables, identities and
         # quasi-identities; the formulas over one variable set draw their
         # terms from one pool, so they share subterms. Each formula's
@@ -225,17 +213,18 @@ class TestEvaluation:
         for S in [*census5[3], *census5[4][::4], *raw]:
             for group in groups:
                 found = terms.holds_each(S, group)
-                expected = tuple(oracle_holds(S, f) for f in group)
+                expected = tuple(oracle_holds(S, f, oracle_evaluate) for f in group)
                 assert found == expected, (group, S)
                 verdicts += len(group)
                 all_failed += S.n > 1 and True not in expected
         assert verdicts > 3000 and all_failed > 150
 
-    def test_deep_terms_evaluate(self):
+    def test_deep_terms_evaluate(self, oracle_evaluate):
         # bound one subterm per line, so depth is no limit of the compiler
         f = parse(" ^ ".join(["x"] * 300 + ["y"]) + " = x ^ y")
         assert holds(THREE_R0, f) is True
-        assert evaluate(THREE_R0, f.conclusion[0], {"x": 1, "y": 2}) == 2
+        env = {"x": 1, "y": 2}
+        assert compiled_sides(THREE_R0, f, env) == oracle_sides(THREE_R0, f, env, oracle_evaluate) == (2, 2)
 
     def test_depth_limit(self):
         # a term at the limit, in operators or in parentheses, still compiles

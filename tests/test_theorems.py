@@ -81,7 +81,7 @@ FAULTS = [
     ("decomposition-invariants", green, "green_relations", _merge_two_d_classes, "3R0", 2),
     ("decomposition-invariants", varieties, "check", _flip_check("left_handed"), "3R0", 1),
     ("decomposition-invariants", green, "maximal_lattice_image",
-     lambda real: lambda S: green.quotient(S, Partition.identity(S.n)), "3R0", 3),
+     lambda real: lambda S: green.quotient(S, Partition.from_pairs(S.n, int.__eq__)), "3R0", 3),
     ("decomposition-invariants", green, "factors", lambda real: lambda S: real(S)[::-1], "3R0", 3),
     ("coset-membership-criterion", green, "cosets", lambda real: lambda *a: real(*a)[:-1], "3R0", 2),
     ("coset-membership-criterion", green, "coset_bijection",

@@ -11,21 +11,21 @@ from skewlat.varieties import FLAG_NAMES, classify, nc5_free
 class TestClassify:
     def test_three_r0_flags(self, threes):
         r0, r1 = threes
-        a = classify(r0)
+        a = classify(r0).flags
         assert a["strongly_distributive"] and not a["co_strongly_distributive"]
-        b = classify(r1)
+        b = classify(r1).flags
         assert b["co_strongly_distributive"] and not b["strongly_distributive"]
 
     def test_all_flags_present(self, threes):
-        report = classify(threes[0])
+        flags = classify(threes[0]).flags
         for name in FLAG_NAMES:
-            assert isinstance(report[name], bool)
-        assert isinstance(report["quasi_distributive"], bool)
+            assert isinstance(flags[name], bool)
+        assert isinstance(flags["quasi_distributive"], bool)
 
     def test_witness_is_lexicographically_first(self, threes):
         r0, _ = threes
         report = classify(r0)
-        assert not report["co_strongly_distributive"]
+        assert not report.flags["co_strongly_distributive"]
         w = report.witnesses["co_strongly_distributive"]
         lib = terms.library()
         # re-derive independently from the defining formulas
@@ -37,16 +37,16 @@ class TestClassify:
 
     def test_lattice_flag(self):
         S = constructions.chain((1, 1, 1))
-        r = classify(S)
+        r = classify(S).flags
         assert r["lattice"] and r["symmetric"] and r["distributive"]
 
     def test_rectangular_flag(self):
         S = constructions.rectangular(2, 2)
-        r = classify(S)
+        r = classify(S).flags
         assert r["rectangular"] and not r["lattice"]
 
     def test_chain_is_distributive_and_cancellative(self):
-        r = classify(constructions.chain((2, 1, 3)))
+        r = classify(constructions.chain((2, 1, 3))).flags
         assert r["distributive"] and r["cancellative"]
 
     def test_to_text_stable(self, capsys, tmp_path, threes):
