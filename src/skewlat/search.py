@@ -21,6 +21,21 @@ associativity on each triple of known join cells and the join-stage prunes
 on each pair, and a meet table that fails it is cut there. Only the open
 join cells, those with two candidates or more, are decision cells; they
 follow in `mcells` order, through the same check as the meet cells.
+
+The satisfy entries' identities in two variables prune partial tables,
+each once however many entries name it. Split by whether they read join,
+each stage's identities are one compiled function (`terms.compile_prune`)
+that loops over a list of pairs and fails at the first where some
+identity's two sides are both known and differ. An assignment hands it the
+pairs that touch its cell, in one call; the join pass hands it every pair,
+a list built once by a search that has prunes. At a canonical leaf, the
+entries of each side that name formulas on S (the flags but
+quasi_distributive, bundled names and raw formulas) are decided in one
+`terms.holds_each` pass over their formulas, each once; a `*-solution`
+entry and quasi_distributive, decided on S/D, stay one predicate each. A
+leaf is kept when every satisfy entry holds and, with falsify entries,
+one of them fails.
+
 Isomorphism rejection keeps exactly the lex-least representative of each
 class (`core.canonical_labeling`). Since that representative's meet table
 is the least of its relabelings, a node is cut as soon as some relabeling
@@ -109,9 +124,15 @@ def spec_hash(spec: SearchSpec) -> str:
 
 # --- named predicates --------------------------------------------------------
 
+_SOLUTIONS = {kind.replace("_", "-") + "-solution": kind for kind in ybe.MAP_KINDS}
+
+
 def _formulas(name: str):
-    """The formulas whose conjunction a predicate name means: a variety
-    flag, a bundled formula name or a raw formula. None for other names."""
+    """The formulas on S whose conjunction a predicate name means: a variety
+    flag other than quasi_distributive (decided on S/D), a bundled formula
+    name or a raw formula. None for other names."""
+    if name in _SOLUTIONS or name == "quasi_distributive":
+        return None
     lib = terms.library()
     if name in varieties.FLAGS:
         return tuple(lib[k] for k in varieties.FLAGS[name])
@@ -129,9 +150,9 @@ def resolve_predicate(name: str):
     hyphens, such as lower-update-solution), bundled formula names, or a raw
     formula in the term grammar.
     """
-    for kind in ybe.MAP_KINDS:
-        if name == kind.replace("_", "-") + "-solution":
-            return lambda S: ybe.braid_check(ybe.build_map(S, kind)) is None
+    kind = _SOLUTIONS.get(name)
+    if kind is not None:
+        return lambda S: ybe.braid_check(ybe.build_map(S, kind)) is None
     if name in varieties.FLAGS:
         return lambda S: varieties.check(S, name) is True
     formulas = _formulas(name)
@@ -140,21 +161,43 @@ def resolve_predicate(name: str):
     return lambda S: all(terms.holds(S, f) is True for f in formulas)
 
 
+def _filters(names) -> tuple:
+    """The entries `names` as (the formulas on S they name, each once; the
+    predicates of the other entries): every entry holds exactly when every
+    one of those formulas and predicates does."""
+    formulas, predicates = {}, []
+    for name in names:
+        found = _formulas(name)
+        if found is None:
+            predicates.append(resolve_predicate(name))
+        else:
+            formulas.update(dict.fromkeys(found))
+    return tuple(formulas), predicates
+
+
+def _all_hold(S: SkewLattice, formulas: tuple, predicates: list) -> bool:
+    """Every formula and every predicate holds on S: the formulas decided
+    in one pass."""
+    if formulas and not all(found is True for found in terms.holds_each(S, formulas)):
+        return False
+    return all(pred(S) for pred in predicates)
+
+
 def _reads_join(term) -> bool:
     return term[0] == "join" or (term[0] == "meet" and (_reads_join(term[1]) or _reads_join(term[2])))
 
 
-def _prunes(names):
-    """(meet-stage, join-stage) prunes: the compiled sides of every identity
-    in two variables among the satisfy entries' formulas, by whether it reads
-    join. (One in one variable holds in every idempotent algebra.)"""
-    meet, join = [], []
+def _prunes(names) -> tuple:
+    """(meet-stage, join-stage) prunes: one compiled check each of the
+    identities in two variables among the satisfy entries' formulas, each
+    once, by whether it reads join; None for a stage with none. (One in one
+    variable holds in every idempotent algebra.)"""
+    stages = ({}, {})
     for name in names:
         for f in _formulas(name) or ():
             if f.is_identity and len(f.variables) == 2:
-                stage = join if any(_reads_join(t) for t in f.conclusion) else meet
-                stage.append(terms.compile_formula(f))
-    return meet, join
+                stages[any(_reads_join(t) for t in f.conclusion)][f] = None
+    return tuple(terms.compile_prune(tuple(stage)) if stage else None for stage in stages)
 
 
 class _BudgetExhausted(Exception):
@@ -183,9 +226,8 @@ class _Enumerator:
         self.result = EnumerationResult()
         self.resume = tuple(resume or ())
         self.deadline = time.monotonic() + spec.max_seconds if spec.max_seconds else None
-        self.satisfy = [(name, resolve_predicate(name)) for name in spec.satisfy]
-        self.falsify = [(name, resolve_predicate(name)) for name in spec.falsify]
-        self.meet_prunes, self.join_prunes = _prunes(spec.satisfy)
+        self.satisfy, self.falsify = _filters(spec.satisfy), _filters(spec.falsify)
+        self.meet_prune, self.join_prune = _prunes(spec.satisfy)
         n = self.n
         # a last row and column of -1 pad each table, so index -1 reads
         # "unknown" (see terms); the prunes evaluate on these partial tables.
@@ -197,11 +239,12 @@ class _Enumerator:
         for x in range(n):
             self.meet[x][x] = self.join[x][x] = x
         self.mcells = [(i, j) for i in range(n) for j in range(n) if i != j]
-        # the pairs a prune re-checks after cell (i, j) is assigned
-        self.touching = {
-            (i, j): [(x, y) for x in range(n) for y in range(n) if {x, y} & {i, j}]
-            for i, j in self.mcells
-        }
+        # the pairs a prune re-checks after cell (i, j) is assigned, and
+        # every pair, which the join stage's prune checks at once; built
+        # only for a search with prunes
+        pairs = [(x, y) for x in range(n) for y in range(n)] if self.meet_prune or self.join_prune else []
+        self.touching = {(i, j): [(x, y) for x, y in pairs if {x, y} & {i, j}] for i, j in self.mcells}
+        self.pairs = pairs
         # by x, the relabelings that give x label 0 (`_block`); by head, the
         # ones of them the search releases (`_release`), at most n·2^(n-1)
         # lists of references into the blocks
@@ -266,8 +309,8 @@ class _Enumerator:
             released = self.released[head] = [rel for rel in self._block(head[0]) if all(rel[m + y] < k for y in head)]
         return released
 
-    def _check_assign(self, t, occ, prunes, i, j):
-        """Associativity and the current stage's satisfy prunes after
+    def _check_assign(self, t, occ, prune, i, j):
+        """Associativity and the current stage's satisfy prune after
         t[i][j] is assigned; occ[v] lists the cells of t that hold v.
 
         The triples checked are (i, j, a) and (a, i, j) for every a, then
@@ -300,16 +343,10 @@ class _Enumerator:
             l = t[ti[x]][y]
             if l != v and l >= 0:
                 return False
-        m, jt = self.meet, self.join
-        if t is m and not self._joins_possible(i, j):
+        if t is self.meet and not self._joins_possible(i, j):
             return False
         # a violation needs both sides known; missed ones fail at the leaf
-        for sides in prunes:
-            for x, y in self.touching[i, j]:
-                lhs, rhs = sides(m, jt, x, y)
-                if lhs != rhs and lhs >= 0 and rhs >= 0:
-                    return False
-        return True
+        return prune is None or prune(self.meet, self.join, self.touching[i, j])
 
     def _joins_possible(self, i, j):
         """False when, after meet cell (i, j) is decided, some decided cell
@@ -420,9 +457,9 @@ class _Enumerator:
             return
         i, j = self.cells[depth]
         if depth < m:
-            table, occ, prunes, values = self.meet, self.occ, self.meet_prunes, range(self.n)
+            table, occ, prune, values = self.meet, self.occ, self.meet_prune, range(self.n)
         else:
-            table, occ, prunes, values = self.join, self.jocc, self.join_prunes, self.cand[i, j]
+            table, occ, prune, values = self.join, self.jocc, self.join_prune, self.cand[i, j]
         want, inner = (self.resume[depth], depth < len(self.resume) - 1) if on_path else (-1, False)
         # nothing is restored on a stop: it unwinds the whole search, and
         # `run` then discards the tables
@@ -436,7 +473,7 @@ class _Enumerator:
             table[i][j] = v
             # occ[v] need not list (i, j) during the check: that cell's
             # triples reduce to v = v
-            if self._check_assign(table, occ, prunes, i, j):
+            if self._check_assign(table, occ, prune, i, j):
                 occ[v].append((i, j))
                 path.append(v)
                 later = self._lex_leader(depth, wake) if depth < m else wake
@@ -491,7 +528,7 @@ class _Enumerator:
     def _join_passes(self):
         """The checks `_check_assign` makes cell by cell, made once over the
         join table: associativity on every triple whose cells are all known,
-        then the join-stage satisfy prunes on every pair. Early exit."""
+        then the join-stage satisfy prune on every pair. Early exit."""
         t, n = self.join, self.n
         for x in range(n):
             tx = t[x]
@@ -501,14 +538,7 @@ class _Enumerator:
                     l, r = txy[z], tx[ty[z]]
                     if l != r and l >= 0 and r >= 0:
                         return False
-        m = self.meet
-        for sides in self.join_prunes:
-            for x in range(n):
-                for y in range(n):
-                    lhs, rhs = sides(m, t, x, y)
-                    if lhs != rhs and lhs >= 0 and rhs >= 0:
-                        return False
-        return True
+        return self.join_prune is None or self.join_prune(self.meet, t, self.pairs)
 
     # -- leaf handling
 
@@ -530,9 +560,9 @@ class _Enumerator:
         if not is_canonical(pair, perms):
             return
         S = validate(pair)
-        if not all(pred(S) for _, pred in self.satisfy):
+        if not _all_hold(S, *self.satisfy):
             return
-        if self.falsify and all(pred(S) for _, pred in self.falsify):
+        if self.spec.falsify and _all_hold(S, *self.falsify):
             return
         self.result.count_up_to_iso += 1
         self.result.witnesses.append(S)

@@ -59,13 +59,9 @@ class Formula:
         return not self.premises
 
     @cached_property
-    def sides(self) -> tuple:
-        """Each equation's two terms, premises first."""
-        return tuple(t for eq in self.premises + (self.conclusion,) for t in eq)
-
-    @cached_property
     def variables(self) -> tuple:
-        return tuple(sorted(set().union(*map(term_variables, self.sides))))
+        equations = self.premises + (self.conclusion,)
+        return tuple(sorted(set().union(*(term_variables(t) for eq in equations for t in eq))))
 
     def __str__(self):
         body = format_equation(*self.conclusion)
@@ -236,17 +232,21 @@ def format_equation(lhs, rhs) -> str:
 # --- evaluation --------------------------------------------------------------
 #
 # The one term compiler turns terms into generated Python. Its source names
-# only m, j (the tables), r (range(n)), v0, v1, ... (the variables' values,
-# by position), a temporary t0, t1, ... per distinct subterm, one per line,
-# and the table rows that subterms index (m_t0, j_v1, ...); no user text
-# enters it. The walker gives each temporary a depth: the position of the
-# last variable it reads. From that one walk it emits one of three bodies:
+# only m, j (the tables), r (range(n)) or pairs (a list of assignments), v0,
+# v1, ... (the variables' values, by position), a temporary t0, t1, ... per
+# distinct subterm, one per line, and the table rows that subterms index
+# (m_t0, j_v1, ...); no user text enters it. The walker gives each temporary
+# a depth: the position of the last variable it reads. From that one walk it
+# emits one of three bodies:
 #
-# - flat, for the search's prunes: a function of (m, j, *values) returning
-#   each term's value. On tables padded with a last row and column of -1
-#   (the search's partial tables) an unknown cell reads -1, and so does
-#   every term over it.
-# - nested, the universal check of a tuple of formulas in one pass: a
+# - prune, for the search: a function of (m, j, pairs) checking a tuple of
+#   identities in two variables, each with its sorted variables read as v0,
+#   v1, at each (v0, v1) of the list in one `for` loop. It returns False at
+#   the first assignment where some identity's two sides are both known
+#   (>= 0) and differ, else True. On tables padded with a last row and
+#   column of -1 (the search's partial tables) an unknown cell reads -1, and
+#   so does every term over it, so a side that reads -1 decides nothing.
+# - check, the nested universal check of a tuple of formulas in one pass: a
 #   function of (m, j, r) running one `for` loop per variable, outermost
 #   first as itertools.product does, up to the most variables any formula
 #   has. Each formula's sorted variables are read as v0, v1, ..., so equal
@@ -277,13 +277,13 @@ def _positional(term, index: dict):
 
 
 @lru_cache(maxsize=1024)
-def _compile(items: tuple, variables=None, table=False):
-    """The flat function of the terms `items` over `variables`, or with
-    `table` their table over every assignment; with variables None, the
-    nested check of the formulas `items`."""
+def _compile(body: str, items: tuple, variables=None):
+    """The `body` ("prune", "check" or "table") of `items`: the prune or
+    the nested check of the formulas `items`, or the table of the terms
+    `items` over `variables`."""
     names = {}  # positional term or row -> (name, depth)
     lines = []  # (depth, line) in the order made, so operands come first
-    nested = variables is None or table
+    nested = body != "prune"
 
     def bind(term):
         if term not in names:
@@ -304,14 +304,18 @@ def _compile(items: tuple, variables=None, table=False):
             lines.append((max(dl, dr), f"{names[term][0]} = {value}"))
         return names[term]
 
-    if variables is not None:
+    if body == "prune":
+        for f in items:
+            index = {name: k for k, name in enumerate(f.variables)}
+            (left, _), (right, _) = (bind(_positional(t, index)) for t in f.conclusion)
+            lines.append((0, f"if {left} != {right} and {left} >= 0 and {right} >= 0: return False"))
+        code = "".join(f"        {line}\n" for _, line in lines)
+        return _define(f"def prune(m, j, pairs):\n    for v0, v1 in pairs:\n{code}    return True\n", "prune")
+    table = body == "table"
+    if table:
         index = {name: k for k, name in enumerate(variables)}
         results = ", ".join(bind(_positional(t, index))[0] for t in items)
         width = len(variables)
-        if not table:
-            params = ", ".join(["m", "j"] + [f"v{k}" for k in range(width)])
-            body = "".join(f"    {line}\n" for _, line in lines)
-            return _define(f"def sides({params}):\n{body}    return ({results},)\n", "sides")
         lines.append((width - 1, f"w{width - 1}.append(({results},))"))
         source, name = "def table(m, j, r):\n", "table"
         tail = "".join(f"{'    ' * (d + 1)}w{d - 1}.append(tuple(w{d}))\n" for d in range(width - 1, 0, -1))
@@ -363,13 +367,14 @@ def compile_table(terms_: tuple, variables: tuple):
     """The terms as one function of (meet, join, range(n)) returning their
     table: one nesting level per variable, in the order of `variables`,
     and in each cell the tuple of the terms' values there."""
-    return _compile(terms_, variables, True)
+    return _compile("table", terms_, variables)
 
 
-def compile_formula(f: Formula):
-    """f's sides, premises first, as one function of (meet, join, *values)
-    returning their values, with the values in the order of f.variables."""
-    return _compile(f.sides, f.variables)
+def compile_prune(identities: tuple):
+    """The identities, each in two variables, as one function of (meet,
+    join, pairs): False at the first (x, y) in pairs where some identity's
+    two sides are both known (not -1) and differ, else True."""
+    return _compile("prune", identities)
 
 
 def holds_each(S: SkewLattice, formulas: tuple) -> tuple:
@@ -379,14 +384,14 @@ def holds_each(S: SkewLattice, formulas: tuple) -> tuple:
     A formula's assignments are taken in lexicographic order of its sorted
     variable names.
     """
-    found = _compile(tuple(formulas))(S.pair.meet, S.pair.join, range(S.n))
+    found = _compile("check", tuple(formulas))(S.pair.meet, S.pair.join, range(S.n))
     return tuple(True if w is None else dict(zip(f.variables, w)) for f, w in zip(formulas, found))
 
 
 def holds(S: SkewLattice, f: Formula):
     """True, or the lexicographically first failing assignment (a dict):
     holds_each of f alone, without its per-call tuple."""
-    (found,) = _compile((f,))(S.pair.meet, S.pair.join, range(S.n))
+    (found,) = _compile("check", (f,))(S.pair.meet, S.pair.join, range(S.n))
     return True if found is None else dict(zip(f.variables, found))
 
 

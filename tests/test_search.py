@@ -187,6 +187,9 @@ def test_search_counters_are_pinned():
     )
     res = find_counterexample(spec)
     assert (res.witness, res.exhausted, res.nodes) == (None, True, 4413)
+    # and up to order 6
+    res = find_counterexample(SearchSpec(n=6, satisfy=spec.satisfy, falsify=spec.falsify))
+    assert (res.witness, res.exhausted, res.nodes) == (None, True, 30869)
 
 
 def test_join_cut_passes_every_meet_prefix_of_the_census(monkeypatch):
@@ -376,6 +379,58 @@ def test_derived_prunes_keep_exactly_the_satisfying_classes(seed, last):
         got = enumerate_skew_lattices(SearchSpec(n=n, satisfy=(text,))).witnesses
         want = [S for S in census(n) if terms.holds(S, f) is True]
         assert [S.pair for S in got] == [S.pair for S in want], text
+
+
+def _entry_holds(S, name):
+    """One satisfy/falsify entry on S, decided on its own."""
+    lib = terms.library()
+    if name.endswith("-solution"):
+        return ybe.braid_check(ybe.build_map(S, name[: -len("-solution")].replace("-", "_"))) is None
+    if name in varieties.FLAGS:
+        return varieties.check(S, name) is True
+    return terms.holds(S, lib[name] if name in lib else terms.parse(name)) is True
+
+
+@pytest.mark.parametrize(
+    "satisfy, falsify",
+    [
+        (("left_handed", "D1", "x ^ y ^ z = x ^ z ^ y", "quasi_distributive"), ("strong-solution", "commute-meet")),
+        (("quasi_distributive", "lower-update-solution", "normal"), ("cancellative", "x v y v x = x v y", "C1")),
+        (("symmetric", "strong-dist1", "weak-solution"), ("lattice", "quasi_distributive")),
+        (
+            ("right_handed", "x v y = y v x => x ^ y = y ^ x", "left-solution"),
+            ("distributive", "right-solution", "x ^ y = x"),
+        ),
+        # entries that repeat a formula, within one side and across the two
+        (("lattice", "commute-meet", "update-solution"), ("D1", "distributive", "quasi_distributive")),
+        (("left_handed", "left-handed", "quasi_distributive"), ("left-handed", "strong-solution", "x ^ y ^ x = x ^ y")),
+    ],
+)
+def test_mixed_specs_keep_what_each_entry_selects(satisfy, falsify):
+    # flags, bundled names, raw formulas, quasi_distributive (decided on
+    # S/D) and map solutions, on both sides: the search keeps exactly the
+    # census members that every satisfy entry, each decided on its own,
+    # selects and some falsify entry rejects
+    kept = 0
+    for n in range(1, 6):
+        got = enumerate_skew_lattices(SearchSpec(n=n, satisfy=satisfy, falsify=falsify)).witnesses
+        want = [
+            S for S in census(n)
+            if all(_entry_holds(S, e) for e in satisfy) and not all(_entry_holds(S, e) for e in falsify)
+        ]
+        assert [S.pair for S in got] == [S.pair for S in want], n
+        kept += len(got)
+    assert 0 < kept < 85
+
+
+def test_a_formula_several_satisfy_entries_name_is_checked_once():
+    # lattice names commute-meet too: the prunes and the leaf's formulas
+    # are those of lattice alone, and so are the nodes and witnesses
+    assert search._prunes(("lattice", "commute-meet")) == search._prunes(("lattice",))
+    assert search._filters(("lattice", "commute-meet"))[0] == search._filters(("lattice",))[0]
+    for n in range(1, 7):
+        one, two = (enumerate_skew_lattices(SearchSpec(n=n, satisfy=s)) for s in (("lattice",), ("lattice", "commute-meet")))
+        assert (two.nodes, [S.pair for S in two.witnesses]) == (one.nodes, [S.pair for S in one.witnesses])
 
 
 def _constructed(max_n):

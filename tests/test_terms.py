@@ -10,7 +10,8 @@ from skewlat.terms import (
     Formula,
     ParseError,
     VariableLimitError,
-    compile_formula,
+    compile_prune,
+    compile_table,
     format_equation,
     format_term,
     holds,
@@ -114,13 +115,36 @@ def oracle_holds(S, f, oracle_evaluate):
     return True
 
 
-def compiled_sides(S, f, env):
-    """f's sides, premises first, from the flat compiled function."""
-    return compile_formula(f)(S.pair.meet, S.pair.join, *(env[v] for v in f.variables))
+def sides(f):
+    """Each equation's two terms, premises first."""
+    return tuple(t for eq in f.premises + (f.conclusion,) for t in eq)
+
+
+def compiled_sides(S, f):
+    """f's sides at every assignment: the compiled table of sides(f) over
+    f's variables, read as table[x][y]... (see `cell`)."""
+    return compile_table(sides(f), f.variables)(S.pair.meet, S.pair.join, range(S.n))
+
+
+def cell(table, values):
+    for v in values:
+        table = table[v]
+    return table
+
+
+def padded_value(meet, join, term, env):
+    """A term's value on tables padded with -1, by recursion: -1 as soon as
+    an operand reads -1, else the table cell."""
+    if term[0] == "var":
+        return env[term[1]]
+    a, b = padded_value(meet, join, term[1], env), padded_value(meet, join, term[2], env)
+    if a < 0 or b < 0:
+        return -1
+    return (meet if term[0] == "meet" else join)[a][b]
 
 
 def oracle_sides(S, f, env, oracle_evaluate):
-    return tuple(oracle_evaluate(S, t, env) for t in f.sides)
+    return tuple(oracle_evaluate(S, t, env) for t in sides(f))
 
 
 class TestEvaluation:
@@ -167,10 +191,11 @@ class TestEvaluation:
                 expected = oracle_holds(S, f, oracle_evaluate)
                 assert holds(S, f) == expected, (f, S)
                 failures += expected is not True
-                # the flat body the search's prunes run, on every side
+                # the table body, on every side at every assignment
+                table = compiled_sides(S, f)
                 for values in itertools.product(S.elements(), repeat=len(f.variables)):
                     env = dict(zip(f.variables, values))
-                    assert compiled_sides(S, f, env) == oracle_sides(S, f, env, oracle_evaluate), (f, S, env)
+                    assert cell(table, values) == oracle_sides(S, f, env, oracle_evaluate), (f, S, env)
         assert failures > 100
 
     def test_one_pass_over_many_formulas_against_the_oracle(self, census5, oracle_evaluate):
@@ -224,7 +249,15 @@ class TestEvaluation:
         f = parse(" ^ ".join(["x"] * 300 + ["y"]) + " = x ^ y")
         assert holds(THREE_R0, f) is True
         env = {"x": 1, "y": 2}
-        assert compiled_sides(THREE_R0, f, env) == oracle_sides(THREE_R0, f, env, oracle_evaluate) == (2, 2)
+        assert compiled_sides(THREE_R0, f)[1][2] == oracle_sides(THREE_R0, f, env, oracle_evaluate) == (2, 2)
+        # and the prune body: x ^ ... ^ x ^ y = y ^ x fails at (1, 2) and (2, 1)
+        pairs = list(itertools.product(range(3), repeat=2))
+        meet, join = THREE_R0.pair.meet, THREE_R0.pair.join
+        assert compile_prune((f,))(meet, join, pairs) is True
+        g = parse(" ^ ".join(["x"] * 300 + ["y"]) + " = y ^ x")
+        assert compile_prune((g,))(meet, join, pairs) is False
+        assert compile_prune((g,))(meet, join, [p for p in pairs if p not in ((1, 2), (2, 1))]) is True
+        assert compile_prune((g,))(meet, join, [(2, 1)]) is False
 
     def test_depth_limit(self):
         # a term at the limit, in operators or in parentheses, still compiles
@@ -254,11 +287,64 @@ class TestEvaluation:
         # tables padded with a row and column of -1, as in the search
         meet = [[0, 0, -1], [-1, 1, -1], [-1, -1, -1]]
         join = [[-1] * 3] * 3
-        sides = compile_formula(parse("x ^ y ^ x = x ^ y"))
-        assert sides(meet, join, 0, 1) == (0, 0)
-        assert sides(meet, join, 1, 0) == (-1, -1)
-        assert sides(meet, join, 1, 1) == (1, 1)
-        assert compile_formula(parse("x v y = y"))(meet, join, 0, 1) == (-1, 1)
+        f, g = parse("x ^ y ^ x = x ^ y"), parse("x v y = y")
+        table = compile_table(sides(f), f.variables)(meet, join, range(2))
+        assert table[0][1] == (0, 0)
+        assert table[1][0] == (-1, -1)
+        assert table[1][1] == (1, 1)
+        assert compile_table(sides(g), g.variables)(meet, join, range(2))[0][1] == (-1, 1)
+        # a prune fails only where both sides are known and differ: not
+        # where both read -1, nor where only the left or only the right does
+        h, k = parse("y = x v y"), parse("x ^ y = y")  # k fails at (0, 1)
+        assert compile_prune((f,))(meet, join, [(0, 1), (1, 0), (1, 1)]) is True
+        assert compile_prune((g,))(meet, join, [(0, 1)]) is True
+        assert compile_prune((h,))(meet, join, [(0, 1)]) is True
+        assert compile_prune((k,))(meet, join, [(1, 0), (1, 1)]) is True
+        assert compile_prune((k,))(meet, join, [(1, 0), (0, 1), (1, 1)]) is False
+        assert compile_prune((f, g, h, k))(meet, join, [(0, 1)]) is False
+        assert compile_prune((f, g, h))(meet, join, [(0, 1), (1, 0), (1, 1)]) is True
+
+    def test_prune_against_the_padded_oracle(self, census5):
+        # identities in two variables on census members whose tables are
+        # padded with -1 and partly erased, as the search's partial tables
+        # are: a prune over a list of assignments fails exactly when, at one
+        # of them, some identity's two sides are both known and differ
+        rng = random.Random(31)
+        formulas = []
+        while len(formulas) < 60:
+            f = parse(format_equation(random_term(rng, "aw", 3), random_term(rng, "aw", 3)))
+            if len(f.variables) == 2:
+                formulas.append(f)
+        seen = {"violated": 0, "one side unknown": 0, "both unknown": 0, "equal": 0}
+        for S in [*census5[3], *census5[4][::3], *census5[5][::9]]:
+            n = S.n
+            for erased in (0.0, 0.3, 0.6):
+                meet, join = (
+                    [[-1 if rng.random() < erased and x != y else t[x][y] for y in range(n)] + [-1] for x in range(n)]
+                    + [[-1] * (n + 1)]
+                    for t in (S.pair.meet, S.pair.join)
+                )
+                pairs = list(itertools.product(range(n), repeat=2))
+                verdicts = []
+                for f in formulas:
+                    fine = []
+                    for values in pairs:
+                        env = dict(zip(f.variables, values))
+                        lhs, rhs = (padded_value(meet, join, t, env) for t in f.conclusion)
+                        if lhs >= 0 and rhs >= 0:
+                            fine.append(lhs == rhs)
+                            seen["equal" if lhs == rhs else "violated"] += 1
+                        else:
+                            fine.append(True)
+                            seen["one side unknown" if max(lhs, rhs) >= 0 else "both unknown"] += 1
+                    prune = compile_prune((f,))
+                    assert [prune(meet, join, [p]) for p in pairs] == fine, (f, meet, join)
+                    assert prune(meet, join, pairs) is all(fine)
+                    verdicts.append(all(fine))
+                # several identities in one body: each one's verdict, joined
+                for k in range(0, len(formulas), 4):
+                    assert compile_prune(tuple(formulas[k:k + 4]))(meet, join, pairs) is all(verdicts[k:k + 4])
+        assert min(seen.values()) > 1000, seen
 
     def test_variable_names_stay_out_of_the_generated_code(self):
         # a formula's variables are passed by position, so any letters work
