@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import terms
 from .core import SkewLattice
@@ -36,10 +36,18 @@ FAMILY_IDENTITIES = {
 
 @dataclass(frozen=True)
 class PairMap:
-    """A total map on pairs of {0..n-1}; table[x][y] = (x', y')."""
+    """A total map on pairs of {0..n-1}; table[x][y] = (x', y').
+
+    `keeps` names a coordinate the map is said to keep: 1 when
+    τ(x, y) = y, 0 when σ(x, y) = x, None when it names none. build_map
+    sets it from the kind's terms, so 1 for update and lower_update and 0
+    for co_update and upper_update. braid_check confirms it on the table
+    before relying on it. It takes no part in equality or hashing.
+    """
 
     n: int
     table: tuple
+    keeps: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -62,18 +70,23 @@ class PowerClass:
 @functools.cache
 def _compiled_maps() -> dict:
     """Each kind's component terms, parsed and compiled once, as one
-    function of (meet, join, range(n)) returning the pair table."""
-    return {
-        kind: terms.compile_table(tuple(map(terms.parse_term, pair)), ("x", "y"))
-        for kind, pair in MAPS.items()
-    }
+    function of (meet, join, range(n)) returning the pair table, with the
+    coordinate the kind keeps: 1 when τ is the bare variable y, 0 when σ
+    is the bare variable x, else None."""
+    compiled = {}
+    for kind, pair in MAPS.items():
+        sigma, tau = parsed = tuple(map(terms.parse_term, pair))
+        keeps = 1 if tau == ("var", "y") else 0 if sigma == ("var", "x") else None
+        compiled[kind] = terms.compile_table(parsed, ("x", "y")), keeps
+    return compiled
 
 
 def build_map(S: SkewLattice, kind: str) -> PairMap:
     """Construct one of the solution maps as a full pair table."""
     if kind not in MAPS:
         raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
-    return PairMap(S.n, _compiled_maps()[kind](S.pair.meet, S.pair.join, range(S.n)))
+    table, keeps = _compiled_maps()[kind]
+    return PairMap(S.n, table(S.pair.meet, S.pair.join, range(S.n)), keeps)
 
 
 def braid_check(m: PairMap):
@@ -84,7 +97,20 @@ def braid_check(m: PairMap):
     r12 r23 r12 = (e, f, d) and r23 r12 r23 = (i, p, q), where
     r(x, y) = (a, b), r(b, z) = (c, d), r(a, c) = (e, f) and
     r(y, z) = (g, h), r(x, g) = (i, k), r(k, h) = (p, q).
+
+    A map that keeps a coordinate needs only two conditions. Writing
+    x·y = σ(x, y), r(x, y) = (x·y, y) is a solution exactly when
+    (x·y)·(y·z) = x·(y·z) and (y·z)·z = y·z; writing x∘y = τ(x, y),
+    r(x, y) = (x, x∘y) is one exactly when x∘(x∘y) = x∘y and
+    (x∘y)∘z = (x∘y)∘(y∘z). A triple fails exactly when one of its two
+    conditions does, so these checks find the same first triple, and its
+    sides come from the same six lookups. They run when m.keeps names the
+    kept coordinate and the table confirms it; every other map takes the
+    loop over all triples.
     """
+    rows = _other_rows(m)
+    if rows is not None:
+        return (_braid_keeping_y if m.keeps == 1 else _braid_keeping_x)(m.table, rows)
     t = m.table
     r = range(m.n)
     for x in r:
@@ -100,6 +126,89 @@ def braid_check(m: PairMap):
                 p, q = t[k][h]
                 if e != i or f != p or d != q:
                     return BraidWitness((x, y, z), (e, f, d), (i, p, q))
+    return None
+
+
+def _other_rows(m: PairMap):
+    """The rows of the component m does not keep, once one pass over the
+    table confirms m.keeps; None when m.keeps is None or wrong."""
+    if m.keeps is None:
+        return None
+    ids = tuple(range(m.n))
+    rows = []
+    for x, row in enumerate(m.table):
+        sigma, tau = zip(*row)
+        if m.keeps == 1 and tau == ids:
+            rows.append(sigma)
+        elif m.keeps == 0 and sigma == (x,) * m.n:
+            rows.append(tau)
+        else:
+            return None
+    return rows
+
+
+def _witness(t, x, y, z) -> BraidWitness:
+    """The failing triple with its two sides, by the six lookups of the
+    loop in braid_check."""
+    a, b = t[x][y]
+    c, d = t[b][z]
+    e, f = t[a][c]
+    g, h = t[y][z]
+    i, k = t[x][g]
+    p, q = t[k][h]
+    return BraidWitness((x, y, z), (e, f, d), (i, p, q))
+
+
+def _braid_keeping_y(t, s):
+    """braid_check of r(x, y) = (x·y, y), where s[x][y] = x·y."""
+    n = len(s)
+    r = range(n)
+    # the first z of each row y with (y·z)·z != y·z, n when there is none
+    stops = []
+    for y in r:
+        sy = s[y]
+        stop = n
+        for z in r:
+            c = sy[z]
+            if s[c][z] != c:
+                stop = z
+                break
+        stops.append(stop)
+    for x in r:
+        sx = s[x]
+        for y in r:
+            a = sx[y]
+            stop = stops[y]
+            # with x·y = x the first condition always holds
+            if a != x:
+                sa, sy = s[a], s[y]
+                for z in range(stop):
+                    c = sy[z]
+                    if sa[c] != sx[c]:
+                        return _witness(t, x, y, z)
+            if stop < n:
+                return _witness(t, x, y, stop)
+    return None
+
+
+def _braid_keeping_x(t, u):
+    """braid_check of r(x, y) = (x, x∘y), where u[x][y] = x∘y."""
+    r = range(len(u))
+    # whether row y keeps the first condition: y∘(y∘z) = y∘z for every z
+    kept = [all(uy[c] == c for c in uy) for uy in u]
+    for x in r:
+        ux = u[x]
+        for y in r:
+            b = ux[y]
+            # the first condition fails at every z, so first at z = 0
+            if ux[b] != b:
+                return _witness(t, x, y, 0)
+            # with x∘y = y the second condition is the first on row y
+            if b != y or not kept[y]:
+                ub, uy = u[b], u[y]
+                for z in r:
+                    if ub[z] != ub[uy[z]]:
+                        return _witness(t, x, y, z)
     return None
 
 

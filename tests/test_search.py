@@ -192,6 +192,15 @@ def test_search_counters_are_pinned():
     assert (res.witness, res.exhausted, res.nodes) == (None, True, 30869)
 
 
+def test_update_maps_are_solutions_up_to_order_5():
+    # the paper's main theorem, through the braid check of maps that keep
+    # one coordinate: no skew lattice of order <= 5 has an update map that
+    # fails the braid relation
+    falsify = ("update-solution", "lower-update-solution", "co-update-solution", "upper-update-solution")
+    res = find_counterexample(SearchSpec(n=5, falsify=falsify))
+    assert (res.witness, res.exhausted, res.nodes) == (None, True, 6885)
+
+
 def test_join_cut_passes_every_meet_prefix_of_the_census(monkeypatch):
     # the search without the cut finds the same census, and every prefix of
     # each member's meet table, in mcells order, passes the cut: it loses

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewlat import cli, constructions, core, terms, theorems, ybe
 from skewlat.core import CayleyPair, validate
@@ -100,11 +101,14 @@ class TestBuildMap:
         _, S = threes
         assert braid_check(build_map(S, "strong")) is not None
 
-    def test_braid_check_matches_oracle(self, census5):
-        # the exact witness on every solution map of order 5, and on random
+    def test_braid_check_matches_oracle(self, census5, constructed):
+        # the exact witness (the triple and both sides) on every solution map
+        # of the census to order 5 and of the constructed algebras, the
+        # update kinds through the check of a kept coordinate, and on random
         # pair maps of order <= 4 that come from no algebra
         rng = random.Random(31)
-        maps = [build_map(S, kind) for S in census5[5] for kind in MAP_KINDS]
+        algebras = [S for n in census5 for S in census5[n]] + constructed
+        maps = [build_map(S, kind) for S in algebras for kind in MAP_KINDS]
         for _ in range(600):
             n = rng.randint(1, 4)
             table = tuple(tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n)) for _ in range(n))
@@ -116,6 +120,123 @@ class TestBuildMap:
         m = ybe.PairMap(4, tuple(tuple((y, x) for y in range(4)) for x in range(4)))  # r(x, y) = (y, x)
         assert braid_check(m) is None
         assert power_class(m).involutive
+
+
+UPDATE_KINDS = ("update", "lower_update", "co_update", "upper_update")
+
+
+def kept_pair_map(keeps, other):
+    """The map keeping coordinate `keeps` (1: r(x, y) = (other[x][y], y),
+    0: r(x, y) = (x, other[x][y])), with that coordinate as its hint."""
+    n = len(other)
+    if keeps == 1:
+        table = tuple(tuple((other[x][y], y) for y in range(n)) for x in range(n))
+    else:
+        table = tuple(tuple((x, other[x][y]) for y in range(n)) for x in range(n))
+    return ybe.PairMap(n, table, keeps)
+
+
+def other_component(m):
+    """The component of m that m.keeps does not name, as rows."""
+    return [[cell[1 - m.keeps] for cell in row] for row in m.table]
+
+
+def failing_case(m, w):
+    """How the witness w of m, a map keeping m.keeps, fails: (kept
+    coordinate, which of the two conditions fail, whether z = 0, whether
+    r(x, y) = (x, y), where braid_check may skip the z loop)."""
+    x, y, z = w.triple
+    kept = m.keeps
+    # r(x, y) = (x·y, y): sides ((x·y)·c, c, z) and (x·c, c·z, z), c = y·z;
+    # r(x, y) = (x, x∘y): sides (x, x∘(x∘y), b∘z) and (x, b, b∘(y∘z)), b = x∘y
+    first, second = (0, 1) if kept == 1 else (1, 2)
+    conditions = tuple(i + 1 for i, side in enumerate((first, second)) if w.lhs[side] != w.rhs[side])
+    return kept, conditions, z == 0, m.table[x][y] == (x, y)
+
+
+def test_update_maps_keep_their_coordinate(threes):
+    S, _ = threes
+    assert {kind: build_map(S, kind).keeps for kind in MAP_KINDS} == {
+        "update": 1, "lower_update": 1, "co_update": 0, "upper_update": 0,
+        "strong": None, "left": None, "right": None, "weak": None,
+    }
+    # the hint takes no part in equality or hashing
+    m = build_map(S, "update")
+    plain = ybe.PairMap(m.n, m.table)
+    assert plain == m and hash(plain) == hash(m) and plain.keeps is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_kept_coordinate_maps_match_the_oracle(data):
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    keeps = data.draw(st.sampled_from((0, 1)))
+    row = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n)
+    m = kept_pair_map(keeps, data.draw(st.lists(row, min_size=n, max_size=n)))
+    assert braid_check(m) == oracle_braid_witness(m)
+
+
+def test_changed_update_maps_fail_each_condition(census5):
+    # census update maps with one cell of the other component changed, and
+    # random maps keeping one coordinate: every witness is the oracle's, and
+    # the failures cover each condition, alone and together, at z = 0 and
+    # past it, and where the kept-coordinate shortcut applies at (x, y)
+    rng = random.Random(29)
+    maps = []
+    for n in range(2, 6):
+        for S in census5[n]:
+            for kind in UPDATE_KINDS:
+                m = build_map(S, kind)
+                for _ in range(6):
+                    other = other_component(m)
+                    x, y = rng.randrange(n), rng.randrange(n)
+                    other[x][y] = rng.choice([v for v in range(n) if v != other[x][y]])
+                    maps.append(kept_pair_map(m.keeps, other))
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        maps.append(kept_pair_map(rng.randrange(2), [[rng.randrange(n) for _ in range(n)] for _ in range(n)]))
+    seen = set()
+    for m in maps:
+        w = braid_check(m)
+        assert w == oracle_braid_witness(m), m
+        if w is not None:
+            seen.add(failing_case(m, w))
+    for kept in (0, 1):
+        for conditions in ((1,), (2,), (1, 2)):
+            assert any(c[:2] == (kept, conditions) for c in seen), (kept, conditions)
+        # the second condition alone, first failing past z = 0
+        assert any(c[:3] == (kept, (2,), False) for c in seen), kept
+        # the second condition alone where the shortcut applies at (x, y)
+        assert any(c[:2] == (kept, (2,)) and c[3] for c in seen), kept
+    # the first condition of r(x, y) = (x·y, y) first failing past z = 0;
+    # that of r(x, y) = (x, x∘y) fails at every z, so first at z = 0
+    assert any(c[:3] == (1, (1,), False) for c in seen)
+    assert not any(c[:3] == (0, (1,), False) for c in seen)
+
+
+def test_a_wrong_hint_gets_the_triple_loop_answer(census5):
+    # the hint is confirmed on the table before the reduced check uses it:
+    # wrong hints on update maps with one kept cell changed, on the other
+    # kind of update map, on the other four kinds and on random maps
+    rng = random.Random(7)
+    maps = []
+    for n in range(2, 6):
+        for S in census5[n]:
+            for kind in MAP_KINDS:
+                m = build_map(S, kind)
+                table = [list(row) for row in m.table]
+                x, y = rng.randrange(n), rng.randrange(n)
+                a, b = table[x][y]
+                table[x][y] = (a, (b + 1) % n) if m.keeps == 1 else ((a + 1) % n, b)
+                table = tuple(map(tuple, table))
+                maps += [ybe.PairMap(n, table, keeps) for keeps in (0, 1)]
+                maps += [ybe.PairMap(n, m.table, 1 - m.keeps)] if m.keeps is not None else []
+    for _ in range(600):
+        n = rng.randint(2, 4)
+        table = tuple(tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n)) for _ in range(n))
+        maps.append(ybe.PairMap(n, table, rng.randrange(2)))
+    for m in maps:
+        assert braid_check(m) == braid_check(ybe.PairMap(m.n, m.table)) == oracle_braid_witness(m), m
 
 
 class TestUpdates:
