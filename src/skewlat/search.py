@@ -3,24 +3,28 @@ counterexample search, node/time budgets and resumable checkpoints.
 
 Budgets cover the whole call, across all sizes in `find_counterexample`. A
 budgeted run stops before the node that would exceed it, which ends the
-checkpoint path; a run and its resumes count each node once.
+checkpoint path; a run and its resumes count each node once. Only a run
+with `max_nodes` or `max_seconds` checks its budget at each node
+(`_tick`); an unbudgeted one counts its nodes in the DFS loop.
 
 One depth-first search decides the decision cells, and its decision path
 is the checkpoint. The n·(n−1) off-diagonal meet cells come first, cell by
-cell; each assignment is checked, in one inline loop, against the
-associativity triples it completes, the band-law triples (i, j, j) and
-(i, i, j) first: two table reads settle many of the rejects. Only an
-assignment that passes enters the search's bookkeeping. A meet assignment
-is also cut when some decided x ^ y outside {x, y} is left with no possible
-join: no u with x ^ u in {x, unknown} and u ^ y in {y, unknown}
-(`_joins_possible`). Once the meet table is complete, the dualities and
-absorption laws pin or narrow the join cells; their candidates come from
-two sets per element, built once. Every join cell with one candidate is
-written at once, and is no node; one early-exit pass then checks
-associativity on each triple of known join cells and the join-stage prunes
-on each pair, and a meet table that fails it is cut there. Only the open
-join cells, those with two candidates or more, are decision cells; they
-follow in `mcells` order, through the same check as the meet cells.
+cell. Right after writing a cell, the DFS loop reads the band laws
+(i, j, j) and (i, i, j) on its table: those two reads reject 34 % of the
+nodes at n = 5 and 42 % at n = 7. An assignment that passes them is
+checked, in one inline loop (`_check_assign`), against the other
+associativity triples it completes, and only one that passes that too
+enters the search's bookkeeping. A meet assignment is also cut when some
+decided x ^ y outside {x, y} is left with no possible join: no u with
+x ^ u in {x, unknown} and u ^ y in {y, unknown} (`_joins_possible`).
+Once the meet table is complete, the dualities and absorption laws pin or
+narrow the join cells; their candidates come from two sets per element,
+built once. Every join cell with one candidate is written at once, and is
+no node; one early-exit pass then checks associativity on each triple of
+known join cells and the join-stage prunes on each pair, and a meet table
+that fails it is cut there. Only the open join cells, those with two
+candidates or more, are decision cells; they follow in `mcells` order,
+through the same check as the meet cells.
 
 The satisfy entries' identities in two variables prune partial tables,
 each once however many entries name it. Split by whether they read join,
@@ -34,7 +38,10 @@ quasi_distributive, bundled names and raw formulas) are decided in one
 `terms.holds_each` pass over their formulas, each once; a `*-solution`
 entry and quasi_distributive, decided on S/D, stay one predicate each. A
 leaf is kept when every satisfy entry holds and, with falsify entries,
-one of them fails.
+one of them fails. A leaf's pair is built straight from the search's
+tables, which hold only elements, without `CayleyPair.from_tables`' scan
+of outside input; `validate` still checks every axiom on each canonical
+leaf.
 
 Isomorphism rejection keeps exactly the lex-least representative of each
 class (`core.canonical_labeling`). Since that representative's meet table
@@ -73,11 +80,11 @@ from .core import axiom_violations  # noqa: F401  bench/spans.py traces it throu
 
 # The largest order a search accepts. A search builds each relabeling when it
 # first needs it, as n² bytes: before its first node only the (n−1)! that fix
-# 0, which take 0.6 s at n = 9. Peaks measured on 2 shared CPUs, Python 3.11:
-# n = 8 exhausts in one process, 1,971 classes in 40–50 s at 45 MB; an n = 9
-# search reaches 61 MB after 5 s, and a process that holds all 9!
-# relabelings and nothing else 67 MB. A cell index stops fitting a byte at
-# n = 17.
+# 0, which take 0.10–0.17 s at n = 9. Measured on 2 shared CPUs, Python 3.11:
+# n = 8 exhausts in one process, 1,971 classes in 40–50 s at 45 MB; a 5-s
+# n = 9 search reaches 15,000–29,000 nodes and 61 MB, and a process that
+# holds all 9! relabelings and nothing else 67 MB. A cell index stops
+# fitting a byte at n = 17.
 MAX_N = 9
 
 
@@ -259,7 +266,9 @@ class _Enumerator:
 
     def _tick(self, next_value):
         """Count the node that assigns next_value, or stop before it when
-        the budget is spent; the checkpoint path then ends at that node."""
+        the budget is spent; the checkpoint path then ends at that node.
+        Only a budgeted run calls it: an unbudgeted one counts its nodes in
+        `_dfs`."""
         over_nodes = self.spec.max_nodes and self.result.nodes >= self.spec.max_nodes
         over_time = self.deadline and time.monotonic() > self.deadline
         if over_nodes or over_time:
@@ -290,13 +299,22 @@ class _Enumerator:
         for each meet cell, in `mcells` order, the position of its source
         cell, the one p carries onto it (the relabeled table reads p[t[c]]
         there, c that source cell), then p[v] for each element v. Cell
-        (i, j) is at position i·(n−1) + j − (j > i)."""
+        (i, j) is at position i·(n−1) + j − (j > i).
+
+        The positions come from a table built once per block, row a a
+        `bytes.translate` table that holds the position of (a, b) at b, and
+        255, which no meet cell has, at a. With pinv the inverse of p, row a
+        of the relabeled table has its sources in row pinv[a], at the columns
+        pinv[b]: that row of the table, translating pinv, gives them in one
+        call, and dropping the 255s leaves the meet cells."""
         block = self.blocks.get(x)
         if block is None:
-            n, cells = self.n, self.mcells
+            n = self.n
+            pos = [bytes([a * (n - 1) + b - (b > a) if b != a else 255 for b in range(n)]).ljust(256, b"\0") for a in range(n)]
             block = self.blocks[x] = []
             for pinv in relabelings(n, (x,)):
-                sources = bytes(pinv[a] * (n - 1) + pinv[b] - (pinv[b] > pinv[a]) for a, b in cells)
+                cols = bytes(pinv)
+                sources = b"".join([cols.translate(pos[a]) for a in pinv]).replace(b"\xff", b"")
                 block.append(sources + bytes(inverse(pinv)))
         return block
 
@@ -312,6 +330,8 @@ class _Enumerator:
     def _check_assign(self, t, occ, prune, i, j):
         """Associativity and the current stage's satisfy prune after
         t[i][j] is assigned; occ[v] lists the cells of t that hold v.
+        `_dfs` calls it only for a value that passes the band laws
+        (i, j, j) and (i, i, j), which it reads itself.
 
         The triples checked are (i, j, a) and (a, i, j) for every a, then
         (x, y, j) for each cell (x, y) holding i and (i, x, y) for each cell
@@ -321,10 +341,6 @@ class _Enumerator:
         ti, tj = t[i], t[j]
         v = ti[j]
         tv = t[v]
-        # the band laws (i, j, j) and (i, i, j) first: v ^ j = v = i ^ v
-        l, r = tv[j], ti[v]
-        if (l != v and l >= 0) or (r != v and r >= 0):
-            return False
         for a in range(self.n):
             ta = t[a]
             l, r = tv[a], ti[tj[a]]
@@ -444,6 +460,11 @@ class _Enumerator:
         forced join cells (`_force_joins`), which are no nodes: a table that
         fails there dies, and one without an open cell is a leaf.
 
+        Each value tried is a node: `_tick` counts it in a budgeted run,
+        the loop itself in an unbudgeted one. The loop then reads the band
+        laws on the cell; only a value that passes them goes on to
+        `_check_assign`.
+
         While `on_path`, the node's ancestors follow the checkpoint path:
         values below its next one were searched by the run that stopped,
         which counted every node on the path but the last. The meet prefix
@@ -463,14 +484,22 @@ class _Enumerator:
         want, inner = (self.resume[depth], depth < len(self.resume) - 1) if on_path else (-1, False)
         # nothing is restored on a stop: it unwinds the whole search, and
         # `run` then discards the tables
-        path = self.path
+        path, result, row = self.path, self.result, table[i]
+        budgeted = self.spec.max_nodes or self.deadline
         for v in values:
             if v < want:
                 continue
             counted = inner and v == want
             if not counted:
-                self._tick(v)
-            table[i][j] = v
+                if budgeted:
+                    self._tick(v)
+                else:
+                    result.nodes += 1
+            row[j] = v
+            # the band laws (i, j, j) and (i, i, j) first: v ^ j = v = i ^ v
+            l, r = table[v][j], row[v]
+            if (l != v and l >= 0) or (r != v and r >= 0):
+                continue
             # occ[v] need not list (i, j) during the check: that cell's
             # triples reduce to v = v
             if self._check_assign(table, occ, prune, i, j):
@@ -481,7 +510,7 @@ class _Enumerator:
                     self._dfs(depth + 1, counted, later)
                 path.pop()
                 occ[v].pop()
-        table[i][j] = -1
+        row[j] = -1
 
     def _force_joins(self):
         """Once the meet table is complete, write every join cell that has
@@ -545,14 +574,18 @@ class _Enumerator:
     def _emit(self, automorphisms):
         """Keep the leaf if it is canonical and passes the filters;
         `automorphisms` chains the meet table's automorphisms, or is None
-        when the meet table left no open join cell.
+        when the meet table left no open join cell. The leaf's pair is the
+        search's own tables as tuples: they hold only elements, so
+        `CayleyPair.from_tables`' scan of outside input is not needed, and
+        `validate` checks every axiom on a canonical leaf.
 
         Such a table has one join, and no automorphism is compared: an
         automorphism g of the meet table carries the join J to g(J), also a
         join of that meet table, so each cell of g(J) is a candidate too, and
         g(J) = J."""
         n = self.n
-        pair = CayleyPair.from_tables([r[:n] for r in self.meet[:n]], [r[:n] for r in self.join[:n]])
+        meet, join = (tuple([tuple(r[:n]) for r in t[:n]]) for t in (self.meet, self.join))
+        pair = CayleyPair(n, meet, join)
         perms = []
         while automorphisms is not None:
             rel, _, automorphisms = automorphisms

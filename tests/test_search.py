@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +193,38 @@ def test_search_counters_are_pinned():
     assert (res.witness, res.exhausted, res.nodes) == (None, True, 30869)
 
 
+def test_leaf_pairs_are_what_from_tables_builds():
+    # a leaf's pair is built from the search's own tables without the scan
+    # for outside input; it must equal, tuple for tuple, the pair that scan
+    # accepts
+    for n in range(1, 7):
+        for S in census(n):
+            assert CayleyPair.from_tables(S.pair.meet, S.pair.join) == S.pair
+
+
+def test_check_assign_is_handed_only_values_that_pass_the_band_laws(monkeypatch):
+    # the DFS loop reads v ^ j = v = i ^ v on the cell's table right after
+    # writing it, for meet and join cells alike; 34 % of the n = 5 nodes
+    # and 38 % of the n = 6 ones die on those two reads. No join node does
+    # (40 at n = 5, 458 at n = 6): for a candidate v of an open join cell
+    # (x, y), x ^ v = x and v ^ y = y, so the forced cells (x, v) and (v, y)
+    # already hold v
+    checked = []
+    real = search._Enumerator._check_assign
+
+    def spy(self, t, occ, prune, i, j):
+        v = t[i][j]
+        assert t[v][j] in (v, -1) and t[i][v] in (v, -1), (t, i, j)
+        checked.append(t is self.join)
+        return real(self, t, occ, prune, i, j)
+
+    monkeypatch.setattr(search._Enumerator, "_check_assign", spy)
+    for n, nodes, meet_calls, join_calls in ((5, 6015, 3928, 40), (6, 47306, 28736, 458)):
+        checked.clear()
+        res = enumerate_skew_lattices(SearchSpec(n=n))
+        assert (res.nodes, checked.count(False), checked.count(True)) == (nodes, meet_calls, join_calls)
+
+
 def test_update_maps_are_solutions_up_to_order_5():
     # the paper's main theorem, through the braid check of maps that keep
     # one coordinate: no skew lattice of order <= 5 has an update map that
@@ -279,6 +312,20 @@ def test_released_relabelings_are_those_of_the_label_zero_rule(census5):
                     for rel in got:
                         pinv = sorted(range(n), key=rel[-n:].__getitem__)
                         assert rel[:-n] == bytes(e.mcells.index((pinv[a], pinv[b])) for a, b in e.mcells)
+
+
+def test_blocks_are_the_relabelings_they_encode():
+    # each block, built from a position table row by row, equals the bytes
+    # of its relabelings built cell by cell: the position of each source
+    # cell, then the labels
+    for n in range(1, 7):
+        e = search._Enumerator(SearchSpec(n=n))
+        for x in range(n):
+            want = []
+            for pinv in core.relabelings(n, (x,)):
+                sources = [pinv[a] * (n - 1) + pinv[b] - (pinv[b] > pinv[a]) for a, b in e.mcells]
+                want.append(bytes(sources) + bytes(core.inverse(pinv)))
+            assert e._block(x) == want, (n, x)
 
 
 def test_orbit_stabilizer_counts_the_labeled_algebras(census5):
@@ -570,7 +617,8 @@ class TestBudgetsAndCheckpoints:
         # at n=5, 40 of the 6,015 nodes decide an open join cell; a budget
         # that stops the first run at each of them leaves a checkpoint path
         # past the 20 meet cells, which the resume reads against the open
-        # cells of the meet table the path gives
+        # cells of the meet table the path gives. Only a budgeted run calls
+        # `_tick`, so the spied run has a budget that never runs out
         depths = []  # the depth of each node, in search order
         tick = search._Enumerator._tick
 
@@ -580,12 +628,58 @@ class TestBudgetsAndCheckpoints:
 
         with monkeypatch.context() as mp:
             mp.setattr(search._Enumerator, "_tick", spy)
-            full = enumerate_skew_lattices(SearchSpec(n=5))
+            full = enumerate_skew_lattices(SearchSpec(n=5, max_nodes=10**9))
         budgets = [k for k, depth in enumerate(depths) if depth >= 20]
         assert (len(depths), full.nodes, len(budgets)) == (6015, 6015, 40)
         for budget in budgets:
             runs = self._assert_resumes_split(SearchSpec(n=5, max_nodes=budget), full)
             assert len(runs[0].checkpoint) > 20
+
+    @pytest.mark.parametrize("budget", [{"max_nodes": 10**9}, {"max_seconds": 1e6}], ids=["max-nodes", "max-seconds"])
+    def test_a_budget_that_never_runs_out_changes_nothing(self, budget, monkeypatch):
+        # an unbudgeted run counts its nodes in the DFS loop, a budgeted one
+        # through `_tick`, one call per node: the two count the same nodes
+        # and find the same witnesses
+        ticks = [0]
+        tick = search._Enumerator._tick
+
+        def spy(self, next_value):
+            ticks[0] += 1
+            tick(self, next_value)
+
+        monkeypatch.setattr(search._Enumerator, "_tick", spy)
+        specs = [(SearchSpec(n=n), nodes) for n, nodes in zip(range(1, 7), (0, 6, 84, 780, 6015, 47306))]
+        specs.append((SearchSpec(n=6, satisfy=("left_handed",)), 26456))
+        for spec, nodes in specs:
+            ticks[0] = 0
+            free = enumerate_skew_lattices(spec)
+            assert (free.nodes, ticks[0]) == (nodes, 0)
+            capped = enumerate_skew_lattices(replace(spec, **budget))
+            assert (capped.nodes, ticks[0]) == (nodes, nodes)
+            assert (capped.exhausted, capped.checkpoint) == (True, None)
+            assert capped.count_up_to_iso == free.count_up_to_iso
+            assert [S.pair for S in capped.witnesses] == [S.pair for S in free.witnesses]
+        # criterion 11 up to order 6, with the budget over all sizes
+        spec = SearchSpec(
+            n=6, satisfy=("left_handed", "distributive", "cancellative"), falsify=("strong-solution",)
+        )
+        for res in (find_counterexample(spec), find_counterexample(replace(spec, **budget))):
+            assert (res.witness, res.exhausted, res.nodes) == (None, True, 30869)
+
+    @pytest.mark.parametrize("n, budget", [(5, 1), (5, 3000), (5, 3032), (5, 6014), (6, 20000)])
+    def test_an_unbudgeted_resume_counts_each_node_once(self, n, budget):
+        # the resume has no budget, so it counts in the DFS loop, and it
+        # skips the nodes of the path that the stopped run counted
+        full = enumerate_skew_lattices(SearchSpec(n=n))
+        first = enumerate_skew_lattices(SearchSpec(n=n, max_nodes=budget))
+        rest = enumerate_skew_lattices(SearchSpec(n=n), resume=first.checkpoint)
+        assert (first.nodes, rest.exhausted) == (budget, True)
+        assert first.nodes + rest.nodes == full.nodes
+        assert [S.pair for r in (first, rest) for S in r.witnesses] == [S.pair for S in full.witnesses]
+        if n == 6:
+            # `skewlat enumerate 6 --max-nodes 20000` and its resume
+            assert (first.checkpoint, first.count_up_to_iso) == ((0, 0, 0, 0, 0, 0, 1, 3, 3, 5, 5), 113)
+            assert (rest.count_up_to_iso, rest.nodes) == (60, 27306)
 
     @pytest.mark.parametrize(
         "path, found",
