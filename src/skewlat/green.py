@@ -59,13 +59,25 @@ def green_relations(S: SkewLattice):
 
 
 def is_congruence(S: SkewLattice, P: Partition):
-    """Return None if P is a congruence for both operations, else a witness."""
+    """Return None if P is a congruence for both operations, else a witness:
+    the first (x, y, c), in lexicographic order, with x and y in one class
+    and some product with c, meet or join, on either side, taking them to
+    different classes.
+
+    Each element is compared only with its class's least member, its
+    leader, taken in increasing order whatever the order of P.classes. If
+    every member agrees with the leader (each product with each c in the
+    class of the leader's), any two members agree, since equal class ids
+    are transitive; so the first failing x is the least leader of a failing
+    class, and its y and c come first in the same order.
+    """
     cls, m, j, rng = P.class_of, S.pair.meet, S.pair.join, range(S.n)
+    members = {}  # class id -> its members in increasing order, by leader
     for x in rng:
+        members.setdefault(cls[x], []).append(x)
+    for x, *rest in members.values():
         mx, jx = m[x], j[x]
-        for y in rng:
-            if cls[x] != cls[y]:
-                continue
+        for y in rest:
             my, jy = m[y], j[y]
             for c in rng:
                 mc, jc = m[c], j[c]
@@ -85,10 +97,8 @@ def quotient(S: SkewLattice, P: Partition) -> SkewLattice:
     witness = is_congruence(S, P)
     if witness is not None:
         raise NotACongruenceError(witness)
-    reps = [min(c) for c in P.classes]
-    k = len(reps)
-    meet = [[P.class_of[S.meet(reps[a], reps[b])] for b in range(k)] for a in range(k)]
-    join = [[P.class_of[S.join(reps[a], reps[b])] for b in range(k)] for a in range(k)]
+    cls, reps = P.class_of, [min(c) for c in P.classes]
+    meet, join = ([[cls[t[a][b]] for b in reps] for a in reps] for t in (S.pair.meet, S.pair.join))
     return validate(CayleyPair.from_tables(meet, join))
 
 

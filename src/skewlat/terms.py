@@ -234,10 +234,10 @@ def format_equation(lhs, rhs) -> str:
 # The one term compiler turns terms into generated Python. Its source names
 # only m, j (the tables), r (range(n)) or pairs (a list of assignments), v0,
 # v1, ... (the variables' values, by position), a temporary t0, t1, ... per
-# distinct subterm, one per line, and the table rows that subterms index
-# (m_t0, j_v1, ...); no user text enters it. The walker gives each temporary
-# a depth: the position of the last variable it reads. From that one walk it
-# emits one of three bodies:
+# distinct subterm, one per line, and the table rows and columns that
+# subterms index (m_t0, j_v1, mc_v0, ...); no user text enters it. The
+# walker gives each temporary a depth: the position of the last variable it
+# reads. From that one walk it emits one of three bodies:
 #
 # - prune, for the search: a function of (m, j, pairs) checking a tuple of
 #   identities in two variables, each with its sorted variables read as v0,
@@ -250,9 +250,16 @@ def format_equation(lhs, rhs) -> str:
 #   function of (m, j, r) running one `for` loop per variable, outermost
 #   first as itertools.product does, up to the most variables any formula
 #   has. Each formula's sorted variables are read as v0, v1, ..., so equal
-#   subterms of different formulas are one temporary. Each temporary is
-#   computed in the loop of its depth; a row it indexes from a deeper loop
-#   is bound once, in the loop of the row's own depth (m_t3 = m[t3]). Each
+#   subterms of different formulas are one temporary. Each temporary
+#   op[a][b] is computed in the loop of its depth, the deeper of a's and
+#   b's. When b is bound in a deeper loop than a, it reads row a, bound
+#   once in a's loop (m_t3 = m[t3]); when a is bound in a deeper loop than
+#   b, it reads column b, bound once in b's loop (mc_v0 = mc[v0]) from the
+#   column table (mc = tuple(zip(*m))), which the function builds once per
+#   call, and only for a table that some temporary reads by column. When
+#   both are bound in one loop it reads m[a][b], or a row or column of that
+#   loop already bound. (Binding every row, also those read in their own
+#   loop, measured slower: ROADMAP, "Measured and left out".) Each
 #   formula is tested in the loop of its last variable, which keeps its
 #   first failing assignment in a list w; the function returns w, each
 #   formula's failing values or None, once every formula has failed or the
@@ -263,10 +270,10 @@ def format_equation(lhs, rhs) -> str:
 #   its sides are known, since every assignment below has the same false
 #   premise, and the first failing conclusion returns at once.
 # - table, the values of a tuple of terms at every assignment: the nested
-#   loops and placement over the terms' variables. The deepest loop appends
-#   the tuple of the terms' values to its row, and each loop's finished row
-#   goes into the row of the loop around it, so with two variables
-#   table[x][y] holds the values at (x, y).
+#   loops over the terms' variables, with the check's placement of rows but
+#   no columns. The deepest loop appends the tuple of the terms' values to
+#   its row, and each loop's finished row goes into the row of the loop
+#   around it, so with two variables table[x][y] holds the values at (x, y).
 
 
 def _positional(term, index: dict):
@@ -281,9 +288,10 @@ def _compile(body: str, items: tuple, variables=None):
     """The `body` ("prune", "check" or "table") of `items`: the prune or
     the nested check of the formulas `items`, or the table of the terms
     `items` over `variables`."""
-    names = {}  # positional term or row -> (name, depth)
+    names = {}  # positional term, row or column -> (name, depth)
     lines = []  # (depth, line) in the order made, so operands come first
-    nested = body != "prune"
+    nested, check = body != "prune", body == "check"
+    columns = set()  # the tables ("m", "j") that a check reads by column
 
     def bind(term):
         if term not in names:
@@ -292,12 +300,18 @@ def _compile(body: str, items: tuple, variables=None):
                 return names[term]
             (left, dl), (right, dr) = bind(term[1]), bind(term[2])
             op = "m" if term[0] == "meet" else "j"
-            row = f"{op}_{left}"
+            row, column = f"{op}_{left}", f"{op}c_{right}"
             if nested and (row in names or dl < dr):  # a row read from a deeper loop
                 if row not in names:
                     names[row] = (row, dl)
                     lines.append((dl, f"{row} = {op}[{left}]"))
                 value = f"{row}[{right}]"
+            elif check and (column in names or dl > dr):  # a column read from a deeper loop
+                if column not in names:
+                    names[column] = (column, dr)
+                    lines.append((dr, f"{column} = {op}c[{right}]"))
+                    columns.add(op)
+                value = f"{column}[{left}]"
             else:
                 value = f"{op}[{left}][{right}]"
             names[term] = (f"t{len(lines)}", max(dl, dr))
@@ -343,6 +357,7 @@ def _compile(body: str, items: tuple, variables=None):
                 lines.append((last, f"if {' and '.join(tests)} and w[{i}] is None:\n    w[{i}] = ({values})\n"
                                     f"    pending -= 1\n    if not pending: return w"))
         source, name = "def check(m, j, r):\n", "check"
+        source += "".join(f"    {op}c = tuple(zip(*{op}))\n" for op in sorted(columns))
         if not single:
             source += f"    w = [None] * {len(items)}\n    pending = {len(items)}\n"
         tail = f"    return {'(None,)' if single else 'w'}\n"
@@ -357,8 +372,8 @@ def _compile(body: str, items: tuple, variables=None):
 
 def _define(source: str, name: str):
     """The function `name` that `source` defines, run with no builtins
-    but tuple."""
-    namespace = {"__builtins__": {}, "tuple": tuple}
+    but tuple and zip."""
+    namespace = {"__builtins__": {}, "tuple": tuple, "zip": zip}
     exec(compile(source, "<terms>", "exec"), namespace)
     return namespace[name]
 

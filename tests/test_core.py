@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewlat import core, search
+from skewlat import constructions, core, search
 from skewlat.core import (
     AxiomError,
     CayleyPair,
@@ -97,9 +97,11 @@ class TestValidate:
         assert agree == 3000
 
 
-def literal_axiom_violations(pair: CayleyPair) -> list:
+def literal_axiom_violations(pair: CayleyPair, triples=None) -> list:
     """`axiom_violations` written formula by formula, in its order:
-    idempotency, then associativity, then the absorption laws."""
+    idempotency, then associativity, then the absorption laws.
+    Associativity is read at `triples`, in increasing order, when given,
+    else at every triple."""
     n, m, j = pair.n, pair.meet, pair.join
     out = []
     for x in range(n):
@@ -107,7 +109,7 @@ def literal_axiom_violations(pair: CayleyPair) -> list:
             out.append(Violation("idempotency of meet", (x,)))
         if j[x][x] != x:
             out.append(Violation("idempotency of join", (x,)))
-    for x, y, z in itertools.product(range(n), repeat=3):
+    for x, y, z in itertools.product(range(n), repeat=3) if triples is None else triples:
         if m[m[x][y]][z] != m[x][m[y][z]]:
             out.append(Violation("associativity of meet", (x, y, z)))
         if j[j[x][y]][z] != j[x][j[y][z]]:
@@ -150,6 +152,70 @@ def table_pairs(draw):
 @given(table_pairs())
 def test_axiom_violations_match_the_formulas(pair):
     assert axiom_violations(pair) == literal_axiom_violations(pair)
+
+
+def _rewritten(pair: CayleyPair, rng, cells) -> CayleyPair:
+    """The pair with `cells` random cells given random values."""
+    n, tables = pair.n, [[list(row) for row in pair.meet], [list(row) for row in pair.join]]
+    for _ in range(cells):
+        tables[rng.randrange(2)][rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    return CayleyPair.from_tables(*tables)
+
+
+def test_axiom_violations_match_the_formulas_to_order_7_and_on_the_report_inputs(census5):
+    # byte-row composition decides which (x, y) scan z: random pairs and
+    # algebras with one to three cells rewritten, to order 7, and each
+    # report input with one cell changed (orders 6 to 16)
+    rng = random.Random(41)
+    algebras = [S.pair for members in census5.values() for S in members] + [S.pair for S in search.census(6)]
+    algebras += [
+        constructions.chain((3, 4)).pair,
+        constructions.chain((2, 2, 3)).pair,
+        constructions.rectangular(1, 7).pair,
+        constructions.rectangular(7, 1).pair,
+    ]
+    cases = [_rewritten(pair, rng, rng.randint(1, 3)) for pair in algebras for _ in range(2)]
+    cases += [_rewritten(pair, rng, 0) for pair in algebras[::7]]
+    for n in range(1, 8):
+        for _ in range(30):
+            cases.append(
+                CayleyPair.from_tables(*([[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(2)))
+            )
+    inputs = Path(__file__).resolve().parent.parent / "bench" / "inputs"
+    for path in sorted(inputs.glob("*.skl")):
+        pair = core.load(path)
+        cases.append(pair)
+        for _ in range(4):
+            while (changed := _rewritten(pair, rng, 1)) == pair:
+                pass
+            cases.append(changed)
+    failing = 0
+    assert {pair.n for pair in cases} >= {*range(1, 11), 12, 16}
+    for pair in cases:
+        expected = literal_axiom_violations(pair)
+        assert axiom_violations(pair) == expected, pair
+        failing += bool(expected)
+    assert failing > len(cases) // 2
+
+
+def test_axiom_violations_past_byte_rows():
+    # rows of more than 256 elements do not fit bytes, so every (x, y) scans
+    # z. A left-zero band (x ^ y = x, x v y = y) is a skew lattice; with one
+    # meet cell (a, b) changed, associativity can fail only at a triple
+    # whose products read that cell: (a, b, z), (x, y, b) with x ^ y = a,
+    # (x, a, b), and (a, y, z) with y ^ z = b
+    n, (a, b) = 257, (3, 200)
+    meet, join = [[x] * n for x in range(n)], [list(range(n)) for _ in range(n)]
+    assert axiom_violations(CayleyPair.from_tables(meet, join)) == []
+    meet[a][b] = 100
+    pair = CayleyPair.from_tables(meet, join)
+    rng = range(n)
+    triples = {(a, b, z) for z in rng} | {(x, a, b) for x in rng}
+    triples |= {(x, y, b) for x in rng for y in rng if meet[x][y] == a}
+    triples |= {(a, y, z) for y in rng for z in rng if meet[y][z] == b}
+    expected = literal_axiom_violations(pair, sorted(triples))
+    assert axiom_violations(pair) == expected
+    assert {v.law for v in expected} == {"associativity of meet", "absorption x^(xvy)=x", "absorption xv(x^y)=x"}
 
 
 class TestElementOps:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +124,61 @@ def partitioned_algebras(draw):
 def test_congruence_witness_matches_the_definition(case):
     S, P = case
     assert is_congruence(S, P) == literal_congruence_witness(S, P)
+
+
+def _permuted(P, order):
+    """P with its classes listed in `order`, a permutation of its class ids,
+    and each element's class id renamed to match."""
+    new_id = {old: k for k, old in enumerate(order)}
+    return Partition(tuple(new_id[c] for c in P.class_of), tuple(P.classes[old] for old in order))
+
+
+def _near_congruences(S, rng):
+    """Class labels for the elements of S: random ones, from one to n
+    labels, and Green's relations and the identity partition with two
+    classes merged or one element moved, so that some fail first past
+    the first class."""
+    n = S.n
+    for k in range(1, n + 1):
+        yield [rng.randrange(k) for _ in range(n)]
+    for P in (*green_relations(S), Partition.from_pairs(n, int.__eq__)):
+        if P.size > 1:
+            a, b = rng.sample(range(P.size), 2)
+            yield [a if c == b else c for c in P.class_of]
+            labels = list(P.class_of)
+            labels[rng.randrange(n)] = rng.randrange(P.size)
+            yield labels
+
+
+def test_congruence_witness_matches_the_definition_on_many_classes():
+    # is_congruence compares each element with its class's least member,
+    # the classes taken by least member; listing the classes in another
+    # order, with the ids renamed, changes no witness
+    rng = random.Random(43)
+    seen = {"congruence": 0, "fails past the first class": 0, "permuted": 0}
+    for S in _algebras():
+        for labels in _near_congruences(S, rng):
+            P = Partition.from_pairs(S.n, lambda x, y: labels[x] == labels[y])
+            Q = _permuted(P, rng.sample(range(P.size), P.size))
+            expected = literal_congruence_witness(S, P)
+            assert is_congruence(S, P) == is_congruence(S, Q) == expected, (S.pair, P, Q)
+            seen["congruence"] += expected is None
+            seen["fails past the first class"] += expected is not None and P.class_of[expected[0]] > 0
+            seen["permuted"] += Q.classes != P.classes
+    assert min(seen.values()) > 100, seen
+
+
+def test_quotient_reads_the_ids_of_the_partition():
+    # the quotient by a partition whose classes are listed in another order
+    # is the quotient by the ordered one, relabeled by the renamed ids
+    rng = random.Random(47)
+    for S in _algebras():
+        for P in green_relations(S):
+            order = rng.sample(range(P.size), P.size)
+            new_id = {old: k for k, old in enumerate(order)}
+            T = quotient(S, P).pair
+            expected = [[[new_id[t[a][b]] for b in order] for a in order] for t in (T.meet, T.join)]
+            assert quotient(S, _permuted(P, order)).pair == CayleyPair.from_tables(*expected)
 
 
 def test_green_congruence_witnesses_match_the_definition():

@@ -353,6 +353,65 @@ class TestEvaluation:
         assert holds(THREE_R0, f) == {"j": 1, "m": 2}
         assert holds(THREE_R0, g) == {"a": 1, "b": 2}
 
+    def test_column_reads_against_the_oracle(self, census5, constructed, oracle_evaluate):
+        # op[t][v] with t bound in a deeper loop than the variable v reads a
+        # column of op, bound at v's depth. Over w, x, y, z (v0..v3), for
+        # each table and each v of depths 0-2: absorption and associativity
+        # around (t op v), which hold, random right sides, which mostly
+        # fail, and quasi-identities, alone and in one pass together
+        rng = random.Random(37)
+        letters = "wxyz"
+        other = {"meet": "join", "join": "meet"}
+        formulas, reads = [], []
+        for op in ("meet", "join"):
+            for depth in range(3):
+                v = ("var", letters[depth])
+                # t reads z, the deepest variable, and every formula reads
+                # all four, so each variable keeps its depth
+                every = parse_term(rng.choice(("z ^ y ^ (x v w)", "z v y v x ^ w")))
+                t = (rng.choice(("meet", "join")), random_term(rng, letters[depth + 1:], 2), every)
+                u = random_term(rng, letters, 1)
+                column = (op, t, v)
+                formulas += [
+                    Formula((), ((op, (other[op], t, v), v), v)),
+                    Formula((), ((op, (op, t, u), v), (op, t, (op, u, v)))),
+                    Formula((), (column, random_term(rng, letters, 2))),
+                    Formula(((random_term(rng, letters, 1), random_term(rng, letters, 1)),), (column, u)),
+                ]
+                reads += [f"{op[0]}c_v{depth}"] * 4
+        for f, name in zip(formulas, reads):
+            assert name in terms._compile("check", (f,)).__code__.co_varnames, (str(f), name)
+        verdicts = {"holds": 0, "fails": 0}
+        for S in [*(S for members in census5.values() for S in members), *constructed]:
+            # the oracle is slow at order 10 and 12: check only the formulas
+            # that fail early there
+            group = formulas if S.n <= 6 else formulas[2::4]
+            expected = tuple(oracle_holds(S, f, oracle_evaluate) for f in group)
+            assert terms.holds_each(S, group) == expected, S
+            assert tuple(holds(S, f) for f in group) == expected, S
+            for e in expected:
+                verdicts["holds" if e is True else "fails"] += 1
+        assert min(verdicts.values()) > 500, verdicts
+
+    def test_a_check_builds_a_column_table_only_for_a_table_it_reads_by_column(self, monkeypatch):
+        def source(*texts):
+            made = []
+            monkeypatch.setattr(terms, "_define", lambda source, name: made.append(source))
+            terms._compile.__wrapped__("check", tuple(parse(text) for text in texts))
+            return made[0]
+
+        meet, join = "    mc = tuple(zip(*m))\n", "    jc = tuple(zip(*j))\n"
+        # rows read from deeper loops, and lookups within one loop, read no column
+        for texts in (("x ^ (y v z) = x ^ y v x ^ z",), ("x ^ (x v y) = x", "x v y ^ z = (x v y) ^ (x v z)")):
+            assert "zip" not in source(*texts)
+        # (x ^ y) ^ x reads m[t][x] with t bound in a deeper loop than x
+        code = source("x ^ y ^ x = x ^ y")
+        assert meet in code and "jc" not in code and "mc_v0 = mc[v0]" in code
+        code = source("x v y v x = x v y")
+        assert join in code and "mc" not in code
+        code = source("x ^ y ^ x = x ^ y", "x v y = y => x v y v x = x v y")
+        assert code.count(meet) == code.count(join) == 1
+
 
 class TestLibrary:
     def test_bundled_library_loads(self):
