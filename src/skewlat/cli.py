@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 pass/success, 1 check failure (witness printed), 2 usage or
-I/O error. Reports go to stdout, diagnostics to stderr.
+I/O error, 141 (128 + SIGPIPE) when stdout is closed before the report is
+written, as by `skewlat validate big.skl | head -1`, with nothing on stderr.
+Reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from . import constructions, core, green, search, theorems, varieties, ybe
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141
 
 
 def _read_pair(path) -> core.CayleyPair:
@@ -385,13 +388,23 @@ def run(argv=None) -> int:
     except core.AxiomError as exc:
         print(f"not a skew lattice: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: stdout points at devnull from here on, so the
+        # flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_PIPE
+    sys.exit(status)
 
 
 if __name__ == "__main__":

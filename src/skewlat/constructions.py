@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 
 from .core import CayleyPair, SkewLattice, validate
 
-# The two 3-element examples, exactly as printed.
-_FIXED_TABLES = {
+# The fixed examples' (meet, join) tables by name; the two 3-element ones
+# exactly as printed.
+FIXED_TABLES = {
     "3R0": (
         ((0, 0, 0), (0, 1, 2), (0, 1, 2)),
         ((0, 1, 2), (1, 1, 1), (2, 2, 2)),
@@ -38,15 +39,15 @@ def _opposite(tables):
     )
 
 
-_FIXED_TABLES["NC5L"] = _opposite(_FIXED_TABLES["NC5R"])
+FIXED_TABLES["NC5L"] = _opposite(FIXED_TABLES["NC5R"])
 
-FIXED_NAMES = tuple(sorted(_FIXED_TABLES))
+FIXED_NAMES = tuple(sorted(FIXED_TABLES))
 
 
 def fixed(name: str) -> SkewLattice:
-    if name not in _FIXED_TABLES:
+    if name not in FIXED_TABLES:
         raise ValueError(f"unknown fixed algebra {name!r}; known: {FIXED_NAMES}")
-    meet, join = _FIXED_TABLES[name]
+    meet, join = FIXED_TABLES[name]
     return validate(CayleyPair.from_tables(meet, join))
 
 

@@ -130,22 +130,20 @@ def _inverses(pair: CayleyPair):
             yield from relabelings(n, label_zero_class(m[x0], x0))
 
 
-def canonical_labeling(pair: CayleyPair):
-    """(least flat table, first permutation that gives it) over every
-    relabeling of the pair. A permutation p renames x as p[x], so the
-    relabeled tables hold p[t[a][b]] at (p[a], p[b]); "first" is in
-    itertools.permutations order. Isomorphic pairs get the same table.
-    Only the relabelings `_inverses` yields are compared: no other can give
-    the least table."""
+def canonical_form(pair: CayleyPair) -> CayleyPair:
+    """The lex-least labeling of the pair's isomorphism class: the least flat
+    table over every relabeling. A permutation p renames x as p[x], so the
+    relabeled tables hold p[t[a][b]] at (p[a], p[b]). Isomorphic pairs get
+    the same table. Only the relabelings `_inverses` yields are compared: no
+    other can give the least table."""
     n, tables = pair.n, (pair.meet, pair.join)
-    best = best_perm = None
+    best = None
     for pinv in _inverses(pair):
-        perm = tuple(inverse(pinv))
-        c = -1 if best is None else _compare(tables, n, perm, pinv, best)
-        if c < 0 or (c == 0 and perm < best_perm):
+        perm = inverse(pinv)
+        if best is None or _compare(tables, n, perm, pinv, best) < 0:
             best = tuple(perm[t[pinv[a]][pinv[b]]] for t in tables for a in range(n) for b in range(n))
-            best_perm = perm
-    return best, best_perm
+    rows = tuple(best[k : k + n] for k in range(0, 2 * n * n, n))
+    return CayleyPair(n, rows[:n], rows[n:])
 
 
 def is_canonical(pair: CayleyPair, meet_automorphisms=None) -> bool:
@@ -155,21 +153,14 @@ def is_canonical(pair: CayleyPair, meet_automorphisms=None) -> bool:
     of x) that fix the meet table, and the caller knows that every other
     relabeling makes the meet table larger, as at a leaf of the search.
     Only the join table can then undercut the pair, and only under them.
-    Without it, every relabeling is compared (`canonical_labeling`)."""
+    Without it, every relabeling is compared (`canonical_form`)."""
     if meet_automorphisms is None:
-        return canonical_labeling(pair)[0] == pair.flat()
+        return canonical_form(pair).flat() == pair.flat()
     n = pair.n
     join = tuple(itertools.chain.from_iterable(pair.join))
     return all(
         _compare((pair.join,), n, p, inverse(p), join) >= 0 for p in meet_automorphisms
     )
-
-
-def canonical_form(pair: CayleyPair) -> CayleyPair:
-    """The lex-least labeling of the pair's isomorphism class."""
-    flat, n = canonical_labeling(pair)[0], pair.n
-    rows = tuple(flat[k : k + n] for k in range(0, 2 * n * n, n))
-    return CayleyPair(n, rows[:n], rows[n:])
 
 
 @dataclass(frozen=True)

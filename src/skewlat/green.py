@@ -132,31 +132,25 @@ def class_order(S: SkewLattice, D: Partition):
     return [tuple(row) for row in leq]
 
 
-def cosets(S: SkewLattice, A: int, B: int, direction: str, D: Partition) -> list:
-    """The cosets between comparable D-classes A > B, as frozensets of elements
-    sorted by their least member.
-
-    direction "of-upper-in-lower": subsets a ^ b ^ a' of B for b in B;
-    direction "of-lower-in-upper": subsets b v a v b' of A for a in A.
-    The returned cosets partition the target class (checked by the theorem
-    battery).
+def cosets(S: SkewLattice, A: int, B: int, D: Partition) -> tuple:
+    """The cosets between comparable D-classes A > B: B's cosets in A (the
+    subsets b v a v b' of A for a in A), then A's cosets in B (the subsets
+    a ^ b ^ a' of B for b in B). Each is a list of frozensets of elements
+    sorted by their least member, and partitions its class (checked by the
+    theorem battery).
     """
-    m = S.pair.meet
+    m, j = S.pair.meet, S.pair.join
     upper = sorted(D.classes[A])
     lower = sorted(D.classes[B])
     b, a = lower[0], upper[0]  # B <= A, read as class_order reads it
     if not (A != B and m[m[b][a]][b] == b):
         raise ValueError(f"classes {A} > {B} are not strictly comparable")
     # each x of the target class gives the coset {(s x) s' : s, s' in the
-    # source class}, multiplied by the direction's operation t
-    if direction == "of-upper-in-lower":
-        t, source, target = m, upper, lower
-    elif direction == "of-lower-in-upper":
-        t, source, target = S.pair.join, lower, upper
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    out = {frozenset(t[t[s][x]][s2] for s in source for s2 in source) for x in target}
-    return sorted(out, key=min)
+    # source class}, multiplied by join in A and by meet in B
+    return tuple(
+        sorted({frozenset(t[t[s][x]][s2] for s in source for s2 in source) for x in target}, key=min)
+        for t, source, target in ((j, lower, upper), (m, upper, lower))
+    )
 
 
 def coset_bijection(S: SkewLattice, coset_upper: frozenset, coset_lower: frozenset) -> dict:

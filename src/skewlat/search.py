@@ -44,7 +44,7 @@ of outside input; `validate` still checks every axiom on each canonical
 leaf.
 
 Isomorphism rejection keeps exactly the lex-least representative of each
-class (`core.canonical_labeling`). Since that representative's meet table
+class (`core.canonical_form`). Since that representative's meet table
 is the least of its relabelings, a node is cut as soon as some relabeling
 makes the decided prefix of the meet table strictly smaller. The
 relabelings that fix 0 are compared cell by cell; those that give x != 0
@@ -52,7 +52,7 @@ label 0 wait for meet row x, where one count, of the x in that row against
 the 0 in row 0, cuts the node, drops them all, or lets in only those the
 label-0 rule of the least table allows (`core.label_zero_class`). Those
 that give x label 0 come from `core.relabelings`, the enumeration that
-`canonical_labeling` runs too; a search builds them once, when it first
+`canonical_form` runs too; a search builds them once, when it first
 needs them, so before its first node only those that fix 0. By a leaf,
 every other relabeling reads larger somewhere in the meet table, except
 the automorphisms of the meet table, which the lex-leader keeps; the leaf
@@ -60,8 +60,8 @@ is then checked with `is_canonical(pair, meet_automorphisms)`, which
 compares only the join table and only under those. A meet table with no
 open join cell has one join, which its automorphisms must fix, so its leaf
 is handed none and is canonical. `is_canonical` and `canonical_form` live
-in `core` beside `canonical_labeling`, and all three compare relabeled
-tables through one routine; this module imports `is_canonical` by name.
+in `core`, and both compare relabeled tables through one routine; this
+module imports `is_canonical` by name.
 """
 
 from __future__ import annotations
@@ -135,14 +135,13 @@ _SOLUTIONS = {kind.replace("_", "-") + "-solution": kind for kind in ybe.MAP_KIN
 
 
 def _formulas(name: str):
-    """The formulas on S whose conjunction a predicate name means: a variety
-    flag other than quasi_distributive (decided on S/D), a bundled formula
-    name or a raw formula. None for other names."""
-    if name in _SOLUTIONS or name == "quasi_distributive":
-        return None
+    """The formulas on S whose conjunction a predicate name means: those a
+    variety flag names, a bundled formula name or a raw formula. None for
+    other names, and for quasi_distributive, which names none since it is
+    decided on S/D."""
     lib = terms.library()
     if name in varieties.FLAGS:
-        return tuple(lib[k] for k in varieties.FLAGS[name])
+        return tuple(lib[k] for k in varieties.FLAGS[name]) or None
     if name in lib:
         return (lib[name],)
     if "=" in name:

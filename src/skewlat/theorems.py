@@ -206,8 +206,7 @@ def _coset_membership_criterion(S: SkewLattice):
         for A in range(D.size):
             if A == B or not ord_[B][A]:
                 continue
-            ups = green.cosets(S, A, B, "of-lower-in-upper", D)
-            downs = green.cosets(S, A, B, "of-upper-in-lower", D)
+            ups, downs = green.cosets(S, A, B, D)
             for cs, cls in ((ups, A), (downs, B)):
                 if sorted(x for c in cs for x in c) != sorted(D.classes[cls]):
                     return f"cosets do not partition class {cls} ({A} > {B})"

@@ -7,8 +7,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import green, terms
-from .constructions import fixed
-from .core import CayleyPair, SkewLattice, orders
+from .constructions import FIXED_TABLES
+from .core import SkewLattice, orders
 
 # Each variety flag, in report order, with the bundled formulas whose
 # conjunction defines it. quasi_distributive names none on S: it is decided
@@ -108,19 +108,14 @@ def _patterns() -> dict:
     order[k] is the algebra's element for the candidate's label k. Orders
     that differ by an automorphism give one pattern; the first is kept.
     """
-    tables = (
-        ("NC5R", fixed("NC5R").pair),
-        ("NC5L", fixed("NC5L").pair),
-        ("M3", CayleyPair.from_tables(*_M3)),
-        ("N5", CayleyPair.from_tables(*_N5)),
-    )
+    tables = (("NC5R", FIXED_TABLES["NC5R"]), ("NC5L", FIXED_TABLES["NC5L"]), ("M3", _M3), ("N5", _N5))
     out = {}
-    for name, T in tables:
+    for name, (meet, join) in tables:
         for middles in itertools.permutations((1, 2, 3)):
             order = (0, *middles, 4)
             label = {x: k for k, x in enumerate(order)}
             pattern = tuple(
-                label[op[order[x]][order[y]]] for x, y in itertools.permutations((1, 2, 3), 2) for op in (T.meet, T.join)
+                label[op[order[x]][order[y]]] for x, y in itertools.permutations((1, 2, 3), 2) for op in (meet, join)
             )
             out.setdefault(pattern, (name, order))
     return out

@@ -315,6 +315,22 @@ def test_python_dash_m_runs_the_cli():
     assert "3\t7\t84\ttrue" in proc.stdout.splitlines()
 
 
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(one_file):
+    # the read end of stdout's pipe is closed before the child starts, so its
+    # report meets a broken pipe, as under `skewlat validate big.skl | head -1`
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewlat", "validate", one_file],
+            stdout=write, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 class TestTheorems:
     def test_battery_passes(self, capsys):
         code, out, _ = run(capsys, "theorems", "--max-n", "3")

@@ -13,7 +13,7 @@ from skewlat.core import (
     MalformedTableError,
     Violation,
     axiom_violations,
-    canonical_labeling,
+    canonical_form,
     from_text,
     orders,
     to_text,
@@ -297,15 +297,12 @@ def _relabeled(pair: CayleyPair, perm):
     return tables
 
 
-def brute_force_canonical_labeling(pair: CayleyPair):
-    """The least flat table over all n! relabelings, and the first
-    permutation in itertools.permutations order that gives it."""
-    best = None
-    for perm in itertools.permutations(range(pair.n)):
-        flat = tuple(v for t in _relabeled(pair, perm) for row in t for v in row)
-        if best is None or flat < best[0]:
-            best = flat, perm
-    return best
+def brute_force_canonical_form(pair: CayleyPair):
+    """The least flat table over all n! relabelings."""
+    return min(
+        tuple(v for t in _relabeled(pair, perm) for row in t for v in row)
+        for perm in itertools.permutations(range(pair.n))
+    )
 
 
 def _canonical_cases(census5):
@@ -330,9 +327,23 @@ def _canonical_cases(census5):
         )
 
 
-def test_canonical_labeling_matches_brute_force(census5):
+def test_canonical_form_matches_brute_force(census5):
     cases = list(_canonical_cases(census5))
     assert any(pair.n == 7 for pair in cases)
     assert any(any(pair.meet[x][x] != x for x in range(pair.n)) for pair in cases)
     for pair in cases:
-        assert canonical_labeling(pair) == brute_force_canonical_labeling(pair), pair
+        assert canonical_form(pair).flat() == brute_force_canonical_form(pair), pair
+
+
+def test_is_canonical_agrees_with_canonical_form(census5):
+    # on each case, its canonical form and a relabeling of each: a pair is
+    # canonical exactly when it is its own canonical form
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for pair in _canonical_cases(census5):
+        least = canonical_form(pair)
+        for case in (pair, least, CayleyPair.from_tables(*_relabeled(pair, rng.sample(range(pair.n), pair.n)))):
+            verdict = core.is_canonical(case)
+            assert verdict == (canonical_form(case) == case) == (case.flat() == least.flat()), case
+            seen[verdict] += 1
+    assert seen[True] and seen[False]

@@ -60,6 +60,16 @@ def _flip_check(flag):
     return fault
 
 
+def _drop_an_upper_coset(real):
+    """A green.cosets fault: B's cosets in A miss their last one."""
+
+    def fake(*args):
+        ups, downs = real(*args)
+        return ups[:-1], downs
+
+    return fake
+
+
 def _identity_map_for(kind):
     """A build_map fault: the map (x, y) -> (x, y) in place of `kind`."""
 
@@ -83,7 +93,7 @@ FAULTS = [
     ("decomposition-invariants", green, "maximal_lattice_image",
      lambda real: lambda S: green.quotient(S, Partition.from_pairs(S.n, int.__eq__)), "3R0", 3),
     ("decomposition-invariants", green, "factors", lambda real: lambda S: real(S)[::-1], "3R0", 3),
-    ("coset-membership-criterion", green, "cosets", lambda real: lambda *a: real(*a)[:-1], "3R0", 2),
+    ("coset-membership-criterion", green, "cosets", _drop_an_upper_coset, "3R0", 2),
     ("coset-membership-criterion", green, "coset_bijection",
      lambda real: lambda S, X, Y: {x: x for x in X}, "3R0", 2),
     ("lower-update-composition-law", ybe, "build_map", _identity_map_for("lower_update"), "3R0", 3),

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +176,40 @@ def test_every_forbidden_algebra_has_a_zero_and_a_one():
             found, order = patterns[pattern]
             assert found == name
             assert _is_isomorphism(validate(T), {x: order[label[x]] for x in range(5)}, T), (name, middles)
+
+
+def test_the_forbidden_tables_validate():
+    # nc5_free reads them as plain tables, with no validate of its own
+    tables = {
+        "NC5R": constructions.FIXED_TABLES["NC5R"],
+        "NC5L": constructions.FIXED_TABLES["NC5L"],
+        "M3": varieties._M3,
+        "N5": varieties._N5,
+    }
+    for name, (meet, join) in tables.items():
+        pair = CayleyPair.from_tables(meet, join)
+        assert validate(pair).pair == pair == _ORACLE_TABLES[name], name
+
+
+def test_the_first_nc5_free_in_a_process_validates_nothing():
+    # the forbidden patterns are built from plain tables, so the first call,
+    # which builds them, makes no validate call that later calls would not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = """
+import sys
+from skewlat import core, varieties
+
+calls = []
+sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code is core.validate.__code__ and calls.append(1))
+S = core.SkewLattice(core.CayleyPair.from_tables([[0]], [[0]]))
+assert varieties.nc5_free(S) is True
+sys.setprofile(None)
+print(len(calls))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_a_chain_holds_no_forbidden_algebra():
