@@ -130,11 +130,10 @@ def _cmd_props(args) -> int:
 def _cmd_ybe(args) -> int:
     S = _load_algebra(args.file)
     results = []  # (kind, braid witness or None, power flags by name, left and right nondegenerate)
-    for kind in [args.map] if args.map else ybe.MAP_KINDS:
-        m = ybe.build_map(S, kind)
+    for kind, m, braid in ybe.decide(S, [args.map] if args.map else ybe.MAP_KINDS):
         p = ybe.power_class(m)
         powers = {"involutive": p.involutive, "idempotent": p.idempotent, "cubic": p.cubic}
-        results.append((kind, ybe.braid_check(m), powers, *ybe.degeneracy(m)))
+        results.append((kind, braid, powers, *ybe.degeneracy(m)))
     if args.format == "tsv":
         rows = [("map", "braid", "witness", "involutive", "idempotent", "cubic", "left_nondegenerate", "right_nondegenerate")]
         for kind, braid, powers, left, right in results:

@@ -1,11 +1,21 @@
-"""The solution maps, braid-relation checking and their classification."""
+"""The solution maps, braid-relation checking and their classification.
+
+`decide` gives the `ybe` report its verdicts. On an algebra whose Green's
+R and L are both non-trivial it decides each braid relation on the two
+smaller factors S/R and S/L, which are handed: S embeds in their product
+(Leech's first decomposition theorem), so an identity holds on S exactly
+when it holds on both. `braid_check` itself, the search's `*-solution`
+predicates and the theorem battery check S directly: on census-size
+algebras the factors cost more than they save, and the battery's
+cross-checks must not rest on the theorem the route assumes.
+"""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
 
-from . import terms
+from . import green, terms
 from .core import SkewLattice
 
 # Each solution map r(x, y) = (σ(x, y), τ(x, y)) as its two component terms,
@@ -87,6 +97,28 @@ def build_map(S: SkewLattice, kind: str) -> PairMap:
         raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
     table, keeps = _compiled_maps()[kind]
     return PairMap(S.n, table(S.pair.meet, S.pair.join, range(S.n)), keeps)
+
+
+def decide(S: SkewLattice, kinds=MAP_KINDS) -> tuple:
+    """(kind, map on S, braid_check of that map) for each kind in order.
+
+    When Green's R and L are both non-trivial, a kind whose map passes on
+    S/R and on S/L passes on S with no loop over the triples of S: R and L
+    are congruences and x -> ([x]_R, [x]_L) embeds S in S/R x S/L (Leech,
+    "Skew lattices in rings", 1989), and the braid relation of a map whose
+    components are terms is three identities in x, y, z, which hold on S
+    exactly when they hold on both factors. A kind that fails on a factor,
+    and every kind on a handed S, gets braid_check on S's map, so its
+    witness is the first failing triple of S.
+    """
+    L, R, _ = green.green_relations(S)
+    factors = (green.quotient(S, R), green.quotient(S, L)) if max(L.size, R.size) < S.n else ()
+    decided = []
+    for kind in kinds:
+        m = build_map(S, kind)
+        passes = factors and all(braid_check(build_map(F, kind)) is None for F in factors)
+        decided.append((kind, m, None if passes else braid_check(m)))
+    return tuple(decided)
 
 
 def braid_check(m: PairMap):

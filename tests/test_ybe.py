@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewlat import cli, constructions, core, terms, theorems, ybe
+from skewlat import cli, constructions, core, green, search, terms, theorems, ybe
 from skewlat.core import CayleyPair, validate
 from skewlat.ybe import (
     MAP_KINDS,
@@ -90,6 +91,8 @@ class TestBuildMap:
     def test_unknown_kind_rejected(self, threes):
         with pytest.raises(ValueError):
             build_map(threes[0], "bogus")
+        with pytest.raises(ValueError):
+            ybe.decide(threes[0], ("bogus",))
 
     def test_strong_map_on_three_r0_fails_braid(self, threes):
         S, _ = threes
@@ -340,3 +343,100 @@ class TestClassification:
         assert cli.run(["ybe", str(path), "--map", "strong"]) == 1
         text = capsys.readouterr().out
         assert "braid: fail" in text and "power-class: cubic" in text
+
+
+def direct_verdicts(S, kinds=MAP_KINDS):
+    """Oracle: each kind's map on S with braid_check on that map."""
+    return tuple((kind, m, braid_check(m)) for kind in kinds for m in [build_map(S, kind)])
+
+
+def not_handed(S):
+    """Whether Green's R and L both have fewer classes than S has elements."""
+    L, R, _ = green.green_relations(S)
+    return max(L.size, R.size) < S.n
+
+
+def relabeled(S, perm):
+    """S with each element x renamed perm[x]."""
+    n, pinv = S.n, core.inverse(perm)
+    tables = ([[perm[t[pinv[a]][pinv[b]]] for b in range(n)] for a in range(n)] for t in (S.pair.meet, S.pair.join))
+    return core.validate(CayleyPair.from_tables(*tables))
+
+
+def built_algebras():
+    """The products of two of 3R0, 3R1, NC5R, NC5L, rect(2, 2) and
+    chain((2, 1)), then rect(a, b) for a, b <= 4."""
+    c = constructions
+    base = [c.fixed(name) for name in ("3R0", "3R1", "NC5R", "NC5L")] + [c.rectangular(2, 2), c.chain((2, 1))]
+    products = [c.direct_product(A, B) for A, B in itertools.combinations_with_replacement(base, 2)]
+    return products + [c.rectangular(a, b) for a in range(1, 5) for b in range(1, 5)]
+
+
+@pytest.fixture(scope="module")
+def verdict_algebras(constructed):
+    """The census to order 6, the constructed algebras and the built ones."""
+    return [S for n in range(1, 7) for S in search.census(n)] + constructed + built_algebras()
+
+
+class TestDecide:
+    def test_census_to_order_six_has_non_handed_members(self):
+        census = [S for n in range(1, 7) for S in search.census(n)]
+        assert (len(census), sum(map(not_handed, census))) == (258, 69)
+
+    def test_equals_the_direct_check(self, verdict_algebras):
+        # the same maps and the same witnesses as braid_check on S, for
+        # every kind and for each kind alone
+        for S in verdict_algebras:
+            assert ybe.decide(S) == direct_verdicts(S), S.pair.flat()
+            for kind in MAP_KINDS:
+                assert ybe.decide(S, (kind,)) == direct_verdicts(S, (kind,)), (kind, S.pair.flat())
+
+    def test_the_factors_disagree_both_ways(self, verdict_algebras):
+        # a kind that passes on one factor and fails on the other, either
+        # way round, and fails on S while passing on S/D: deciding on one
+        # factor, or on S/D in place of either, gives a wrong pass
+        seen = set()
+        for S in filter(not_handed, verdict_algebras):
+            L, R, D = green.green_relations(S)
+            factors = [green.quotient(S, P) for P in (R, L, D)]
+            for kind in MAP_KINDS:
+                right, left, lattice = (braid_check(build_map(F, kind)) is None for F in factors)
+                assert (braid_check(build_map(S, kind)) is None) == (right and left)
+                if lattice and right != left:
+                    seen.add(right)
+        assert seen == {False, True}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_relabeled_algebras(self, verdict_algebras, data):
+        S = data.draw(st.sampled_from(verdict_algebras))
+        S = relabeled(S, data.draw(st.permutations(range(S.n))))
+        kinds = data.draw(st.lists(st.sampled_from(MAP_KINDS), unique=True))
+        assert ybe.decide(S, kinds) == direct_verdicts(S, kinds), S.pair.flat()
+
+    def test_ybe_verb_skips_the_triples_of_a_non_handed_algebra(self, capsys, tmp_path, monkeypatch):
+        # rect(4, 4) passes every kind on its two 4-element factors: the
+        # report is the one the direct check gives, and no 16-element map
+        # is braid-checked
+        checked, real = [], ybe.braid_check
+        monkeypatch.setattr(ybe, "braid_check", lambda m: checked.append(m.n) or real(m))
+        path = tmp_path / "rect-4-4.skl"
+        core.save(constructions.rectangular(4, 4).pair, path)
+        digests = {
+            "text": "8ebed91da53f47f86ed200b92c6ff22a8c97b3f36eed9bbe6cb839f08dfddc6d",
+            "tsv": "d6a1bb5c023ce3386c5525501bcaac9f387df29c5c69b60dd1a0e6deace7bc06",
+        }
+        for fmt, digest in digests.items():
+            assert cli.run(["ybe", str(path), "--format", fmt]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        assert checked and 16 not in checked
+
+    def test_handed_algebras_build_no_quotient(self, capsys, tmp_path, monkeypatch):
+        def forbidden(S, P):
+            raise AssertionError("green.quotient was called")
+
+        monkeypatch.setattr(green, "quotient", forbidden)
+        path = tmp_path / "chain-2-2-2.skl"
+        core.save(constructions.chain((2, 2, 2)).pair, path)
+        assert cli.run(["ybe", str(path)]) == 1
+        assert "braid: fail" in capsys.readouterr().out
