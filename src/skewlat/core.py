@@ -281,6 +281,15 @@ def to_text(pair: CayleyPair) -> str:
 
 
 def from_text(text: str) -> CayleyPair:
+    """Parse skewlat v1 text.
+
+    A file in the spelling to_text writes (each entry str(v), 0 <= v < n)
+    is read through a table of those n tokens, so every entry is an int in
+    range and no row is rescanned. Any other file, such as one with entries
+    like 03, +3 or out of range, goes through int() and
+    CayleyPair.from_tables, which accept every other spelling of an integer
+    and raise every error message.
+    """
     lines = [ln for ln in text.splitlines() if not ln.lstrip().startswith("#")]
     # strip leading blank lines, keep interior blanks (they separate tables)
     while lines and not lines[0].strip():
@@ -294,6 +303,15 @@ def from_text(text: str) -> CayleyPair:
     rows = [ln for ln in lines[1:] if ln.strip()]
     if len(rows) != 2 * n:
         raise MalformedTableError(f"expected {2 * n} table rows, got {len(rows)}")
+    if n > 0:
+        token = {str(v): v for v in range(n)}.__getitem__
+        try:
+            tables = [tuple(map(token, ln.split())) for ln in rows]
+        except KeyError:
+            pass
+        else:
+            if all(len(row) == n for row in tables):
+                return CayleyPair(n, tuple(tables[:n]), tuple(tables[n:]))
 
     def parse_rows(chunk):
         table = []

@@ -439,8 +439,20 @@ def parse_library(text: str) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _bundled() -> tuple:
+    """The bundled library, parsed on first use, and the sorted names of its
+    identities."""
+    text = resources.files("skewlat").joinpath("formulas.txt").read_text(encoding="utf-8")
+    lib = parse_library(text)
+    return MappingProxyType(lib), tuple(sorted(name for name, f in lib.items() if f.is_identity))
+
+
 def library() -> MappingProxyType:
     """The bundled named identities and implications, parsed once; the
     mapping is read-only since every caller shares it."""
-    text = resources.files("skewlat").joinpath("formulas.txt").read_text(encoding="utf-8")
-    return MappingProxyType(parse_library(text))
+    return _bundled()[0]
+
+
+def identity_names() -> tuple:
+    """The names of the bundled identities (no premises), sorted."""
+    return _bundled()[1]

@@ -16,7 +16,6 @@ offending tables.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import core, green, search, terms, varieties, ybe
@@ -241,12 +240,6 @@ def _handed_weak_collapse(S: SkewLattice):
     return True
 
 
-@functools.cache
-def _identity_names() -> tuple:
-    """The names of the bundled identities (no premises), sorted."""
-    return tuple(name for name, f in sorted(terms.library().items()) if f.is_identity)
-
-
 def _decomposition_invariants(S: SkewLattice):
     L, R, D = green.green_relations(S)
     j = S.pair.join
@@ -285,7 +278,7 @@ def _decomposition_invariants(S: SkewLattice):
     # every bundled identity holds in S exactly when it holds in both factors:
     # one pass over all of them on each of S, S/R and S/L, but a factor with
     # S's tables (R or L trivial) has S's verdicts
-    names = _identity_names()
+    names = terms.identity_names()
     on_s = terms.holds_named(S, names)
     on_left, on_right = (on_s if T.pair == S.pair else terms.holds_named(T, names) for T in (left, right))
     for name in names:

@@ -263,6 +263,88 @@ class TestOrders:
                             assert o.leq[x][z]
 
 
+def _report_inputs():
+    return sorted((Path(__file__).resolve().parent.parent / "bench" / "inputs").glob("*.skl"))
+
+
+def _int_parsed(text) -> CayleyPair:
+    """The pair from_tables makes of text's rows read with int(), an oracle
+    for files with no errors."""
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    n = int(lines[0])
+    rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
+    return CayleyPair.from_tables(rows[:n], rows[n:])
+
+
+def _respell_entries(text, spell):
+    """text with each table entry v written spell(v); the count line kept."""
+    head, *rows = text.split("\n")
+    return "\n".join([head, *(" ".join(spell(int(tok)) for tok in ln.split()) for ln in rows)])
+
+
+def leading_zeros(text):
+    return _respell_entries(text, lambda v: f"0{v}")
+
+
+def plus_signs(text):
+    return _respell_entries(text, lambda v: f"+{v}")
+
+
+def arabic_indic_digits(text):
+    return _respell_entries(text, lambda v: "".join(chr(0x660 + int(d)) for d in str(v)))
+
+
+def tabs(text):
+    return text.replace(" ", "\t")
+
+
+def crlf(text):
+    return text.replace("\n", "\r\n")
+
+
+def trailing_spaces(text):
+    return text.replace("\n", "  \n")
+
+
+def comments_and_blank_lines_between_rows(text):
+    return "\n# between rows\n\n".join(text.split("\n"))
+
+
+def one_leading_zero(text):
+    return text.replace("\n", "\n0", 1)
+
+
+_RESPELLINGS = (
+    leading_zeros,
+    plus_signs,
+    arabic_indic_digits,
+    tabs,
+    crlf,
+    trailing_spaces,
+    comments_and_blank_lines_between_rows,
+    one_leading_zero,
+)
+
+_THREE_R0_TEXT = "3\n0 0 0\n0 1 2\n0 1 2\n\n0 1 2\n1 1 1\n2 2 2\n"
+
+# each message pinned literally: the token table must leave every error to
+# the int() parser and from_tables
+_MALFORMED = {
+    "value n": (_THREE_R0_TEXT.replace("0 1 2\n0 1 2\n\n", "0 1 3\n0 1 2\n\n"), "meet[1][2] = 3 out of range 0..2"),
+    "value -1": (_THREE_R0_TEXT.replace("1 1 1", "1 -1 1"), "join[1][1] = -1 out of range 0..2"),
+    "short row": (_THREE_R0_TEXT.replace("0 1 2\n0 1 2\n\n", "0 1\n0 1 2\n\n"), "meet row 1 has length 2, expected 3"),
+    "long row": (_THREE_R0_TEXT.replace("1 1 1", "1 1 1 1"), "join row 1 has length 4, expected 3"),
+    "token x": (_THREE_R0_TEXT.replace("2 2 2", "2 x 2"), "bad table row '2 x 2'"),
+    "token 1.0": (_THREE_R0_TEXT.replace("1 1 1", "1 1.0 1"), "bad table row '1 1.0 1'"),
+    "missing row": (_THREE_R0_TEXT.replace("2 2 2\n", ""), "expected 6 table rows, got 5"),
+    "n = 0": ("0\n", "empty table"),
+    "n = -1": ("-1\n", "expected -2 table rows, got 0"),
+    "count x": ("three\n", "expected element count, got 'three'"),
+    "empty file": ("", "empty algebra file"),
+    "comments only": ("# a\n\n# b\n", "empty algebra file"),
+}
+
+
 class TestFileFormat:
     def test_round_trip_is_bit_exact(self, census5):
         for n in (1, 3, 4):
@@ -285,6 +367,47 @@ class TestFileFormat:
     def test_malformed_text_rejected(self):
         with pytest.raises(ValueError):
             from_text("2\n0 0\n")
+
+    def test_canonical_text_parses_to_the_pair_and_to_from_tables_of_its_ints(self, census5):
+        pairs = [S.pair for members in census5.values() for S in members]
+        pairs += [core.load(path) for path in _report_inputs()]
+        assert len(pairs) == 85 + 14
+        for pair in pairs:
+            text = to_text(pair)
+            assert from_text(text) == pair == _int_parsed(text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_relabeled_canonical_text_round_trips(self, data):
+        pair = data.draw(st.sampled_from([core.load(path) for path in _report_inputs()]))
+        relabeled = CayleyPair.from_tables(*_relabeled(pair, data.draw(st.permutations(range(pair.n)))))
+        text = to_text(relabeled)
+        assert from_text(text) == relabeled == _int_parsed(text)
+
+    @pytest.mark.parametrize("respell", _RESPELLINGS, ids=[r.__name__ for r in _RESPELLINGS])
+    def test_respelled_text_parses_to_the_canonical_pair(self, respell):
+        for path in _report_inputs():
+            pair = core.load(path)
+            respelled = respell(to_text(pair))
+            assert respelled != to_text(pair)
+            assert from_text(respelled) == pair
+
+    @pytest.mark.parametrize("text, message", _MALFORMED.values(), ids=list(_MALFORMED))
+    def test_malformed_text_keeps_its_message(self, text, message):
+        with pytest.raises(MalformedTableError) as info:
+            from_text(text)
+        assert type(info.value) is MalformedTableError and str(info.value) == message
+
+    def test_canonical_text_skips_from_tables(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("CayleyPair.from_tables was called")
+
+        texts = [to_text(core.load(path)) for path in _report_inputs()]
+        expected = [_int_parsed(text) for text in texts]
+        monkeypatch.setattr(CayleyPair, "from_tables", forbidden)
+        assert [from_text(text) for text in texts] == expected
+        with pytest.raises(AssertionError, match="from_tables was called"):
+            from_text(one_leading_zero(texts[0]))
 
 
 def _relabeled(pair: CayleyPair, perm):

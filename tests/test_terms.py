@@ -15,6 +15,7 @@ from skewlat.terms import (
     format_equation,
     format_term,
     holds,
+    identity_names,
     library,
     parse,
     parse_library,
@@ -430,6 +431,11 @@ class TestLibrary:
         assert "D1" in library()
         with pytest.raises(TypeError):
             library()["D1"] = parse("x = x")
+
+    def test_identity_names_are_the_sorted_identities_of_the_library(self):
+        assert identity_names() == tuple(sorted(name for name, f in library().items() if f.is_identity))
+        assert identity_names() is identity_names()
+        assert "D1" in identity_names() and "simple-canc" not in identity_names()
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ParseError):

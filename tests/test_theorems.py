@@ -2,6 +2,11 @@
 passes on the census, and each owner entry catches a library function that
 gives a wrong answer."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from skewlat import cli, constructions, core, green, terms, theorems, varieties, ybe
@@ -15,6 +20,31 @@ def test_battery_passes_up_to_order_five():
     assert result.algebra_count == 85
     assert list(result.passes) == list(theorems.THEOREMS) and len(result.passes) == 13
     assert all(count == 85 for count in result.passes.values())
+
+
+def test_first_battery_run_calls_library_as_often_as_the_next():
+    # in a fresh process, so no cache is warm: a cache that reaches the
+    # bundled library through terms.library on first use makes the first
+    # run count one call more
+    code = """
+from skewlat import terms, theorems
+
+calls, real = [], terms.library
+terms.library = lambda: calls.append(1) or real()
+counts = []
+for _ in range(2):
+    calls.clear()
+    assert theorems.run_battery(3).ok
+    counts.append(len(calls))
+print(*counts)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    first, second = map(int, proc.stdout.split())
+    assert first == second > 0
 
 
 def _merge_two_d_classes(real):
