@@ -27,22 +27,38 @@ class Partition:
 
     @classmethod
     def from_pairs(cls, n: int, related) -> "Partition":
-        """Build from a predicate related(x, y) assumed to be an equivalence."""
+        """Build from a predicate related(x, y) assumed to be an equivalence.
+
+        Each element not yet placed is compared only with the least member
+        of the class being built, its leader, and only past it: every
+        smaller element is placed by then, and by transitivity an element
+        related to the leader is related to every member. So related(x, y)
+        is called once per leader x and later unplaced y.
+        """
         classes = []
         class_of = [-1] * n
         for x in range(n):
             if class_of[x] >= 0:
                 continue
-            members = frozenset(y for y in range(n) if related(x, y))
             cid = len(classes)
-            classes.append(members)
-            for y in members:
-                class_of[y] = cid
+            class_of[x] = cid
+            members = [x]
+            for y in range(x + 1, n):
+                if class_of[y] < 0 and related(x, y):
+                    class_of[y] = cid
+                    members.append(y)
+            classes.append(frozenset(members))
         return cls(tuple(class_of), tuple(classes))
 
     @property
     def size(self) -> int:
         return len(self.classes)
+
+
+def _d_relation(S: SkewLattice) -> Partition:
+    """Green's D from the meet band: x D y iff x^y^x = x and y^x^y = y."""
+    m = S.pair.meet
+    return Partition.from_pairs(S.n, lambda x, y: m[m[x][y]][x] == x and m[m[y][x]][y] == y)
 
 
 def green_relations(S: SkewLattice):
@@ -54,8 +70,7 @@ def green_relations(S: SkewLattice):
     m, n = S.pair.meet, S.n
     L = Partition.from_pairs(n, lambda x, y: m[x][y] == x and m[y][x] == y)
     R = Partition.from_pairs(n, lambda x, y: m[x][y] == y and m[y][x] == x)
-    D = Partition.from_pairs(n, lambda x, y: m[m[x][y]][x] == x and m[m[y][x]][y] == y)
-    return L, R, D
+    return L, R, _d_relation(S)
 
 
 def is_congruence(S: SkewLattice, P: Partition):
@@ -93,20 +108,30 @@ def is_congruence(S: SkewLattice, P: Partition):
 
 def quotient(S: SkewLattice, P: Partition) -> SkewLattice:
     """S/P, with operation tables on the class ids of P; raises
-    NotACongruenceError when P is not a congruence."""
+    NotACongruenceError when P is not a congruence.
+
+    The identity partition with its classes in element order gives S's own
+    tables, so S itself is returned, with no congruence test and no
+    validation. Any other P is tested by is_congruence, and its tables,
+    built as tuples over the least member of each class, are validated.
+    """
+    cls, n = P.class_of, S.n
+    if cls == tuple(range(n)):
+        return S
     witness = is_congruence(S, P)
     if witness is not None:
         raise NotACongruenceError(witness)
-    cls, reps = P.class_of, [min(c) for c in P.classes]
-    meet, join = ([[cls[t[a][b]] for b in reps] for a in reps] for t in (S.pair.meet, S.pair.join))
-    return validate(CayleyPair.from_tables(meet, join))
+    reps = [min(c) for c in P.classes]
+    meet, join = (
+        tuple(tuple([cls[row[b]] for b in reps]) for row in [t[a] for a in reps]) for t in (S.pair.meet, S.pair.join)
+    )
+    return validate(CayleyPair(P.size, meet, join))
 
 
 def maximal_lattice_image(S: SkewLattice) -> SkewLattice:
     """S/D, the maximal lattice image (the theorem battery checks that it
-    is a lattice)."""
-    _, _, D = green_relations(S)
-    return quotient(S, D)
+    is a lattice). Only D is built, not L and R."""
+    return quotient(S, _d_relation(S))
 
 
 def factors(S: SkewLattice):

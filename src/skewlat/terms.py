@@ -413,8 +413,17 @@ def holds(S: SkewLattice, f: Formula):
 def holds_named(S: SkewLattice, names: tuple) -> dict:
     """Each named bundled formula's verdict, as holds_each gives it, from
     one pass over S."""
-    lib = library()
-    return dict(zip(names, holds_each(S, tuple(lib[name] for name in names))))
+    return dict(zip(names, holds_each(S, _named(names))))
+
+
+@lru_cache(maxsize=64)
+def _named(names: tuple) -> tuple:
+    """The bundled formulas of `names`, in order. It reads the parse
+    directly: through library(), only a first call per tuple would call
+    library(), so a process would count more calls before the cache is
+    warm than after."""
+    lib = _bundled()[0]
+    return tuple(lib[name] for name in names)
 
 
 # --- the bundled library -----------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewlat import cli, constructions, core, search, varieties
+from skewlat import cli, constructions, core, green, search, varieties
 from skewlat.core import CayleyPair, validate
 from skewlat.green import (
     NotACongruenceError,
@@ -54,6 +54,71 @@ class TestGreenRelations:
             assert (varieties.check(S, "right_handed") is True) == rh
 
 
+def _relabeled(S, perm):
+    """S with element x renamed perm[x]."""
+    inv = {v: k for k, v in enumerate(perm)}
+    rng = range(S.n)
+    tables = ([[perm[t[inv[a]][inv[b]]] for b in rng] for a in rng] for t in (S.pair.meet, S.pair.join))
+    return validate(CayleyPair.from_tables(*tables))
+
+
+def partition_by_definition(n, related):
+    """The partition of range(n) by `related`, read over all n**2 pairs
+    after checking that it is an equivalence: the class of each x is every
+    y with related(x, y), and classes are listed by least member."""
+    rel = [[related(x, y) for y in range(n)] for x in range(n)]
+    for x, y, z in itertools.product(range(n), repeat=3):
+        assert rel[x][x] and rel[x][y] == rel[y][x], (x, y)
+        assert not (rel[x][y] and rel[y][z]) or rel[x][z], (x, y, z)
+    classes = list(dict.fromkeys(frozenset(y for y in range(n) if rel[x][y]) for x in range(n)))
+    return Partition(tuple(next(k for k, c in enumerate(classes) if x in c) for x in range(n)), tuple(classes))
+
+
+def green_by_definition(S):
+    """(L, R, D) over all pairs, from their definitions on the meet band:
+    x L y iff x^y = x and y^x = y; x R y iff x^y = y and y^x = x; x D y iff
+    x^y^x = x and y^x^y = y."""
+    meet = S.meet
+    return (
+        partition_by_definition(S.n, lambda x, y: meet(x, y) == x and meet(y, x) == y),
+        partition_by_definition(S.n, lambda x, y: meet(x, y) == y and meet(y, x) == x),
+        partition_by_definition(S.n, lambda x, y: meet(meet(x, y), x) == x and meet(meet(y, x), y) == y),
+    )
+
+
+def test_green_relations_match_their_definitions(constructed):
+    for S in [S for n in range(1, 7) for S in search.census(n)] + constructed:
+        assert green_relations(S) == green_by_definition(S), S.pair
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_green_relations_match_their_definitions_when_relabeled(data):
+    S = data.draw(st.sampled_from(_algebras()))
+    S = _relabeled(S, data.draw(st.permutations(range(S.n))))
+    assert green_relations(S) == green_by_definition(S), S.pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=9))
+def test_from_pairs_builds_the_partition_of_a_labeling(labels):
+    # each class is built from its least member, and related(x, y) is asked
+    # only of that leader x and each later y that no earlier class took
+    n, calls = len(labels), []
+
+    def related(x, y):
+        calls.append((x, y))
+        return labels[x] == labels[y]
+
+    P = Partition.from_pairs(n, related)
+    order = list(dict.fromkeys(labels))  # labels by their least element
+    assert P.class_of == tuple(order.index(v) for v in labels)
+    assert P.classes == tuple(frozenset(x for x in range(n) if labels[x] == v) for v in order)
+    assert P == partition_by_definition(n, lambda x, y: labels[x] == labels[y])
+    leaders = [min(c) for c in P.classes]
+    assert calls == [(x, y) for x in leaders for y in range(x + 1, n) if leaders[P.class_of[y]] >= x]
+
+
 class TestQuotients:
     def test_d_quotient_is_lattice(self, census5):
         for n in (3, 4):
@@ -70,6 +135,21 @@ class TestQuotients:
     def test_identity_partition_quotient_is_isomorphic(self, threes):
         S, _ = threes
         assert quotient(S, Partition.from_pairs(3, int.__eq__)).pair == S.pair
+
+    def test_identity_quotient_is_the_algebra_itself(self, monkeypatch, constructed):
+        # the identity partition in element order gives S's own tables: no
+        # congruence test and no validation
+        def forbidden(*args):
+            raise AssertionError("the identity quotient tested or validated its tables")
+
+        monkeypatch.setattr(green, "is_congruence", forbidden)
+        monkeypatch.setattr(green, "validate", forbidden)
+        for S in [*search.census(4), *constructed]:
+            assert quotient(S, Partition.from_pairs(S.n, int.__eq__)) is S
+
+    def test_maximal_lattice_image_is_the_quotient_by_d(self):
+        for S in [S for n in range(1, 7) for S in search.census(n)]:
+            assert maximal_lattice_image(S) == quotient(S, green_relations(S)[2])
 
     def test_factors_fiber_product(self, census5):
         for S in census5[5][:20]:

@@ -2,7 +2,9 @@
 passes on the census, and each owner entry catches a library function that
 gives a wrong answer."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +156,113 @@ def test_owner_entry_catches_a_wrong_answer(monkeypatch, capsys, entry, module, 
     assert not result.ok and result.failures[entry]
     assert cli.run(["theorems", "--max-n", str(max_n), "--only", entry]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# the witness each FAULTS case gives, by its test id
+FAULT_WITNESSES = {
+    "orders-cohere-with-green:orders": "x<=y differs from its join form xvy=y=yvx at (0,2)",
+    "decomposition-invariants:green_relations": "D of meet and D of join differ at (0,1)",
+    "decomposition-invariants:left_handed": "left-handed identity disagrees with L = D",
+    "decomposition-invariants:maximal_lattice_image": "S/D is not a lattice",
+    "decomposition-invariants:factors": "S/R is not left-handed",
+    "coset-membership-criterion:cosets": "cosets do not partition class 1 (1 > 0)",
+    "coset-membership-criterion:coset_bijection": "coset_bijection is not <= from coset [1] onto [0]",
+    "lower-update-composition-law:lower_update": "lower update 1 of 1 by 2 is not the only element of its coset above 2",
+    "lower-update-composition-law:upper_update": "upper update 1 of 1 by 2 is not the only element of its coset below 2",
+    "handed-update-coincidences:lower_update": "(x^y)vx differs from the lower update on a right-handed algebra",
+    "update-maps-are-idempotent-solutions:power_class": "update map is idempotent but not cubic",
+    "family-identity-iff-braid:solution_identity_check": "strong identities hold: True, braid holds: False",
+    "handed-cancellativity-iff-solution:classify": "variety implication fails: binormal iff normal and conormal",
+    "nc5-characterizes-simple-cancellativity:nc5_free": "nc5_free says True but simple cancellativity holds: False",
+}
+
+
+@pytest.mark.parametrize("case", FAULTS, ids=[f"{entry}:{getattr(fault, 'kind', name)}" for entry, _, name, fault, *_ in FAULTS])
+def test_owner_entry_names_the_pinned_witness(monkeypatch, case):
+    entry, module, name, fault, algebra, _ = case
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    assert theorems.THEOREMS[entry](constructions.fixed(algebra)) == FAULT_WITNESSES[f"{entry}:{getattr(fault, 'kind', name)}"]
+
+
+def _literal_membership_witness(S, ups_of):
+    """The coset-membership-criterion witness as the definition reads, for
+    the upper cosets ups_of[A, B]: the first a, a2 of an upper class A,
+    over the comparable pairs (B, A) in order, where "every b in B
+    conjugates a and a2 alike" disagrees with "one coset holds both"."""
+    _, _, D = green.green_relations(S)
+    ord_, j = green.class_order(S, D), S.pair.join
+    for B in range(D.size):
+        for A in range(D.size):
+            if A == B or not ord_[B][A]:
+                continue
+            coset_of = {a: c for c in ups_of[A, B] for a in c}
+            for a in sorted(D.classes[A]):
+                for a2 in sorted(D.classes[A]):
+                    same = all(j[j[b][a]][b] == j[j[b][a2]][b] for b in D.classes[B])
+                    if same != (coset_of[a] is coset_of[a2]):
+                        return f"coset membership criterion fails for {a},{a2} in class {A} over {B}"
+    return True
+
+
+def test_coset_membership_criterion_names_the_first_disagreeing_pair(monkeypatch, census5, constructed):
+    # B's cosets in A replaced by a random partition of A: the first pair
+    # that the conjugation vectors place otherwise is the witness
+    rng = random.Random(59)
+    real, failed = green.cosets, 0
+    for S in [*census5[4], *census5[5], *constructed]:
+        _, _, D = green.green_relations(S)
+        ord_ = green.class_order(S, D)
+        for _ in range(3):
+            ups_of = {}
+            for A, B in itertools.product(range(D.size), repeat=2):
+                if A != B and ord_[B][A]:
+                    labels = {a: rng.randrange(3) for a in D.classes[A]}
+                    ups_of[A, B] = sorted({frozenset(a for a in labels if labels[a] == k) for k in labels.values()}, key=min)
+            monkeypatch.setattr(green, "cosets", lambda S, A, B, D: (ups_of[A, B], real(S, A, B, D)[1]))
+            expected = _literal_membership_witness(S, ups_of)
+            if expected is not True:
+                assert theorems.THEOREMS["coset-membership-criterion"](S) == expected, S.pair
+                failed += 1
+            monkeypatch.setattr(green, "cosets", real)
+    assert failed > 50, failed
+    # on 3R0, merging its two upper cosets
+    ups_of = {(1, 0): [frozenset({1, 2})]}
+    monkeypatch.setattr(green, "cosets", lambda S, A, B, D: (ups_of[A, B], real(S, A, B, D)[1]))
+    witness = "coset membership criterion fails for 1,2 in class 1 over 0"
+    assert _literal_membership_witness(constructions.fixed("3R0"), ups_of) == witness
+    assert theorems.THEOREMS["coset-membership-criterion"](constructions.fixed("3R0")) == witness
+
+
+def test_lower_update_composition_names_the_first_failing_triple(monkeypatch, census5, constructed):
+    # the lower update with one cell changed, and the per-pair update checks
+    # let through: the first (x, y, z), lexicographically, where
+    # lu(lu(x, y), lu(y, z)) != lu(x, lu(y, z)) is the witness (on a
+    # left-handed algebra the pair loop may catch the cell first)
+    rng = random.Random(61)
+    real, failed = ybe.build_map, 0
+    monkeypatch.setattr(theorems, "_update_failure", lambda *args: None)
+    for S in [*census5[3], *census5[4], *census5[5], *constructed]:
+        n, (m, j) = S.n, (S.pair.meet, S.pair.join)
+        left_handed = varieties.check(S, "left_handed") is True
+        for _ in range(3):
+            lu = [[u for u, _ in row] for row in real(S, "lower_update").table]
+            x0, y0 = rng.randrange(n), rng.randrange(n)
+            lu[x0][y0] = rng.randrange(n)
+            table = tuple(tuple((u, y) for y, u in enumerate(row)) for row in lu)
+            monkeypatch.setattr(ybe, "build_map", lambda S, k: ybe.PairMap(S.n, table) if k == "lower_update" else real(S, k))
+            pairs = itertools.product(range(n), repeat=2)
+            expected = next(
+                (f"lower update of {x} by {y} is not xv(y^x) on a left-handed algebra"
+                 for x, y in pairs if left_handed and lu[x][y] != j[x][m[y][x]]),
+                None,
+            ) or next(
+                (f"coset law fails at ({x},{y},{z})"
+                 for x, y, z in itertools.product(range(n), repeat=3) if lu[lu[x][y]][lu[y][z]] != lu[x][lu[y][z]]),
+                True,
+            )
+            assert theorems.THEOREMS["lower-update-composition-law"](S) == expected, (S.pair, lu)
+            failed += expected is not True
+    assert failed > 50, failed
 
 
 def test_coset_membership_criterion_builds_each_order_once(monkeypatch, census5, constructed):
