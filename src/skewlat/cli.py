@@ -105,8 +105,7 @@ def _cmd_structure(args) -> int:
 
 def _cmd_props(args) -> int:
     S = _load_algebra(args.file)
-    report = varieties.classify(S)
-    free = varieties.nc5_free(S)
+    report, free = varieties.decide(S)
     if args.format == "tsv":
         rows = [("property", "value", "witness")]
         for name in varieties.FLAG_NAMES:

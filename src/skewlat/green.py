@@ -144,6 +144,20 @@ def factors(S: SkewLattice):
     return quotient(S, R), quotient(S, L)
 
 
+def proper_factors(S: SkewLattice) -> tuple:
+    """(S/R, S/L) when Green's R and L both have fewer classes than S has
+    elements, else () (S is then handed, and one factor is S itself).
+
+    x -> ([x]_R, [x]_L) embeds S in S/R x S/L (Leech, "Skew lattices in
+    rings", 1989), so an identity holds on S exactly when it holds on both
+    factors, and a quasi-identity holds on S whenever it holds on both.
+    The reports' decisions (ybe.decide, varieties.decide) route through
+    these two smaller algebras.
+    """
+    L, R, _ = green_relations(S)
+    return (quotient(S, R), quotient(S, L)) if max(L.size, R.size) < S.n else ()
+
+
 def class_order(S: SkewLattice, D: Partition):
     """Return leq matrix on D-class ids, per the order of S/D."""
     k = D.size

@@ -4,10 +4,12 @@
 R and L are both non-trivial it decides each braid relation on the two
 smaller factors S/R and S/L, which are handed: S embeds in their product
 (Leech's first decomposition theorem), so an identity holds on S exactly
-when it holds on both. `braid_check` itself, the search's `*-solution`
-predicates and the theorem battery check S directly: on census-size
-algebras the factors cost more than they save, and the battery's
-cross-checks must not rest on the theorem the route assumes.
+when it holds on both. The factors and the condition for taking them come
+from `green.proper_factors`, the one factor route that `varieties.decide`
+takes for the `props` report too. `braid_check` itself, the search's
+`*-solution` predicates and the theorem battery check S directly: on
+census-size algebras the factors cost more than they save, and the
+battery's cross-checks must not rest on the theorem the route assumes.
 """
 
 from __future__ import annotations
@@ -102,17 +104,14 @@ def build_map(S: SkewLattice, kind: str) -> PairMap:
 def decide(S: SkewLattice, kinds=MAP_KINDS) -> tuple:
     """(kind, map on S, braid_check of that map) for each kind in order.
 
-    When Green's R and L are both non-trivial, a kind whose map passes on
-    S/R and on S/L passes on S with no loop over the triples of S: R and L
-    are congruences and x -> ([x]_R, [x]_L) embeds S in S/R x S/L (Leech,
-    "Skew lattices in rings", 1989), and the braid relation of a map whose
-    components are terms is three identities in x, y, z, which hold on S
-    exactly when they hold on both factors. A kind that fails on a factor,
-    and every kind on a handed S, gets braid_check on S's map, so its
-    witness is the first failing triple of S.
+    On the factors of green.proper_factors, a kind whose map passes on S/R
+    and on S/L passes on S with no loop over the triples of S: the braid
+    relation of a map whose components are terms is three identities in
+    x, y, z, which hold on S exactly when they hold on both factors. A
+    kind that fails on a factor, and every kind on a handed S, gets
+    braid_check on S's map, so its witness is the first failing triple of S.
     """
-    L, R, _ = green.green_relations(S)
-    factors = (green.quotient(S, R), green.quotient(S, L)) if max(L.size, R.size) < S.n else ()
+    factors = green.proper_factors(S)
     decided = []
     for kind in kinds:
         m = build_map(S, kind)

@@ -165,6 +165,19 @@ class TestQuotients:
                 total += len(r_parts) * len(l_parts)
             assert total == S.n
 
+    def test_proper_factors_are_the_factors_of_an_algebra_not_handed(self):
+        # () when R or L is the identity (S is handed and is one of its own
+        # factors), else the two factors
+        census = [S for n in range(1, 7) for S in search.census(n)]
+        routed = 0
+        for S in census:
+            L, R, _ = green_relations(S)
+            handed = R.size == S.n or L.size == S.n
+            assert handed == (varieties.check(S, "left_handed") is True or varieties.check(S, "right_handed") is True)
+            assert green.proper_factors(S) == (() if handed else factors(S)), S.pair.flat()
+            routed += not handed
+        assert routed == 69
+
 
 def literal_congruence_witness(S, P):
     """`is_congruence` written as the definition: the first (x, y, c), in

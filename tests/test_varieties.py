@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import itertools
 import os
 import subprocess
@@ -10,6 +13,10 @@ from hypothesis import given, settings, strategies as st
 from skewlat import cli, constructions, core, green, search, terms, varieties
 from skewlat.core import CayleyPair, validate
 from skewlat.varieties import FLAG_NAMES, classify, nc5_free
+
+# every formula the flags name, each once, in report order: the formulas of
+# classify's pass over S
+ON_S = tuple(dict.fromkeys(name for flag in FLAG_NAMES for name in varieties.FLAGS[flag]))
 
 
 class TestClassify:
@@ -78,15 +85,14 @@ def test_classify_makes_one_pass_on_s_and_one_on_s_over_d(census5, request):
         found["quasi_distributive"] = first_failure(green.maximal_lattice_image(S), ("D1", "D2"))
         expected.append(found)
     passes = request.getfixturevalue("compiled_passes")  # spies from here on
-    on_s = tuple(dict.fromkeys(name for flag in FLAG_NAMES for name in varieties.FLAGS[flag]))
-    assert len(on_s) == 19
+    assert len(ON_S) == 19
     for S, found in zip(algebras, expected):
         passes.clear()
         report = classify(S)
         assert report.flags == {flag: w is True for flag, w in found.items()}
         assert report.witnesses == {flag: w for flag, w in found.items() if w is not True}
         quotient = green.maximal_lattice_image(S)
-        assert passes == [(S.n, on_s), (quotient.n, ("D1", "D2"))]
+        assert passes == [(S.n, ON_S), (quotient.n, ("D1", "D2"))]
 
 
 class TestNc5Free:
@@ -278,3 +284,100 @@ def test_nc5_free_matches_the_brute_force_oracle_on_products():
         S = constructions.direct_product(left, constructions.chain(sizes))
         assert _brute_force_nc5(S) is not True
         _assert_matches_oracle(S)
+
+
+# --- the props report's decision ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def props_algebras(constructed, built):
+    """The census to order 6, the constructed algebras, the built ones
+    (with rect(a, b) for a, b <= 4) and NC5L x chain((1, 1)): with it, the
+    products behind the bench inputs are all here."""
+    nc5l_product = constructions.direct_product(constructions.fixed("NC5L"), constructions.chain((1, 1)))
+    return [S for n in range(1, 7) for S in search.census(n)] + constructed + built + [nc5l_product]
+
+
+def _direct(S):
+    return classify(S), nc5_free(S)
+
+
+class TestDecide:
+    def test_equals_classify_and_nc5_free(self, props_algebras):
+        routed = 0
+        for S in props_algebras:
+            assert varieties.decide(S) == _direct(S), S.pair.flat()
+            routed += green.proper_factors(S) != ()
+        assert (len(props_algebras), routed) == (301, 90)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_relabeled_algebras(self, props_algebras, data):
+        S = data.draw(st.sampled_from(props_algebras))
+        S = _relabel(S, data.draw(st.permutations(range(S.n))))
+        assert varieties.decide(S) == _direct(S), S.pair.flat()
+
+
+def _props(path, fmt):
+    """The props report on the file, as (exit code, sha256 of stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["props", str(path), "--format", fmt])
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _count_nc5_free(monkeypatch):
+    calls, real = [], varieties.nc5_free
+    monkeypatch.setattr(varieties, "nc5_free", lambda S: calls.append(S.n) or real(S))
+    return calls
+
+
+def test_props_checks_on_s_only_the_formulas_failing_on_a_factor(compiled_checks, tmp_path, monkeypatch):
+    # rect(4, 4) fails only the handedness and commutation identities on
+    # its 4-element factors; every other formula holds on both, so is never
+    # checked on the 16 elements, and a simply cancellative S has no NC5
+    path = tmp_path / "rect-4-4.skl"
+    core.save(constructions.rectangular(4, 4).pair, path)
+    calls = _count_nc5_free(monkeypatch)
+    digests = {
+        "text": "bc9d8f2a5118196ecf75a71d10278e09022a821b40ef6b36aade4f19b2b1df67",
+        "tsv": "385aecde38fa6c11cfea43b8113183b9e2b8e8242fac1ab68259264c212cfff4",
+    }
+    singles = ("left-handed", "right-handed", "commute-meet", "commute-join")
+    for fmt, digest in digests.items():
+        compiled_checks.clear()
+        assert _props(path, fmt) == (0, digest)
+        assert compiled_checks == [(4, ON_S), (4, ON_S), *((16, name) for name in singles), (1, ("D1", "D2"))]
+    assert calls == []
+
+
+def test_props_on_a_handed_algebra_makes_classify_passes(compiled_checks, tmp_path, monkeypatch):
+    S = constructions.chain((2, 2, 2))
+    path = tmp_path / "chain-2-2-2.skl"
+    core.save(S.pair, path)
+    calls = _count_nc5_free(monkeypatch)
+    quotient = green.maximal_lattice_image(S)
+    assert _props(path, "text") == (0, "9c78aa550602a3bd36152a818192ebcafce99abfb7c9124f50b043dde9791a92")
+    assert compiled_checks == [(S.n, ON_S), (quotient.n, ("D1", "D2"))]
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "right, line",
+    [
+        (constructions.chain((1, 1)), "nc5_free: false (contains NC5L on elements {0, 2, 4, 6, 8})"),
+        (constructions.rectangular(2, 2), "nc5_free: false (contains NC5L on elements {0, 4, 8, 12, 16})"),
+    ],
+)
+def test_props_searches_for_a_copy_once_when_not_simply_cancellative(capsys, tmp_path, monkeypatch, right, line):
+    # handed, and not: the witness line is nc5_free's, from one call
+    S = constructions.direct_product(constructions.fixed("NC5L"), right)
+    path = tmp_path / "product.skl"
+    core.save(S.pair, path)
+    calls = _count_nc5_free(monkeypatch)
+    report, free = varieties.decide(S)
+    assert calls == [S.n] and free[0] == "NC5L" and not report.flags["simply_cancellative"]
+    calls.clear()
+    assert cli.run(["props", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == line
+    assert calls == [S.n]

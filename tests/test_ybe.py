@@ -363,19 +363,10 @@ def relabeled(S, perm):
     return core.validate(CayleyPair.from_tables(*tables))
 
 
-def built_algebras():
-    """The products of two of 3R0, 3R1, NC5R, NC5L, rect(2, 2) and
-    chain((2, 1)), then rect(a, b) for a, b <= 4."""
-    c = constructions
-    base = [c.fixed(name) for name in ("3R0", "3R1", "NC5R", "NC5L")] + [c.rectangular(2, 2), c.chain((2, 1))]
-    products = [c.direct_product(A, B) for A, B in itertools.combinations_with_replacement(base, 2)]
-    return products + [c.rectangular(a, b) for a in range(1, 5) for b in range(1, 5)]
-
-
 @pytest.fixture(scope="module")
-def verdict_algebras(constructed):
+def verdict_algebras(constructed, built):
     """The census to order 6, the constructed algebras and the built ones."""
-    return [S for n in range(1, 7) for S in search.census(n)] + constructed + built_algebras()
+    return [S for n in range(1, 7) for S in search.census(n)] + constructed + built
 
 
 class TestDecide:
