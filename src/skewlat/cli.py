@@ -88,8 +88,8 @@ def _cmd_structure(args) -> int:
         return EXIT_OK
     lines = [
         f"n: {S.n}",
-        f"left-handed: {varieties.check(S, 'left_handed') is True}",
-        f"right-handed: {varieties.check(S, 'right_handed') is True}",
+        f"left-handed: {L.class_of == D.class_of}",
+        f"right-handed: {R.class_of == D.class_of}",
     ]
     for cid, cls in enumerate(D.classes):
         lines.append(f"D-class {cid}: {_braces(cls)}")
@@ -283,7 +283,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_theorems(args) -> int:
-    names = args.only.split(",") if args.only else None
+    names = None if args.only is None else args.only.split(",")
     try:
         result = theorems.run_battery(args.max_n, names=names)
     except ValueError as exc:

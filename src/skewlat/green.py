@@ -149,10 +149,10 @@ def proper_factors(S: SkewLattice) -> tuple:
     elements, else () (S is then handed, and one factor is S itself).
 
     x -> ([x]_R, [x]_L) embeds S in S/R x S/L (Leech, "Skew lattices in
-    rings", 1989), so an identity holds on S exactly when it holds on both
-    factors, and a quasi-identity holds on S whenever it holds on both.
-    The reports' decisions (ybe.decide, varieties.decide) route through
-    these two smaller algebras.
+    rings", 1989; the theorem battery checks it), so an identity holds on
+    S exactly when it holds on both factors, and a quasi-identity holds on
+    S whenever it holds on both. That is why the reports' decisions
+    (ybe.decide, varieties.decide) may route through these two factors.
     """
     L, R, _ = green_relations(S)
     return (quotient(S, R), quotient(S, L)) if max(L.size, R.size) < S.n else ()

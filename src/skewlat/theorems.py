@@ -36,20 +36,22 @@ def _update_maps_are_solutions(S: SkewLattice):
     return True
 
 
+def _handed_maps_agree(S: SkewLattice, rows):
+    """True, or the witness of the first row (flag, kind, other kind,
+    witness) whose flag holds on S while its two maps differ."""
+    for flag, kind, other, witness in rows:
+        if varieties.check(S, flag) is True and ybe.build_map(S, kind).table != ybe.build_map(S, other).table:
+            return witness
+    return True
+
+
 def _update_equals_lower_update(S: SkewLattice):
     # On right-handed algebras (x^y)vx is the lower update; dually, on
     # left-handed algebras (yvx)^y is the upper update.
-    if varieties.check(S, "right_handed") is True:
-        a = ybe.build_map(S, "update")
-        b = ybe.build_map(S, "lower_update")
-        if a.table != b.table:
-            return "(x^y)vx differs from the lower update on a right-handed algebra"
-    if varieties.check(S, "left_handed") is True:
-        c = ybe.build_map(S, "co_update")
-        d = ybe.build_map(S, "upper_update")
-        if c.table != d.table:
-            return "(yvx)^y differs from the upper update on a left-handed algebra"
-    return True
+    return _handed_maps_agree(S, (
+        ("right_handed", "update", "lower_update", "(x^y)vx differs from the lower update on a right-handed algebra"),
+        ("left_handed", "co_update", "upper_update", "(yvx)^y differs from the upper update on a left-handed algebra"),
+    ))
 
 
 def _family_identity_equivalences(S: SkewLattice):
@@ -170,8 +172,8 @@ def _lower_update_composition(S: SkewLattice):
     upper = ybe.build_map(S, "upper_update").table
     uu = [[upper[y][x][1] for y in S.elements()] for x in S.elements()]
     m, j = S.pair.meet, S.pair.join
-    _, _, D = green.green_relations(S)
-    left_handed = varieties.check(S, "left_handed") is True
+    L, _, D = green.green_relations(S)
+    left_handed = L.class_of == D.class_of  # checked by decomposition-invariants
     lower_cosets, upper_cosets = {}, {}
     for x in S.elements():
         for y in S.elements():
@@ -231,12 +233,10 @@ def _coset_membership_criterion(S: SkewLattice):
 
 
 def _handed_weak_collapse(S: SkewLattice):
-    weak = ybe.build_map(S, "weak")
-    if varieties.check(S, "left_handed") is True and weak.table != ybe.build_map(S, "left").table:
-        return "left-handed algebra where the weak map differs from the left map"
-    if varieties.check(S, "right_handed") is True and weak.table != ybe.build_map(S, "right").table:
-        return "right-handed algebra where the weak map differs from the right map"
-    return True
+    return _handed_maps_agree(S, (
+        ("left_handed", "weak", "left", "left-handed algebra where the weak map differs from the left map"),
+        ("right_handed", "weak", "right", "right-handed algebra where the weak map differs from the right map"),
+    ))
 
 
 def _decomposition_invariants(S: SkewLattice):

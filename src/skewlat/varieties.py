@@ -2,9 +2,9 @@
 
 `decide` gives the `props` report its flags and its NC5 verdict. On an
 algebra whose Green's R and L are both non-trivial it runs classify's pass
-on the two smaller factors S/R and S/L, the factor route of
-`green.proper_factors` that `ybe.decide` takes too, and it skips the
-forbidden-subalgebra search on a simply cancellative algebra. `check`,
+on the two smaller factors S/R and S/L, the factor route that
+`green.proper_factors` justifies and `ybe.decide` takes too, and it skips
+the forbidden-subalgebra search on a simply cancellative algebra. `check`,
 `classify` and `nc5_free` decide S directly, and the search's filters and
 the theorem battery call only them: on census-size algebras the factors
 cost more than they save, and the battery's cross-checks must not rest
@@ -83,7 +83,12 @@ def classify(S: SkewLattice) -> VarietyReport:
     The known implications between the flags are checked by the theorem
     battery.
     """
-    on_s = terms.holds_named(S, _ON_S)
+    return _report(S, terms.holds_named(S, _ON_S))
+
+
+def _report(S: SkewLattice, on_s: dict) -> VarietyReport:
+    """The report from the verdicts `on_s` of every formula of _ON_S on S,
+    with quasi_distributive decided by one pass over S/D."""
     on_quotient = terms.holds_named(green.maximal_lattice_image(S), _ON_QUOTIENT)
     results = {
         flag: _verdict(flag, on_quotient if flag == "quasi_distributive" else on_s) for flag in FLAG_NAMES
@@ -188,31 +193,24 @@ def decide(S: SkewLattice) -> tuple:
     green.proper_factors when S is not handed.
 
     classify's pass over S runs on S/R and on S/L instead. A formula that
-    holds on both holds on S, since S embeds in their product; each one
-    that fails on a factor is checked on S by terms.holds, so its verdict
-    and witness are S's own. That check is compiled once per formula, at
-    most 19 in all, where one pass over each set of failing formulas
-    would compile anew for each set, and a one-shot report would pay for
-    it. quasi_distributive is decided on S/D by check, and a handed S goes
-    through classify. A simply cancellative S is NC5-free (the battery
-    checks the equivalence), so nc5_free runs only on an S that is not,
-    for its witness.
+    holds on both holds on S (see green.proper_factors); each one that
+    fails on a factor is checked on S by terms.holds, so its verdict and
+    witness are S's own. That check is compiled once per formula, at most
+    19 in all, where one pass over each set of failing formulas would
+    compile anew for each set, and a one-shot report would pay for it.
+    quasi_distributive is decided on S/D as classify decides it, and a
+    handed S goes through classify. A simply cancellative S is NC5-free
+    (the battery checks the equivalence), so nc5_free runs only on an S
+    that is not, for its witness.
     """
     factors = green.proper_factors(S)
     if factors:
         on_factors = [terms.holds_named(F, _ON_S) for F in factors]
         lib = terms.library()
-        on_s = {
+        report = _report(S, {
             name: True if all(found[name] is True for found in on_factors) else terms.holds(S, lib[name])
             for name in _ON_S
-        }
-        results = {
-            flag: check(S, flag) if flag == "quasi_distributive" else _verdict(flag, on_s) for flag in FLAG_NAMES
-        }
-        report = VarietyReport(
-            {flag: found is True for flag, found in results.items()},
-            {flag: found for flag, found in results.items() if found is not True},
-        )
+        })
     else:
         report = classify(S)
     return report, True if report.flags["simply_cancellative"] else nc5_free(S)

@@ -2,14 +2,12 @@
 
 `decide` gives the `ybe` report its verdicts. On an algebra whose Green's
 R and L are both non-trivial it decides each braid relation on the two
-smaller factors S/R and S/L, which are handed: S embeds in their product
-(Leech's first decomposition theorem), so an identity holds on S exactly
-when it holds on both. The factors and the condition for taking them come
-from `green.proper_factors`, the one factor route that `varieties.decide`
-takes for the `props` report too. `braid_check` itself, the search's
-`*-solution` predicates and the theorem battery check S directly: on
-census-size algebras the factors cost more than they save, and the
-battery's cross-checks must not rest on the theorem the route assumes.
+smaller, handed factors S/R and S/L: the one factor route, which
+`green.proper_factors` justifies and `varieties.decide` takes for the
+`props` report too. `braid_check` itself, the search's `*-solution`
+predicates and the theorem battery check S directly: on census-size
+algebras the factors cost more than they save, and the battery's
+cross-checks must not rest on the theorem the route assumes.
 """
 
 from __future__ import annotations
@@ -107,9 +105,10 @@ def decide(S: SkewLattice, kinds=MAP_KINDS) -> tuple:
     On the factors of green.proper_factors, a kind whose map passes on S/R
     and on S/L passes on S with no loop over the triples of S: the braid
     relation of a map whose components are terms is three identities in
-    x, y, z, which hold on S exactly when they hold on both factors. A
-    kind that fails on a factor, and every kind on a handed S, gets
-    braid_check on S's map, so its witness is the first failing triple of S.
+    x, y, z, and identities transfer from the factors as that function
+    states. A kind that fails on a factor, and every kind on a handed S,
+    gets braid_check on S's map, so its witness is the first failing
+    triple of S.
     """
     factors = green.proper_factors(S)
     decided = []

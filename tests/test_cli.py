@@ -363,3 +363,10 @@ class TestTheorems:
     def test_unknown_theorem_exits_two(self, capsys):
         code, _, _ = run(capsys, "theorems", "--max-n", "2", "--only", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("only", ["", ","])
+    def test_empty_theorem_name_exits_two(self, capsys, only):
+        # an empty --only names the empty theorem, as "," does: it does not
+        # mean "all"
+        code, out, err = run(capsys, "theorems", "--max-n", "1", "--only", only)
+        assert (code, out, err) == (2, "", "error: unknown theorem names: ['']\n")

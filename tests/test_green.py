@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import itertools
 import random
 
@@ -356,9 +358,55 @@ class TestReport:
         text = capsys.readouterr().out
         assert "D-class 0: {0}" in text and "right-handed: True" in text and "S/D edge: 0 < 1" in text
 
+    def test_structure_reads_handedness_from_green_relations(self, compiled_checks, monkeypatch, tmp_path):
+        # L = D and R = D give the two handedness lines: no compiled formula
+        # pass, no single-formula check and no varieties.check call
+        checks = []
+        monkeypatch.setattr(varieties, "check", lambda S, flag: checks.append(flag))
+        path = tmp_path / "S.skl"
+        for S, handed in ((constructions.fixed("3R0"), (False, True)), (constructions.rectangular(2, 2), (False, False))):
+            core.save(S.pair, path)
+            assert _handedness_lines(path) == [f"left-handed: {handed[0]}", f"right-handed: {handed[1]}"]
+        assert (compiled_checks, checks) == ([], [])
+
+    def test_structure_handedness_agrees_with_the_identities(self, tmp_path, built):
+        # the census to order 6 and the built algebras: 295 inputs, of which
+        # 112 left-handed and 121 right-handed
+        algebras, path, tally = [S for n in range(1, 7) for S in search.census(n)] + built, tmp_path / "S.skl", [0, 0]
+        for S in algebras:
+            core.save(S.pair, path)
+            expected = _handedness_by_identities(S)
+            assert _handedness_lines(path) == expected, S.pair.flat()
+            tally = [t + line.endswith("True") for t, line in zip(tally, expected)]
+        assert (len(algebras), tally) == (295, [112, 121])
+
     def test_report_is_deterministic(self, capsys, r0_file):
         outputs = []
         for _ in range(2):
             cli.run(["structure", r0_file])
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+def _handedness_lines(path):
+    """The left-handed and right-handed lines of the text structure report
+    on the file."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["structure", str(path)]) == 0
+    return out.getvalue().splitlines()[1:3]
+
+
+def _handedness_by_identities(S):
+    """Those two lines as varieties.check decides the handedness identities."""
+    return [f"{side}-handed: {varieties.check(S, f'{side}_handed') is True}" for side in ("left", "right")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_structure_handedness_agrees_with_the_identities_when_relabeled(tmp_path_factory, built, data):
+    S = data.draw(st.sampled_from([S for n in range(1, 7) for S in search.census(n)] + built))
+    S = _relabeled(S, data.draw(st.permutations(range(S.n))))
+    path = tmp_path_factory.getbasetemp() / "relabeled.skl"
+    core.save(S.pair, path)
+    assert _handedness_lines(path) == _handedness_by_identities(S), S.pair.flat()

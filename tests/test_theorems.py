@@ -131,6 +131,9 @@ FAULTS = [
     ("lower-update-composition-law", ybe, "build_map", _identity_map_for("lower_update"), "3R0", 3),
     ("lower-update-composition-law", ybe, "build_map", _identity_map_for("upper_update"), "3R0", 3),
     ("handed-update-coincidences", ybe, "build_map", _identity_map_for("lower_update"), "3R0", 3),
+    ("handed-update-coincidences", ybe, "build_map", _identity_map_for("upper_update"), "NC5L", 3),
+    ("handed-weak-map-collapse", ybe, "build_map", _identity_map_for("weak"), "3R0", 3),
+    ("handed-weak-map-collapse", ybe, "build_map", _identity_map_for("left"), "NC5L", 3),
     ("update-maps-are-idempotent-solutions", ybe, "power_class",
      lambda real: lambda m: ybe.PowerClass(involutive=False, idempotent=True, cubic=False), "3R0", 1),
     ("family-identity-iff-braid", ybe, "solution_identity_check", lambda real: lambda S, family: True, "3R0", 3),
@@ -170,6 +173,9 @@ FAULT_WITNESSES = {
     "lower-update-composition-law:lower_update": "lower update 1 of 1 by 2 is not the only element of its coset above 2",
     "lower-update-composition-law:upper_update": "upper update 1 of 1 by 2 is not the only element of its coset below 2",
     "handed-update-coincidences:lower_update": "(x^y)vx differs from the lower update on a right-handed algebra",
+    "handed-update-coincidences:upper_update": "(yvx)^y differs from the upper update on a left-handed algebra",
+    "handed-weak-map-collapse:weak": "right-handed algebra where the weak map differs from the right map",
+    "handed-weak-map-collapse:left": "left-handed algebra where the weak map differs from the left map",
     "update-maps-are-idempotent-solutions:power_class": "update map is idempotent but not cubic",
     "family-identity-iff-braid:solution_identity_check": "strong identities hold: True, braid holds: False",
     "handed-cancellativity-iff-solution:classify": "variety implication fails: binormal iff normal and conormal",
