@@ -66,7 +66,6 @@ module imports `is_canonical` by name.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 import time
@@ -80,11 +79,11 @@ from .core import axiom_violations  # noqa: F401  bench/spans.py traces it throu
 
 # The largest order a search accepts. A search builds each relabeling when it
 # first needs it, as n² bytes: before its first node only the (n−1)! that fix
-# 0, which take 0.10–0.17 s at n = 9. Measured on 2 shared CPUs, Python 3.11:
-# n = 8 exhausts in one process, 1,971 classes in 40–50 s at 45 MB; a 5-s
-# n = 9 search reaches 15,000–29,000 nodes and 61 MB, and a process that
-# holds all 9! relabelings and nothing else 67 MB. A cell index stops
-# fitting a byte at n = 17.
+# 0, which take 0.10–0.17 s at n = 9. Measured on 2 shared CPUs, Python 3.11,
+# peak RSS of a fresh process: n = 8 exhausts in one process, 1,971 classes
+# in 32 s at 41.5 MB; a 5-s n = 9 search reaches 20,000–23,000 nodes and
+# 58 MB, and a process that holds all 9! relabelings and nothing else
+# 63.6 MB. A cell index stops fitting a byte at n = 17.
 MAX_N = 9
 
 
@@ -125,6 +124,12 @@ class CounterexampleResult:
 
 
 def spec_hash(spec: SearchSpec) -> str:
+    """The checkpoint file's line 2: the first 16 hex digits of the sha256 of
+    the spec's order and filters. hashlib is imported here, not at the top,
+    because it loads OpenSSL, 3.6 MB of resident memory that only a run
+    that reads or writes a checkpoint uses."""
+    import hashlib
+
     text = f"{spec.n}|{list(spec.satisfy)}|{list(spec.falsify)}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -674,12 +679,19 @@ def load_checkpoint(spec: SearchSpec, path):
         raise ValueError(f"not a checkpoint file: the first line is not {CHECKPOINT_HEADER!r}")
     if lines[1] != spec_hash(spec):
         raise ValueError("checkpoint does not match the search spec")
-    path = tuple(int(tok) for tok in lines[2].split())
+    tokens = lines[2].split()
     # one value in 0..n-1 per decision cell: the meet cells, then at most as
     # many open join cells
     n, cells = spec.n, 2 * spec.n * (spec.n - 1)
-    if len(path) > cells or any(not 0 <= v < n for v in path):
+    if len(tokens) > cells or any(not _is_number(tok) or int(tok) >= n for tok in tokens):
         raise ValueError(f"checkpoint path is not at most {cells} values in 0..{n - 1}")
-    if not lines[3].isdigit():
+    if not _is_number(lines[3]):
         raise ValueError("checkpoint line 4 is not a witness count")
-    return path, int(lines[3])
+    return tuple(map(int, tokens)), int(lines[3])
+
+
+def _is_number(token: str) -> bool:
+    """Whether `token` is a number as `save_checkpoint` writes it: ASCII
+    digits only. str.isdigit alone also takes '²', which int() refuses, and
+    '０' and '٣', which int() reads as 0 and 3."""
+    return token.isascii() and token.isdigit()

@@ -229,15 +229,28 @@ class TestConstructAndSearch:
         assert code == 2
         assert err == f"error: cannot write checkpoint {ck}: No such file or directory\n"
 
-    @pytest.mark.parametrize("path", ["99", "-1 -1", " ".join(["0"] * 25)])
+    # int() would raise its own message on 'x' and read '０' (fullwidth) as 0
+    @pytest.mark.parametrize("path", ["99", "-1 -1", " ".join(["0"] * 25), "0 x", "\uff10 1"])
     def test_resume_from_bad_path_exits_two(self, capsys, tmp_path, path):
         from skewlat import search
 
         ck = tmp_path / "ck.txt"
         header = search.CHECKPOINT_HEADER + "\n" + search.spec_hash(search.SearchSpec(n=4))
-        ck.write_text(header + "\n" + path + "\n")
+        ck.write_text(header + "\n" + path + "\n", encoding="utf-8")
         code, out, err = run(capsys, "enumerate", "4", "--resume", str(ck))
-        assert code == 2 and err.startswith("error: ") and out == ""
+        message = "checkpoint path is not at most 24 values in 0..3"
+        assert (code, out, err) == (2, "", f"error: cannot resume from {ck}: {message}\n")
+
+    # '²' and '٣' pass str.isdigit: int() refuses the first and reads the second as 3
+    @pytest.mark.parametrize("count", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+    def test_resume_from_bad_witness_count_exits_two(self, capsys, tmp_path, count):
+        from skewlat import search
+
+        ck = tmp_path / "ck.txt"
+        header = search.CHECKPOINT_HEADER + "\n" + search.spec_hash(search.SearchSpec(n=4))
+        ck.write_text(f"{header}\n0 1\n{count}\n", encoding="utf-8")
+        code, out, err = run(capsys, "enumerate", "4", "--resume", str(ck))
+        assert (code, out, err) == (2, "", f"error: cannot resume from {ck}: checkpoint line 4 is not a witness count\n")
 
     def test_resume_from_version_2_checkpoint_exits_two(self, capsys, tmp_path):
         from skewlat import search
@@ -329,6 +342,33 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr(one_file):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_only_a_checkpoint_loads_hashlib(tmp_path):
+    # hashlib loads OpenSSL, 3.6 MB of resident memory: the reports, the
+    # census and the battery run without it, and the first checkpoint read
+    # or written in the process loads it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = """
+import contextlib, io, sys
+import skewlat
+from skewlat import cli, constructions, core, green, search, terms, theorems, varieties, ybe
+
+algebra, ck = sys.argv[1], sys.argv[2]
+core.save(constructions.rectangular(2, 3).pair, algebra)
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["validate", algebra], ["structure", algebra], ["props", algebra], ["ybe", algebra],
+                 ["enumerate", "4"], ["theorems", "--max-n", "3"]):
+        assert cli.run(argv) == 0, argv
+print("hashlib" in sys.modules)
+search.save_checkpoint(search.SearchSpec(n=4), (0, 1), ck)
+print(search.load_checkpoint(search.SearchSpec(n=4), ck))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "s.skl"), str(tmp_path / "ck.txt")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n((0, 1), 0)\n", "")
 
 
 class TestTheorems:

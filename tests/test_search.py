@@ -731,11 +731,12 @@ class TestBudgetsAndCheckpoints:
         with pytest.raises(ValueError, match="not a checkpoint file"):
             load_checkpoint(spec, path)
 
-    @pytest.mark.parametrize("count", ["", "-1", "x"])
+    # '²' and '٣' pass str.isdigit: int() refuses the first and reads the second as 3
+    @pytest.mark.parametrize("count", ["", "-1", "x", "\u00b2", "\u0663"])
     def test_checkpoint_without_witness_count_rejected(self, tmp_path, count):
         spec = SearchSpec(n=4)
         path = tmp_path / "ck.txt"
-        path.write_text(f"{search.CHECKPOINT_HEADER}\n{spec_hash(spec)}\n0 1\n{count}\n")
+        path.write_text(f"{search.CHECKPOINT_HEADER}\n{spec_hash(spec)}\n0 1\n{count}\n", encoding="utf-8")
         with pytest.raises(ValueError, match="witness count"):
             load_checkpoint(spec, path)
 
@@ -756,6 +757,24 @@ class TestBudgetsAndCheckpoints:
 
     def test_spec_hash_sensitive_to_filters(self):
         assert spec_hash(SearchSpec(n=4)) != spec_hash(SearchSpec(n=4, satisfy=("lattice",)))
+
+    def test_checkpoint_format_is_pinned(self, tmp_path):
+        # the first 16 hex digits of the sha256 of "n|satisfy|falsify": a
+        # file written before a change to spec_hash must still resume after it
+        assert spec_hash(SearchSpec(n=4)) == "444a23a9e852f64a"
+        assert spec_hash(SearchSpec(n=4, satisfy=("lattice",))) == "4b29d04ae6b16fb6"
+        path = tmp_path / "ck.txt"
+        save_checkpoint(SearchSpec(n=4), (0, 1), path)
+        assert path.read_bytes() == b"skewlat checkpoint v3\n444a23a9e852f64a\n0 1\n0\n"
+
+    @pytest.mark.parametrize("path", ["0 x", "\uff10 1"], ids=["letter", "fullwidth-zero"])
+    def test_checkpoint_path_of_other_digits_rejected(self, tmp_path, path):
+        # int() reads '０' as 0, and would raise its own message on 'x'
+        spec = SearchSpec(n=4)
+        ck = tmp_path / "ck.txt"
+        ck.write_text(f"{search.CHECKPOINT_HEADER}\n{spec_hash(spec)}\n{path}\n0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^checkpoint path is not at most 24 values in 0..3$"):
+            load_checkpoint(spec, ck)
 
     @pytest.mark.parametrize(
         "field, value", [("limit", -1), ("max_nodes", -5), ("max_seconds", -1.0)]
