@@ -683,15 +683,21 @@ def load_checkpoint(spec: SearchSpec, path):
     # one value in 0..n-1 per decision cell: the meet cells, then at most as
     # many open join cells
     n, cells = spec.n, 2 * spec.n * (spec.n - 1)
-    if len(tokens) > cells or any(not _is_number(tok) or int(tok) >= n for tok in tokens):
+    path_vector = tuple(map(_number, tokens))
+    if len(path_vector) > cells or any(v is None or v >= n for v in path_vector):
         raise ValueError(f"checkpoint path is not at most {cells} values in 0..{n - 1}")
-    if not _is_number(lines[3]):
+    found = _number(lines[3])
+    if found is None:
         raise ValueError("checkpoint line 4 is not a witness count")
-    return tuple(map(int, tokens)), int(lines[3])
+    return path_vector, found
 
 
-def _is_number(token: str) -> bool:
-    """Whether `token` is a number as `save_checkpoint` writes it: ASCII
-    digits only. str.isdigit alone also takes '²', which int() refuses, and
-    '０' and '٣', which int() reads as 0 and 3."""
-    return token.isascii() and token.isdigit()
+def _number(token: str):
+    """The number `token` spells as `save_checkpoint` writes one, ASCII
+    digits only, or None. str.isdigit alone also takes '²', which int()
+    refuses, and '０' and '٣', which int() reads as 0 and 3; and int()
+    refuses more digits than the interpreter's limit (4,300 by default)."""
+    try:
+        return int(token) if token.isascii() and token.isdigit() else None
+    except ValueError:  # past the digit limit
+        return None

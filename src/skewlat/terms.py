@@ -260,15 +260,13 @@ def format_equation(lhs, rhs) -> str:
 #   both are bound in one loop it reads m[a][b], or a row or column of that
 #   loop already bound. (Binding every row, also those read in their own
 #   loop, measured slower: ROADMAP, "Measured and left out".) Each
-#   formula is tested in the loop of its last variable, which keeps its
-#   first failing assignment in a list w; the function returns w, each
-#   formula's failing values or None, once every formula has failed or the
-#   loops end. (Returning one list keeps the early return a short line:
-#   locals w0, w1, ... would repeat all of them in every test, and more
-#   than double the memory compile() takes.) A single formula keeps the
-#   premise skip: a premise that is false `continue`s the loop where both
-#   its sides are known, since every assignment below has the same false
-#   premise, and the first failing conclusion returns at once.
+#   formula, one alone as well as many, is tested in the loop of its last
+#   variable, premises and conclusion in one `if`, which keeps its first
+#   failing assignment in a list w; the function returns w, each formula's
+#   failing values or None, once every formula has failed or the loops
+#   end. (Returning one list keeps the early return a short line: locals
+#   w0, w1, ... would repeat all of them in every test, and more than
+#   double the memory compile() takes.)
 # - table, the values of a tuple of terms at every assignment: the nested
 #   loops over the terms' variables, with the check's placement of rows but
 #   no columns. The deepest loop appends the tuple of the terms' values to
@@ -338,29 +336,21 @@ def _compile(body: str, items: tuple, variables=None):
         width = max(len(f.variables) for f in items)
         if width > MAX_VARIABLES:
             raise VariableLimitError(f"{width} variables exceed the limit {MAX_VARIABLES}")
-        single = len(items) == 1
         for i, f in enumerate(items):
             index = {name: k for k, name in enumerate(f.variables)}
             tests = []
-            for k, (lhs, rhs) in enumerate(f.premises + (f.conclusion,)):
-                (left, dl), (right, dr) = bind(_positional(lhs, index)), bind(_positional(rhs, index))
-                if single and k < len(f.premises):
-                    # a premise is tested as soon as both its sides are known
-                    lines.append((max(dl, dr), f"if {left} != {right}: continue"))
+            for lhs, rhs in f.premises + (f.conclusion,):
+                (left, _), (right, _) = bind(_positional(lhs, index)), bind(_positional(rhs, index))
                 tests.append(f"{left} == {right}")
             tests[-1] = f"{left} != {right}"
             last = len(f.variables) - 1
             values = "".join(f"v{k}, " for k in range(last + 1))
-            if single:
-                lines.append((last, f"if {tests[-1]}: return (({values}),)"))
-            else:
-                lines.append((last, f"if {' and '.join(tests)} and w[{i}] is None:\n    w[{i}] = ({values})\n"
-                                    f"    pending -= 1\n    if not pending: return w"))
+            lines.append((last, f"if {' and '.join(tests)} and w[{i}] is None:\n    w[{i}] = ({values})\n"
+                                f"    pending -= 1\n    if not pending: return w"))
         source, name = "def check(m, j, r):\n", "check"
         source += "".join(f"    {op}c = tuple(zip(*{op}))\n" for op in sorted(columns))
-        if not single:
-            source += f"    w = [None] * {len(items)}\n    pending = {len(items)}\n"
-        tail = f"    return {'(None,)' if single else 'w'}\n"
+        source += f"    w = [None] * {len(items)}\n    pending = {len(items)}\n"
+        tail = "    return w\n"
     for depth in range(width):
         indent = "    " * (depth + 2)
         if table:

@@ -229,8 +229,11 @@ class TestConstructAndSearch:
         assert code == 2
         assert err == f"error: cannot write checkpoint {ck}: No such file or directory\n"
 
-    # int() would raise its own message on 'x' and read '０' (fullwidth) as 0
-    @pytest.mark.parametrize("path", ["99", "-1 -1", " ".join(["0"] * 25), "0 x", "\uff10 1"])
+    # int() would raise its own message on 'x' and on a token past its digit
+    # limit (4,300 by default), and read '０' (fullwidth) as 0
+    @pytest.mark.parametrize(
+        "path", ["99", "-1 -1", " ".join(["0"] * 25), "0 x", "\uff10 1", pytest.param("0" * 5000, id="5000-zeros")]
+    )
     def test_resume_from_bad_path_exits_two(self, capsys, tmp_path, path):
         from skewlat import search
 
@@ -241,8 +244,11 @@ class TestConstructAndSearch:
         message = "checkpoint path is not at most 24 values in 0..3"
         assert (code, out, err) == (2, "", f"error: cannot resume from {ck}: {message}\n")
 
-    # '²' and '٣' pass str.isdigit: int() refuses the first and reads the second as 3
-    @pytest.mark.parametrize("count", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+    # '²' and '٣' pass str.isdigit: int() refuses the first and reads the
+    # second as 3; 5,000 nines pass it too, past int()'s digit limit
+    @pytest.mark.parametrize(
+        "count", ["\u00b2", "\u0663", "9" * 5000], ids=["superscript-two", "arabic-indic-three", "5000-nines"]
+    )
     def test_resume_from_bad_witness_count_exits_two(self, capsys, tmp_path, count):
         from skewlat import search
 

@@ -112,6 +112,19 @@ class TestEnumeration:
         got = [enumerate_skew_lattices(SearchSpec(n=n, satisfy=satisfy)).count_up_to_iso for n in range(1, 7)]
         assert got == counts
 
+    def test_premise_decided_in_an_outer_loop_selects_the_lattices(self):
+        # the premise reads x and y alone, so the compiled check knows it
+        # one loop outside z's; taking x = y leaves x ^ z = z ^ x, which a
+        # commutative meet satisfies everywhere: exactly the lattices
+        quasi = "x ^ y = y ^ x => x ^ z = z ^ x"
+        counts = []
+        for n in range(1, 6):
+            got = enumerate_skew_lattices(SearchSpec(n=n, satisfy=(quasi,)))
+            lattices = enumerate_skew_lattices(SearchSpec(n=n, satisfy=("lattice",)))
+            assert got.exhausted and [S.pair for S in got.witnesses] == [S.pair for S in lattices.witnesses]
+            counts.append(got.count_up_to_iso)
+        assert counts == [1, 1, 1, 2, 5]  # OEIS A006966
+
     def test_falsify_filter(self):
         res = enumerate_skew_lattices(SearchSpec(n=3, falsify=("lattice",)))
         assert res.count_up_to_iso == 7 - 1  # all but the 3-chain
@@ -775,6 +788,14 @@ class TestBudgetsAndCheckpoints:
         ck.write_text(f"{search.CHECKPOINT_HEADER}\n{spec_hash(spec)}\n{path}\n0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="^checkpoint path is not at most 24 values in 0..3$"):
             load_checkpoint(spec, ck)
+
+    def test_checkpoint_numbers_with_leading_zeros_accepted(self, tmp_path):
+        # save_checkpoint writes no leading zero, but the reader takes any
+        # ASCII digits int() converts
+        spec = SearchSpec(n=4)
+        ck = tmp_path / "ck.txt"
+        ck.write_text(f"{search.CHECKPOINT_HEADER}\n{spec_hash(spec)}\n00 01\n000\n", encoding="utf-8")
+        assert load_checkpoint(spec, ck) == ((0, 1), 0)
 
     @pytest.mark.parametrize(
         "field, value", [("limit", -1), ("max_nodes", -5), ("max_seconds", -1.0)]

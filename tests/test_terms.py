@@ -2,10 +2,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from skewlat import terms
-from skewlat.core import CayleyPair, SkewLattice, validate
+from skewlat import search, terms
+from skewlat.core import CayleyPair, SkewLattice, inverse, validate
 from skewlat.terms import (
     Formula,
     ParseError,
@@ -166,8 +166,8 @@ class TestEvaluation:
 
     def test_against_nested_loop_oracle(self, census5, oracle_evaluate):
         # identities, and quasi-identities whose premises read only the outer
-        # variables, so that a false premise skips whole inner loops; raw
-        # random tables beside the census make one-variable premises fail too
+        # variables, so that a premise is known loops before its conclusion;
+        # raw random tables beside the census make one-variable premises fail too
         rng = random.Random(23)
 
         def equation(variables, depth):
@@ -440,3 +440,28 @@ class TestLibrary:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ParseError):
             parse_library("a: x = x\na: x ^ y = x\n")
+
+
+def _relabeled(S, perm):
+    """S with element x renamed perm[x]."""
+    pinv, rng = inverse(perm), S.elements()
+    tables = ([[perm[t[pinv[a]][pinv[b]]] for b in rng] for a in rng] for t in (S.pair.meet, S.pair.join))
+    return validate(CayleyPair.from_tables(*tables))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_pass_matches_each_formula_alone_under_any_labels(data):
+    # every compiled check has one body, for one formula as for many, so a
+    # formula's verdict and first witness in a pass are those of holds on it
+    # alone; whether it holds is a property of the algebra, not its labels
+    S = data.draw(st.sampled_from([S for n in range(1, 6) for S in search.census(n)]))
+    relabeled = _relabeled(S, data.draw(st.permutations(range(S.n))))
+    names = data.draw(st.lists(st.sampled_from(sorted(library())), min_size=1, unique=True))
+    formulas = tuple(library()[name] for name in names)
+    verdicts = []
+    for T in (S, relabeled):
+        found = terms.holds_each(T, formulas)
+        assert found == tuple(holds(T, f) for f in formulas), (names, T.pair.flat())
+        verdicts.append([v is True for v in found])
+    assert verdicts[0] == verdicts[1], (names, S.pair.flat())
