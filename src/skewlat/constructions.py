@@ -5,7 +5,7 @@ idempotent matrices over Z_p."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import CayleyPair, SkewLattice, validate
 
@@ -137,13 +137,17 @@ def _check_order(n):
         raise ValueError(f"order {n} exceeds the maximum {MAX_ORDER}")
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class _RingSpecFields(NamedTuple):
     kind: str  # "full" | "ut" (upper triangular)
     dim: int
     mod: int
 
-    def __post_init__(self):
+
+class RingSpec(_RingSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("full", "ut"):
             raise ValueError(f"ring kind must be 'full' or 'ut', not {self.kind!r}")
         if self.dim < 1:
@@ -162,12 +166,20 @@ class RingSpec:
                 )
         if any(self.mod % k == 0 for k in range(2, self.mod)):
             raise ValueError(f"modulus {self.mod} is not prime")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check its result too
+        return cls(*iterable)
 
 
-@dataclass
 class RingBandResult:
-    emitted: list = field(default_factory=list)  # (SkewLattice, kind, band)
-    nonassociative: list = field(default_factory=list)  # bands where the cubic join fails
+    __slots__ = ("emitted", "nonassociative")
+
+    def __init__(self, emitted=None, nonassociative=None):
+        self.emitted = [] if emitted is None else emitted  # (SkewLattice, kind, band)
+        # the bands where the cubic join fails
+        self.nonassociative = [] if nonassociative is None else nonassociative
 
 
 def _mat_mul(a, b, p):

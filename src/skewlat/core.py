@@ -7,8 +7,7 @@ module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class MalformedTableError(ValueError):
@@ -25,8 +24,7 @@ class AxiomError(ValueError):
         super().__init__(f"{len(self.violations)} axiom violation(s): {lines}{more}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     law: str
     witness: tuple
 
@@ -38,8 +36,7 @@ def _freeze(table: Iterable[Iterable[int]]) -> tuple:
     return tuple(tuple(row) for row in table)
 
 
-@dataclass(frozen=True)
-class CayleyPair:
+class CayleyPair(NamedTuple):
     """Two n x n operation tables over {0..n-1}; a raw candidate algebra."""
 
     n: int
@@ -163,8 +160,7 @@ def is_canonical(pair: CayleyPair, meet_automorphisms=None) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SkewLattice:
+class SkewLattice(NamedTuple):
     """A CayleyPair that passed validate(); immutable and safe to share."""
 
     pair: CayleyPair
@@ -183,8 +179,7 @@ class SkewLattice:
         return range(self.pair.n)
 
 
-@dataclass(frozen=True)
-class ElementPairOrder:
+class ElementPairOrder(NamedTuple):
     """Natural preorder (preceq) and natural partial order (leq) matrices."""
 
     preceq: tuple

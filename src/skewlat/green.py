@@ -7,7 +7,7 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import CayleyPair, SkewLattice, validate
 
@@ -18,8 +18,7 @@ class NotACongruenceError(ValueError):
         super().__init__(f"partition is not a congruence, witness {witness}")
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Equivalence classes over 0..n-1, ids ordered by smallest member."""
 
     class_of: tuple

@@ -69,8 +69,8 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import terms, varieties, ybe
 from .core import CayleyPair, SkewLattice, inverse, is_canonical, label_zero_class, relabelings, validate
@@ -87,8 +87,7 @@ from .core import axiom_violations  # noqa: F401  bench/spans.py traces it throu
 MAX_N = 9
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class _SearchSpecFields(NamedTuple):
     n: int
     satisfy: tuple = ()
     falsify: tuple = ()
@@ -96,7 +95,12 @@ class SearchSpec:
     max_nodes: int = 0  # search-node budget; 0 = unbounded
     max_seconds: float = 0.0  # wall-clock cap; 0 = unbounded
 
-    def __post_init__(self):
+
+class SearchSpec(_SearchSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in (*self.satisfy, *self.falsify):
             resolve_predicate(name)  # an unknown name raises ValueError
         if not 1 <= self.n <= MAX_N:
@@ -104,19 +108,25 @@ class SearchSpec:
         for name in ("limit", "max_nodes", "max_seconds"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0 (0 = unbounded)")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check its result too
+        return cls(*iterable)
 
 
-@dataclass
 class EnumerationResult:
-    count_up_to_iso: int = 0
-    witnesses: list = field(default_factory=list)
-    exhausted: bool = True
-    nodes: int = 0
-    checkpoint: tuple = None  # decision path to resume from, when not exhausted
+    __slots__ = ("count_up_to_iso", "witnesses", "exhausted", "nodes", "checkpoint")
+
+    def __init__(self, count_up_to_iso=0, witnesses=None, exhausted=True, nodes=0, checkpoint=None):
+        self.count_up_to_iso = count_up_to_iso
+        self.witnesses = [] if witnesses is None else witnesses
+        self.exhausted = exhausted
+        self.nodes = nodes
+        self.checkpoint = checkpoint  # decision path to resume from, when not exhausted
 
 
-@dataclass
-class CounterexampleResult:
+class CounterexampleResult(NamedTuple):
     witness: object  # SkewLattice or None
     found_n: int
     exhausted: bool
@@ -627,7 +637,7 @@ def find_counterexample(spec: SearchSpec) -> CounterexampleResult:
         # 0 would mean unbounded, so a spent budget stops here
         if any(v <= 0 for v in left.values()):
             return CounterexampleResult(None, n, False, nodes)
-        res = enumerate_skew_lattices(replace(spec, n=n, limit=1, **left))
+        res = enumerate_skew_lattices(spec._replace(n=n, limit=1, **left))
         nodes += res.nodes
         if res.witnesses:
             return CounterexampleResult(res.witnesses[0], n, False, nodes)

@@ -8,10 +8,10 @@ quasi-identity uses `=>` between the premises and the conclusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .core import SkewLattice
 
@@ -40,10 +40,16 @@ class VariableLimitError(ValueError):
 # Terms are nested tuples: ("var", name) | ("meet", l, r) | ("join", l, r)
 
 
-@dataclass(frozen=True)
-class Formula:
+class _FormulaFields(NamedTuple):
     premises: tuple  # of (Term, Term)
     conclusion: tuple  # (Term, Term)
+
+
+class Formula(_FormulaFields):
+    # no __slots__: the cached properties below keep their values in the
+    # instance's __dict__, which they write without calling __setattr__
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a Formula is immutable")
 
     def __hash__(self):
         return self._hash

@@ -16,7 +16,7 @@ offending tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import core, green, search, terms, varieties, ybe
 from .core import SkewLattice, to_text
@@ -337,8 +337,7 @@ THEOREMS = {
 }
 
 
-@dataclass(frozen=True)
-class BatteryResult:
+class BatteryResult(NamedTuple):
     max_n: int
     algebra_count: int
     passes: dict  # theorem name -> pass count

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import green, terms
 from .constructions import FIXED_TABLES
@@ -51,10 +52,9 @@ _ON_QUOTIENT = ("D1", "D2")
 _ON_S = tuple(dict.fromkeys(name for names in FLAGS.values() for name in names))
 
 
-@dataclass(frozen=True)
-class VarietyReport:
+class VarietyReport(NamedTuple):
     flags: dict
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict = MappingProxyType({})  # read-only: one default for every report
 
 
 def _verdict(flag: str, found: dict):

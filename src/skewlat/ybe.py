@@ -13,7 +13,7 @@ cross-checks must not rest on the theorem the route assumes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import green, terms
 from .core import SkewLattice
@@ -44,8 +44,7 @@ FAMILY_IDENTITIES = {
 }
 
 
-@dataclass(frozen=True)
-class PairMap:
+class PairMap(NamedTuple):
     """A total map on pairs of {0..n-1}; table[x][y] = (x', y').
 
     `keeps` names a coordinate the map is said to keep: 1 when
@@ -57,11 +56,19 @@ class PairMap:
 
     n: int
     table: tuple
-    keeps: int | None = field(default=None, compare=False)
+    keeps: int | None = None
+
+    def __eq__(self, other):
+        return self[:2] == other[:2] if isinstance(other, PairMap) else NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
 
-@dataclass(frozen=True)
-class BraidWitness:
+class BraidWitness(NamedTuple):
     triple: tuple
     lhs: tuple
     rhs: tuple
@@ -70,8 +77,7 @@ class BraidWitness:
         return f"braid fails at {self.triple}: {self.lhs} != {self.rhs}"
 
 
-@dataclass(frozen=True)
-class PowerClass:
+class PowerClass(NamedTuple):
     involutive: bool
     idempotent: bool
     cubic: bool

@@ -353,7 +353,8 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr(one_file):
 def test_only_a_checkpoint_loads_hashlib(tmp_path):
     # hashlib loads OpenSSL, 3.6 MB of resident memory: the reports, the
     # census and the battery run without it, and the first checkpoint read
-    # or written in the process loads it
+    # or written in the process loads it. No command loads dataclasses or
+    # the inspect module it imports: no record type is a dataclass
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = """
 import contextlib, io, sys
@@ -367,6 +368,7 @@ with contextlib.redirect_stdout(io.StringIO()):
                  ["enumerate", "4"], ["theorems", "--max-n", "3"]):
         assert cli.run(argv) == 0, argv
 print("hashlib" in sys.modules)
+print("dataclasses" in sys.modules or "inspect" in sys.modules)
 search.save_checkpoint(search.SearchSpec(n=4), (0, 1), ck)
 print(search.load_checkpoint(search.SearchSpec(n=4), ck))
 """
@@ -374,7 +376,7 @@ print(search.load_checkpoint(search.SearchSpec(n=4), ck))
         [sys.executable, "-c", code, str(tmp_path / "s.skl"), str(tmp_path / "ck.txt")],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n((0, 1), 0)\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nFalse\n((0, 1), 0)\n", "")
 
 
 class TestTheorems:

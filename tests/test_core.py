@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewlat import constructions, core, search
+from skewlat import constructions, core, green, search, terms, theorems, varieties, ybe
 from skewlat.core import (
     AxiomError,
     CayleyPair,
@@ -470,3 +470,72 @@ def test_is_canonical_agrees_with_canonical_form(census5):
             assert verdict == (canonical_form(case) == case) == (case.flat() == least.flat()), case
             seen[verdict] += 1
     assert seen[True] and seen[False]
+
+
+# The record types are tuples (typing.NamedTuple) or, for the mutable search
+# and ring-band results, __slots__ classes. These pin what the records
+# promise their callers: no assignment to an immutable one, the checks of
+# the two specs on construction and on _replace, equality that ignores
+# PairMap.keeps, one hash per Formula text, and the Name(field=value) repr
+# with the hash of the field tuple, which keeps set and dict orders.
+S3 = constructions.rectangular(1, 3)
+IMMUTABLE_RECORDS = {
+    "Violation": lambda: Violation("idempotency of meet", (0,)),
+    "CayleyPair": lambda: S3.pair,
+    "SkewLattice": lambda: S3,
+    "ElementPairOrder": lambda: orders(S3),
+    "Partition": lambda: green.green_relations(S3)[2],
+    "SearchSpec": lambda: search.SearchSpec(n=3),
+    "CounterexampleResult": lambda: search.find_counterexample(search.SearchSpec(n=2, satisfy=("lattice",))),
+    "Formula": lambda: terms.parse("x ^ y = y ^ x"),
+    "PairMap": lambda: ybe.build_map(S3, "update"),
+    "BraidWitness": lambda: ybe.BraidWitness((0, 0, 0), (0, 0, 0), (0, 0, 1)),
+    "PowerClass": lambda: ybe.power_class(ybe.build_map(S3, "update")),
+    "VarietyReport": lambda: varieties.classify(S3),
+    "BatteryResult": lambda: theorems.run_battery(1),
+    "RingSpec": lambda: constructions.RingSpec("ut", 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", IMMUTABLE_RECORDS)
+def test_immutable_records_refuse_assignment(name):
+    record = IMMUTABLE_RECORDS[name]()
+    assert type(record).__name__ == name
+    for attr in (record._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+
+
+BAD_SPECS = {
+    "SearchSpec(n=0)": lambda: search.SearchSpec(n=0),
+    "SearchSpec(n=4)._replace(n=0)": lambda: search.SearchSpec(n=4)._replace(n=0),
+    "SearchSpec(n=4)._replace(limit=-1)": lambda: search.SearchSpec(n=4)._replace(limit=-1),
+    "RingSpec(ut,2,4)": lambda: constructions.RingSpec("ut", 2, 4),
+    "RingSpec(ut,2,3)._replace(mod=4)": lambda: constructions.RingSpec("ut", 2, 3)._replace(mod=4),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_SPECS)
+def test_specs_check_on_construction_and_on_replace(bad):
+    with pytest.raises(ValueError):
+        BAD_SPECS[bad]()
+
+
+def test_pair_maps_differing_only_in_keeps_are_equal():
+    m = ybe.build_map(S3, "update")
+    other = ybe.PairMap(m.n, m.table, None if m.keeps is not None else 1)
+    assert m.keeps != other.keeps
+    assert m == other and not m != other and hash(m) == hash(other) == hash((m.n, m.table))
+    assert m != ybe.build_map(S3, "strong")
+
+
+def test_formulas_of_one_text_are_equal_with_sorted_variables():
+    f, g = (terms.parse("z ^ x = x ^ (y v z)") for _ in range(2))
+    assert f is not g and f == g and hash(f) == hash(g) == hash((f.premises, f.conclusion))
+    assert f.variables == ("x", "y", "z")
+
+
+def test_record_repr_and_hash_read_the_fields():
+    v = Violation("idempotency of meet", (0,))
+    assert repr(v) == "Violation(law='idempotency of meet', witness=(0,))"
+    assert hash(v) == hash(("idempotency of meet", (0,)))

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -666,7 +665,7 @@ class TestBudgetsAndCheckpoints:
             ticks[0] = 0
             free = enumerate_skew_lattices(spec)
             assert (free.nodes, ticks[0]) == (nodes, 0)
-            capped = enumerate_skew_lattices(replace(spec, **budget))
+            capped = enumerate_skew_lattices(spec._replace(**budget))
             assert (capped.nodes, ticks[0]) == (nodes, nodes)
             assert (capped.exhausted, capped.checkpoint) == (True, None)
             assert capped.count_up_to_iso == free.count_up_to_iso
@@ -675,7 +674,7 @@ class TestBudgetsAndCheckpoints:
         spec = SearchSpec(
             n=6, satisfy=("left_handed", "distributive", "cancellative"), falsify=("strong-solution",)
         )
-        for res in (find_counterexample(spec), find_counterexample(replace(spec, **budget))):
+        for res in (find_counterexample(spec), find_counterexample(spec._replace(**budget))):
             assert (res.witness, res.exhausted, res.nodes) == (None, True, 30869)
 
     @pytest.mark.parametrize("n, budget", [(5, 1), (5, 3000), (5, 3032), (5, 6014), (6, 20000)])

@@ -304,7 +304,7 @@ def test_power_class_matches_composition():
                 cubic=all(r(r(r(p))) == r(p) for p in pairs),
             )
             assert power_class(m) == expected, m
-            seen.update((k, v) for k, v in vars(expected).items())
+            seen.update((k, v) for k, v in expected._asdict().items())
     assert len(seen) == 6  # each flag read both true and false
 
 
